@@ -43,10 +43,7 @@ from .perm import (
     PermGroup,
     Permutation,
     closure_test,
-    conjugacy_class_reps,
-    enumerate_elements,
     group_from_element_set,
-    group_from_generators,
     parse_permutation,
     subgroup_generated,
 )

@@ -406,19 +406,20 @@ def _validate_build(spec: GroupSpec, G: PermGroup, cap: int):
         raise RuntimeError(f"construction of {spec.name} failed validation: " + "; ".join(problems))
 
 
+def catalog_row(name: str, cap: int = DEFAULT_CAP) -> dict:
+    """Degree, order, insolubility and |Fit(G)| of one named group; the
+    build itself validates the group's recorded order and flags."""
+    G = build_named_group(name, cap)
+    return {
+        "group": name,
+        "degree": G.degree,
+        "order": G.order_factored.to_json(),
+        "insoluble": not analysis.is_soluble(G),
+        "fitting_order": analysis.fitting_subgroup(G, cap).order,
+    }
+
+
 def validate_catalog(cap: int = DEFAULT_CAP) -> list[dict]:
     """Construct all fourteen catalog groups and assert their recorded
     facts: insoluble, trivial Fitting subgroup, and the listed order."""
-    rows = []
-    for spec in TABLE1:
-        G = build_named_group(spec.name, cap)  # order + flags validated in-build
-        rows.append(
-            {
-                "name": spec.name,
-                "degree": G.degree,
-                "order": G.order_factored.to_json(),
-                "insoluble": not analysis.is_soluble(G),
-                "fitting_order": analysis.fitting_subgroup(G, cap).order,
-            }
-        )
-    return rows
+    return [catalog_row(spec.name, cap) for spec in TABLE1]

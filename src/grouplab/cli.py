@@ -12,7 +12,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from . import analysis, catalog, sol, suite
+from . import catalog, sol, suite
 from .perm import CapExceededError, ParseError, parse_permutation
 
 
@@ -110,55 +110,6 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-class _SolView:
-    """Rendering adapter so a single-element query reuses render()."""
-
-    def __init__(self, group: str, result: sol.SolResult, ell: sol.EllReport, seed: int):
-        self.group = group
-        self.result = result
-        self.ell = ell
-        self.seed = seed
-
-    def to_json(self) -> dict:
-        return {
-            "schema": suite.SCHEMA,
-            "kind": "sol",
-            "seed": self.seed,
-            "group": self.group,
-            "result": self.result.to_json(),
-            "ell": self.ell.to_json(),
-            "meta": {"finished": datetime.now(timezone.utc).isoformat()},
-        }
-
-
-def _render_sol_text(view: _SolView) -> str:
-    r = view.result
-    lines = [
-        f"group: {view.group} (order {r.ambient.order_factored})",
-        f"element: {r.x.cycle_string()}  (order {r.x.order()})",
-        f"|Sol| = {r.order}",
-        f"subgroup: {'yes' if r.is_subgroup else 'no'}",
-        f"structure: {r.structure.label if r.structure else '-'}",
-        f"normalizer order: {r.normalizer_order}",
-        f"centralizer order: {r.centralizer_order}",
-        f"ell: {view.ell.ell if view.ell.ell is not None else '-'}"
-        f"  dichotomy: {view.ell.dichotomy}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _render_sol_csv(view: _SolView) -> str:
-    r = view.result
-    head = "group,representative,check,status,detail\n"
-    detail = (
-        f"sol_order={r.order.value};is_subgroup={r.is_subgroup}"
-        f";structure={r.structure.label if r.structure else ''}"
-        f";normalizer={r.normalizer_order.value};centralizer={r.centralizer_order.value}"
-        f";ell={view.ell.ell};dichotomy={view.ell.dichotomy}"
-    )
-    return head + f'{view.group},"{r.x.cycle_string()}",sol,reported,{detail}\n'
-
-
 def cmd_sol(args) -> int:
     config = _load_config(args)
     cap = config.cap
@@ -183,44 +134,38 @@ def cmd_sol(args) -> int:
             return 1
     result = sol.solubilizer(G, x, cap, workers=config.resolved_workers())
     ell = sol.ell_invariant(G, x, result, cap)
-    view = _SolView(args.group, result, ell, config.seed)
-    if config.format == "json":
-        text = json.dumps(view.to_json(), indent=2, ensure_ascii=False) + "\n"
-    elif config.format == "csv":
-        text = _render_sol_csv(view)
-    else:
-        text = _render_sol_text(view)
-    _emit(text, config.out)
+    report = {
+        "schema": suite.SCHEMA,
+        "kind": "sol",
+        "seed": config.seed,
+        "group": args.group,
+        "result": result.to_json(),
+        "ell": ell.to_json(),
+        "meta": {"finished": datetime.now(timezone.utc).isoformat()},
+    }
+    _emit(suite.render(report, config.format), config.out)
     return 0
 
 
 def cmd_table1(args) -> int:
     config = _load_config(args)
     report = suite.run_table1(config)
-    _emit(suite.render(report, config.format), config.out)
+    _emit(suite.render(report.to_json(), config.format), config.out)
     return 0 if report.all_ok else 1
 
 
 def cmd_scan(args) -> int:
     config = _load_config(args)
     report = suite.run_conjecture_scan(config)
-    _emit(suite.render(report, config.format), config.out)
+    _emit(suite.render(report.to_json(), config.format), config.out)
     return 2 if report.counterexamples else 0
 
 
 def cmd_suite(args) -> int:
     config = _load_config(args)
     report = suite.run_full_suite(config)
-    _emit(suite.render(report, config.format), config.out)
+    _emit(suite.render(report.to_json(), config.format), config.out)
     return 0 if report.all_passed else 1
-
-
-class _CatalogView:
-    def __init__(self, rows: list[dict]):
-        self.rows = rows
-
-    def to_json(self) -> dict:
-        return {"schema": suite.SCHEMA, "kind": "catalog", "rows": self.rows}
 
 
 def cmd_catalog(args) -> int:
@@ -228,39 +173,9 @@ def cmd_catalog(args) -> int:
     names = list(catalog.TABLE1_NAMES)
     if config.include_psl31:
         names.append("PSL2:31")
-    rows = []
-    for name in names:
-        G = catalog.build_named_group(name, config.cap)
-        rows.append(
-            {
-                "group": name,
-                "degree": G.degree,
-                "order": G.order_factored.to_json(),
-                "insoluble": not analysis.is_soluble(G),
-                "fitting_order": analysis.fitting_subgroup(G, config.cap).order,
-            }
-        )
-    view = _CatalogView(rows)
-    if config.format == "json":
-        text = json.dumps(view.to_json(), indent=2, ensure_ascii=False) + "\n"
-    elif config.format == "csv":
-        lines = ["group,representative,check,status,detail"]
-        for r in rows:
-            lines.append(
-                f"{r['group']},,catalog_row,ok,"
-                f"degree={r['degree']};order={r['order']['value']}"
-                f";insoluble={r['insoluble']};fitting={r['fitting_order']}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{'group':14s} {'degree':>6s} {'order':>8s} {'insoluble':>9s} {'|Fit|':>6s}"]
-        for r in rows:
-            lines.append(
-                f"{r['group']:14s} {r['degree']:6d} {r['order']['value']:8d}"
-                f" {str(r['insoluble']):>9s} {r['fitting_order']:6d}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, config.out)
+    rows = [catalog.catalog_row(name, config.cap) for name in names]
+    report = {"schema": suite.SCHEMA, "kind": "catalog", "rows": rows}
+    _emit(suite.render(report, config.format), config.out)
     return 0
 
 

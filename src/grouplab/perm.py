@@ -522,7 +522,7 @@ class PermGroup:
             elems = self._elements_raw(cap)
             n = self._degree
             gen_pairs = [(r, _raw_inv(r, n)) for r in self._gen_raws()]
-            seen: set = set()
+            seen: dict = {}  # conjugate -> minimal element of its class
             rows = []
             for e in elems:
                 if e in seen:
@@ -536,17 +536,22 @@ class PermGroup:
                         if b not in orbit:
                             orbit.add(b)
                             queue.append(b)
-                seen |= orbit
-                rows.append((min(orbit), len(orbit), _raw_order(e, n)))
+                rep = min(orbit)
+                seen.update(dict.fromkeys(orbit, rep))
+                rows.append((rep, len(orbit), _raw_order(e, n)))
             if sum(r[1] for r in rows) != self.order:
                 raise RuntimeError("class sizes do not sum to the group order")
             rows.sort(key=lambda r: (r[2], r[1], r[0]))
+            rank = {r[0]: i for i, r in enumerate(rows)}
+            # keyed on the enumerated elements, so the conjugates above can be freed
+            index = {e: rank[seen[e]] for e in elems}
             self._classes = ConjugacyClassTable(
                 self,
                 tuple(
                     ConjugacyClass(Permutation._from_raw(rep, n), size, ordr)
                     for rep, size, ordr in rows
                 ),
+                index,
             )
         return self._classes
 
@@ -563,13 +568,17 @@ class ConjugacyClass:
 
 class ConjugacyClassTable:
     """Conjugacy classes with canonical (minimal) representatives, sorted by
-    (element order, class size, representative)."""
+    (element order, class size, representative), and the class of every
+    element."""
 
-    __slots__ = ("ambient", "classes")
+    __slots__ = ("ambient", "classes", "_index")
 
-    def __init__(self, ambient: PermGroup, classes: tuple[ConjugacyClass, ...]):
+    def __init__(
+        self, ambient: PermGroup, classes: tuple[ConjugacyClass, ...], index: dict
+    ):
         self.ambient = ambient
         self.classes = classes
+        self._index = index  # raw element -> position of its class in `classes`
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -580,21 +589,20 @@ class ConjugacyClassTable:
     def representatives(self) -> list[Permutation]:
         return [c.representative for c in self.classes]
 
+    def class_index(self, g: Permutation) -> int:
+        """Position in `classes` of the class of g; ValueError if g is not
+        in the ambient group."""
+        # raw tables are identity-padded, so equal raws can differ in degree
+        index = self._index.get(g._raw) if g.degree == self.ambient.degree else None
+        if index is None:
+            raise ValueError(f"{g!r} is not in the group")
+        return index
+
     def class_members(self, representative: Permutation) -> "ElementSet":
-        """The full conjugacy class of the given element, recomputed by orbit BFS."""
-        n = self.ambient.degree
-        gen_pairs = [(r, _raw_inv(r, n)) for r in self.ambient._gen_raws()]
-        e = representative._raw
-        orbit = {e}
-        queue = [e]
-        while queue:
-            a = queue.pop()
-            for g, g_inv in gen_pairs:
-                b = _raw_conj(a, g, g_inv)
-                if b not in orbit:
-                    orbit.add(b)
-                    queue.append(b)
-        return ElementSet._from_raws(self.ambient, frozenset(orbit))
+        """The full conjugacy class of the given element."""
+        index = self.class_index(representative)
+        members = frozenset(e for e, i in self._index.items() if i == index)
+        return ElementSet._from_raws(self.ambient, members)
 
 
 class ElementSet:
@@ -649,28 +657,8 @@ class ElementSet:
         return f"ElementSet(size={len(self._raws)}, degree={self.ambient.degree})"
 
 
-def group_from_generators(generators: Sequence[Permutation]) -> PermGroup:
-    return PermGroup(generators)
-
-
-def group_order(G: PermGroup) -> FactoredInteger:
-    return G.order_factored
-
-
-def group_contains(G: PermGroup, g: Permutation) -> bool:
-    return G.contains(g)
-
-
-def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> list[Permutation]:
-    return G.elements(cap)
-
-
 def subgroup_generated(ambient: PermGroup, generators: Sequence[Permutation]) -> PermGroup:
     return ambient.subgroup(generators)
-
-
-def conjugacy_class_reps(G: PermGroup, cap: int = DEFAULT_CAP) -> ConjugacyClassTable:
-    return G.conjugacy_classes(cap)
 
 
 def _set_raws(S) -> tuple[int, frozenset]:

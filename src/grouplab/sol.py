@@ -111,15 +111,14 @@ def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
     return result
 
 
-def _centralizer_order(G: PermGroup, xraw, cap: int) -> int:
-    key = ("cent", xraw)
-    cached = G._cache.get(key)
-    if cached is None:
-        cached = sum(
-            1 for g in G._elements_raw(cap) if _raw_mult(g, xraw) == _raw_mult(xraw, g)
-        )
-        G._cache[key] = cached
-    return cached
+def pool_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], in input order, on min(workers, len(items))
+    worker processes; in this process when workers <= 1 or there is at most
+    one item. fn must be a module-level function so that it can be pickled."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _sol_chunk_worker(args) -> list:
@@ -129,15 +128,11 @@ def _sol_chunk_worker(args) -> list:
 
 def _sol_member_raws(G: PermGroup, xraw, cap: int, workers: int) -> list:
     elements = G._elements_raw(cap)
-    n = G.degree
-    if workers <= 1 or len(elements) <= _SOL_CHUNK:
-        return [y for y in elements if analysis._soluble_raw(n, (xraw, y))]
-    chunks = [elements[i : i + _SOL_CHUNK] for i in range(0, len(elements), _SOL_CHUNK)]
-    out: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sol_chunk_worker, [(n, xraw, c) for c in chunks]):
-            out.extend(part)
-    return out
+    chunks = [
+        (G.degree, xraw, elements[i : i + _SOL_CHUNK])
+        for i in range(0, len(elements), _SOL_CHUNK)
+    ]
+    return [y for part in pool_map(_sol_chunk_worker, chunks, workers) for y in part]
 
 
 def solubilizer(
@@ -168,7 +163,8 @@ def solubilizer(
         structure = identify_small_group(subgroup)
 
     norm_set = _normalizer_of_cyclic_raws(G, xraw, cap)
-    cent_order = _centralizer_order(G, xraw, cap)
+    classes = G.conjugacy_classes(cap)
+    cent_order = G.order // classes.classes[classes.class_index(x)].size  # |G| / |x^G|
     radical = analysis.soluble_radical(G, cap).radical
 
     # containment and divisibility invariants

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -135,32 +134,21 @@ def _rep_indices(G: PermGroup, config: RunConfig) -> list[int]:
         wanted = set(config.orders)
         return [i for i, c in enumerate(table.classes) if c.element_order in wanted]
     # explicit cycle strings; every element must resolve to its class
-    out = []
+    out = set()
     for text in config.elements:
         x = parse_permutation(text, G.degree)
         if not G.contains(x):
             raise ValueError(f"element {text} is not in the group")
-        target = min(table.class_members(x)._raws)
-        for i, c in enumerate(table.classes):
-            if c.representative._raw == target:
-                out.append(i)
-                break
-    return sorted(set(out))
+        out.add(table.class_index(x))
+    return sorted(out)
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _run_tasks(tasks: list[tuple], workers: int) -> list:
-    """Execute heterogeneous task tuples, preserving input order."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [_task_main(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_task_main, tasks, chunksize=1))
-
-
 def _task_main(task: tuple):
+    """Run one task tuple of any kind; the runners map it over their tasks."""
     kind = task[0]
     if kind == "lemma":
         _, name, rep_idx, seed, cap, full = task
@@ -208,27 +196,19 @@ def _task_main(task: tuple):
 def _table1_row(name: str, cap: int) -> dict:
     spec = catalog.group_spec(name)
     started = time.monotonic()
+    row = catalog.catalog_row(name, cap)
     G = catalog.build_named_group(name, cap)
-    insoluble = not analysis.is_soluble(G)
-    fit = analysis.fitting_subgroup(G, cap).order
     radical = analysis.soluble_radical(G, cap).radical.order
     ok = (
         G.order == spec.expected_order.value
-        and insoluble
-        and fit == 1
+        and row["insoluble"]
+        and row["fitting_order"] == 1
         and radical == 1
     )
-    return {
-        "group": name,
-        "degree": G.degree,
-        "order": G.order_factored.to_json(),
-        "expected_order": spec.expected_order.value,
-        "insoluble": insoluble,
-        "fitting_order": fit,
-        "radical_order": radical,
-        "ok": ok,
-        "_wall": time.monotonic() - started,
-    }
+    items = list(row.items())
+    items.insert(3, ("expected_order", spec.expected_order.value))  # right after "order"
+    items += [("radical_order", radical), ("ok", ok), ("_wall", time.monotonic() - started)]
+    return dict(items)
 
 
 @dataclass(frozen=True)
@@ -258,7 +238,8 @@ def run_table1(config: RunConfig | None = None) -> Table1Report:
     config = config or RunConfig()
     started = _utc_now()
     names = catalog.TABLE1_NAMES
-    rows = _run_tasks([("table1", n, config.cap) for n in names], config.resolved_workers())
+    tasks = [("table1", n, config.cap) for n in names]
+    rows = sol.pool_map(_task_main, tasks, config.resolved_workers())
     meta = {
         "started": started,
         "finished": _utc_now(),
@@ -350,7 +331,7 @@ def run_conjecture_scan(config: RunConfig | None = None) -> ConjectureScanReport
         tasks.extend(
             ("scan", name, rep_idx, config.cap) for rep_idx in _rep_indices(G, config)
         )
-    results = _run_tasks(tasks, config.resolved_workers())
+    results = sol.pool_map(_task_main, tasks, config.resolved_workers())
     records = list(skipped)
     for chunk in results:
         records.extend(chunk)
@@ -446,7 +427,7 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
 
     t0 = time.monotonic()
     all_tasks = tasks + quotient_tasks + product_tasks + explore_tasks
-    results = _run_tasks(all_tasks, config.resolved_workers())
+    results = sol.pool_map(_task_main, all_tasks, config.resolved_workers())
     walls["checks"] = round(time.monotonic() - t0, 3)
 
     groups: list[dict] = []
@@ -499,159 +480,185 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
 # --------------------------------------------------------------- rendering
 
 
-def render_json(report) -> str:
-    return json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+_CSV_HEADER = ["group", "representative", "check", "status", "detail"]
 
 
-def _csv_rows(doc: dict) -> list[list[str]]:
-    rows: list[list[str]] = [["group", "representative", "check", "status", "detail"]]
-
-    def detail(d: dict, skip=()) -> str:
-        parts = []
-        for k, v in d.items():
-            if k in skip or isinstance(v, (dict, list)):
-                continue
-            parts.append(f"{k}={v}")
-        return ";".join(parts)
-
-    kind = doc.get("kind")
-    if kind == "table1":
-        for r in doc["rows"]:
-            rows.append(
-                [
-                    r["group"],
-                    "",
-                    "table1_row",
-                    "pass" if r["ok"] else "FAIL",
-                    detail(r, skip=("group", "ok", "order")) + f";order={r['order']['value']}",
-                ]
-            )
-    elif kind == "conjecture_scan":
-        for r in doc["records"]:
-            rows.append(
-                [
-                    r["group"],
-                    r["representative"],
-                    f"conjecture_{r['conjecture']}",
-                    r["status"],
-                    f"x_order={r['x_order']};sol_order={r['sol_order']['value']}",
-                ]
-            )
-    elif kind == "full_suite":
-        for g in doc["groups"]:
-            for section, key in (("lemma", "lemma_checks"), ("theorem", "theorem_checks")):
-                for c in g[key]:
-                    status = (
-                        "pass" if c["passed"] else "FAIL"
-                    ) if c["triggered"] else "not_triggered"
-                    rows.append([g["group"], c["rep"], f"{section}:{c['item']}", status, ""])
-        for q in doc["quotient_checks"]:
-            rows.append(
-                [
-                    q["group"],
-                    q["rep"],
-                    f"quotient:{q['kernel']}",
-                    "pass" if q["passed"] else "FAIL",
-                    detail(q, skip=("group", "rep", "kernel", "passed")),
-                ]
-            )
-        for p in doc["product_checks"]:
-            rows.append(
-                [
-                    p["product"],
-                    p["rep"],
-                    "product",
-                    "pass" if p["passed"] else "FAIL",
-                    detail(p, skip=("product", "rep", "passed")),
-                ]
-            )
-        for e in doc["exploration"]:
-            rows.append(
-                [
-                    e["group"],
-                    e["element"],
-                    "exploration",
-                    "reported",
-                    f"sol_order={e['order']['value']};is_subgroup={e['is_subgroup']}"
-                    f";is_two_group={e['is_two_group']}",
-                ]
-            )
-    else:
-        raise ValueError(f"no CSV layout for report kind {kind!r}")
-    return rows
+def _detail(d: dict, skip=()) -> str:
+    parts = []
+    for k, v in d.items():
+        if k in skip or isinstance(v, (dict, list)):
+            continue
+        parts.append(f"{k}={v}")
+    return ";".join(parts)
 
 
-def render_csv(report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(_csv_rows(report.to_json()))
-    return buf.getvalue()
-
-
-def render_text(report) -> str:
-    doc = report.to_json()
-    kind = doc.get("kind")
-    lines: list[str] = []
-    if kind == "table1":
-        lines.append(f"{'group':14s} {'order':>8s} {'insoluble':>9s} {'|Fit|':>6s} {'|R|':>4s} ok")
-        for r in doc["rows"]:
-            lines.append(
-                f"{r['group']:14s} {r['order']['value']:8d} {str(r['insoluble']):>9s}"
-                f" {r['fitting_order']:6d} {r['radical_order']:4d} {'pass' if r['ok'] else 'FAIL'}"
-            )
-        lines.append(f"table1: {'all rows pass' if doc['all_ok'] else 'MISMATCH'}")
-    elif kind == "conjecture_scan":
-        counts: dict[str, int] = {}
-        for r in doc["records"]:
-            counts[r["status"]] = counts.get(r["status"], 0) + 1
-            if r["status"] == "COUNTEREXAMPLE":
-                lines.append(
-                    f"COUNTEREXAMPLE conjecture {r['conjecture']}: group={r['group']}"
-                    f" element={r['representative']} |Sol|={r['sol_order']['value']}"
-                )
+def _table1_layout(doc: dict) -> tuple[list[str], list[list]]:
+    lines = [f"{'group':14s} {'order':>8s} {'insoluble':>9s} {'|Fit|':>6s} {'|R|':>4s} ok"]
+    rows = []
+    for r in doc["rows"]:
+        status = "pass" if r["ok"] else "FAIL"
         lines.append(
-            "scan: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+            f"{r['group']:14s} {r['order']['value']:8d} {str(r['insoluble']):>9s}"
+            f" {r['fitting_order']:6d} {r['radical_order']:4d} {status}"
         )
-    elif kind == "full_suite":
-        for g in doc["groups"]:
-            n_checks = len(g["lemma_checks"]) + len(g["theorem_checks"])
-            failed = [
-                c
-                for c in g["lemma_checks"] + g["theorem_checks"]
-                if not c["passed"]
+        detail = _detail(r, skip=("group", "ok", "order")) + f";order={r['order']['value']}"
+        rows.append([r["group"], "", "table1_row", status, detail])
+    lines.append(f"table1: {'all rows pass' if doc['all_ok'] else 'MISMATCH'}")
+    return lines, rows
+
+
+def _scan_layout(doc: dict) -> tuple[list[str], list[list]]:
+    lines = []
+    rows = []
+    counts: dict[str, int] = {}
+    for r in doc["records"]:
+        counts[r["status"]] = counts.get(r["status"], 0) + 1
+        if r["status"] == "COUNTEREXAMPLE":
+            lines.append(
+                f"COUNTEREXAMPLE conjecture {r['conjecture']}: group={r['group']}"
+                f" element={r['representative']} |Sol|={r['sol_order']['value']}"
+            )
+        rows.append(
+            [
+                r["group"],
+                r["representative"],
+                f"conjecture_{r['conjecture']}",
+                r["status"],
+                f"x_order={r['x_order']};sol_order={r['sol_order']['value']}",
             ]
-            lines.append(
-                f"{g['group']:14s} reps={g['representatives']:3d} checks={n_checks:4d} "
-                + ("pass" if g["all_passed"] else f"FAIL ({len(failed)})")
-            )
-            for c in failed:
-                lines.append(f"  FAIL {c['item']} at {c['rep']}: {c.get('witness')}")
-        for q in doc["quotient_checks"]:
-            lines.append(
-                f"quotient {q['group']}/{q['kernel']} at {q['rep']}: "
-                + ("pass" if q["passed"] else "FAIL")
-            )
-        for p in doc["product_checks"]:
-            lines.append(
-                f"product {p['product']} at {p['rep']}: |Sol|={p['sol_in_product']} "
-                + ("pass" if p["passed"] else "FAIL")
-            )
-        for e in doc["exploration"]:
-            lines.append(
-                f"exploration {e['group']} at {e['element']} (|x|={e['element_order']}):"
-                f" |Sol|={e['order']['value']} subgroup={e['is_subgroup']}"
-                f" two_group={e['is_two_group']}"
-            )
-        lines.append(f"suite: {'all passed' if doc['all_passed'] else 'FAILURES PRESENT'}")
-    else:
-        raise ValueError(f"no text layout for report kind {kind!r}")
-    return "\n".join(lines) + "\n"
+        )
+    lines.append(
+        "scan: "
+        + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    )
+    return lines, rows
 
 
-def render(report, fmt: str) -> str:
+def _suite_layout(doc: dict) -> tuple[list[str], list[list]]:
+    lines = []
+    rows = []
+    for g in doc["groups"]:
+        n_checks = len(g["lemma_checks"]) + len(g["theorem_checks"])
+        failed = [
+            c
+            for c in g["lemma_checks"] + g["theorem_checks"]
+            if not c["passed"]
+        ]
+        lines.append(
+            f"{g['group']:14s} reps={g['representatives']:3d} checks={n_checks:4d} "
+            + ("pass" if g["all_passed"] else f"FAIL ({len(failed)})")
+        )
+        for c in failed:
+            lines.append(f"  FAIL {c['item']} at {c['rep']}: {c.get('witness')}")
+        for section, key in (("lemma", "lemma_checks"), ("theorem", "theorem_checks")):
+            for c in g[key]:
+                status = (
+                    "pass" if c["passed"] else "FAIL"
+                ) if c["triggered"] else "not_triggered"
+                rows.append([g["group"], c["rep"], f"{section}:{c['item']}", status, ""])
+    for q in doc["quotient_checks"]:
+        status = "pass" if q["passed"] else "FAIL"
+        lines.append(f"quotient {q['group']}/{q['kernel']} at {q['rep']}: {status}")
+        rows.append(
+            [
+                q["group"],
+                q["rep"],
+                f"quotient:{q['kernel']}",
+                status,
+                _detail(q, skip=("group", "rep", "kernel", "passed")),
+            ]
+        )
+    for p in doc["product_checks"]:
+        status = "pass" if p["passed"] else "FAIL"
+        lines.append(f"product {p['product']} at {p['rep']}: |Sol|={p['sol_in_product']} {status}")
+        rows.append(
+            [
+                p["product"],
+                p["rep"],
+                "product",
+                status,
+                _detail(p, skip=("product", "rep", "passed")),
+            ]
+        )
+    for e in doc["exploration"]:
+        lines.append(
+            f"exploration {e['group']} at {e['element']} (|x|={e['element_order']}):"
+            f" |Sol|={e['order']['value']} subgroup={e['is_subgroup']}"
+            f" two_group={e['is_two_group']}"
+        )
+        rows.append(
+            [
+                e["group"],
+                e["element"],
+                "exploration",
+                "reported",
+                f"sol_order={e['order']['value']};is_subgroup={e['is_subgroup']}"
+                f";is_two_group={e['is_two_group']}",
+            ]
+        )
+    lines.append(f"suite: {'all passed' if doc['all_passed'] else 'FAILURES PRESENT'}")
+    return lines, rows
+
+
+def _sol_layout(doc: dict) -> tuple[list[str], list[list]]:
+    r = doc["result"]
+    ell = doc["ell"]
+    label = r["structure"]["label"] if r["structure"] else None
+    # the document has no ambient order; the spec's is the one the build validated
+    lines = [
+        f"group: {doc['group']} (order {catalog.group_spec(doc['group']).expected_order})",
+        f"element: {r['element']}  (order {r['element_order']})",
+        f"|Sol| = {FactoredInteger.from_int(r['order']['value'])}",
+        f"subgroup: {'yes' if r['is_subgroup'] else 'no'}",
+        f"structure: {label or '-'}",
+        f"normalizer order: {FactoredInteger.from_int(r['normalizer_order']['value'])}",
+        f"centralizer order: {FactoredInteger.from_int(r['centralizer_order']['value'])}",
+        f"ell: {ell['ell'] if ell['ell'] is not None else '-'}  dichotomy: {ell['dichotomy']}",
+    ]
+    detail = (
+        f"sol_order={r['order']['value']};is_subgroup={r['is_subgroup']}"
+        f";structure={label or ''}"
+        f";normalizer={r['normalizer_order']['value']}"
+        f";centralizer={r['centralizer_order']['value']}"
+        f";ell={ell['ell']};dichotomy={ell['dichotomy']}"
+    )
+    return lines, [[doc["group"], r["element"], "sol", "reported", detail]]
+
+
+def _catalog_layout(doc: dict) -> tuple[list[str], list[list]]:
+    lines = [f"{'group':14s} {'degree':>6s} {'order':>8s} {'insoluble':>9s} {'|Fit|':>6s}"]
+    rows = []
+    for r in doc["rows"]:
+        lines.append(
+            f"{r['group']:14s} {r['degree']:6d} {r['order']['value']:8d}"
+            f" {str(r['insoluble']):>9s} {r['fitting_order']:6d}"
+        )
+        detail = (
+            f"degree={r['degree']};order={r['order']['value']}"
+            f";insoluble={r['insoluble']};fitting={r['fitting_order']}"
+        )
+        rows.append([r["group"], "", "catalog_row", "ok", detail])
+    return lines, rows
+
+
+# report kind -> the report's text lines and CSV rows, both built from its
+# JSON document
+_LAYOUTS = {
+    "table1": _table1_layout,
+    "conjecture_scan": _scan_layout,
+    "full_suite": _suite_layout,
+    "sol": _sol_layout,
+    "catalog": _catalog_layout,
+}
+
+
+def render(doc: dict, fmt: str) -> str:
+    """A report's JSON document (``report.to_json()``) as json, csv or text."""
     if fmt == "json":
-        return render_json(report)
+        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    lines, rows = _LAYOUTS[doc["kind"]](doc)
     if fmt == "csv":
-        return render_csv(report)
-    return render_text(report)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([_CSV_HEADER] + rows)
+        return buf.getvalue()
+    return "\n".join(lines) + "\n"

@@ -9,9 +9,11 @@ independent implementations before being pinned here.
 import pytest
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
+from grouplab import sol as sol_mod
 from grouplab import (
     FactoredInteger,
     build_named_group,
+    centralizer,
     check_lemma_suite,
     closure_test,
     direct_product_sol_check,
@@ -161,6 +163,25 @@ def test_solubilizer_rejects_outside_element():
         solubilizer(g("A:5"), parse_permutation("(1,2)", 5))
 
 
+def test_centralizer_order_matches_full_scan():
+    # |G| / |x^G| from the class table against the element-by-element oracle,
+    # at every class representative and at one other member of each class
+    for name in ("A:5", "PGL2:7", "S:4 x S:4"):
+        G = g(name)
+        for cls in G.conjugacy_classes().classes:
+            x = cls.representative
+            other = next((x.conjugate(h) for h in G.elements() if x.conjugate(h) != x), None)
+            for y in [x] if other is None else [x, other]:
+                assert solubilizer(G, y).centralizer_order.value == centralizer(G, y).order
+    table = g("A:5").conjugacy_classes()
+    # (1,2,3) of degree 6 has the same padded raw table as A5's (1,2,3)
+    for outside in (parse_permutation("(1,2)", 5), parse_permutation("(1,2,3)", 6)):
+        with pytest.raises(ValueError):
+            table.class_index(outside)
+        with pytest.raises(ValueError):
+            table.class_members(outside)
+
+
 def test_solubilizer_workers_agree():
     a5 = g("A:5")
     x = rep_of_order(a5, 2)
@@ -169,6 +190,22 @@ def test_solubilizer_workers_agree():
     par = solubilizer(a5, x, workers=2)
     assert seq.order.value == par.order.value
     assert seq.members._raws == par.members._raws
+
+
+def test_pool_map_keeps_order_and_sizes_the_pool(monkeypatch):
+    sizes = []
+    real = sol_mod.ProcessPoolExecutor
+
+    def sized(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(sol_mod, "ProcessPoolExecutor", sized)
+    assert sol_mod.pool_map(abs, [-3, 1, -2], 8) == [3, 1, 2]
+    # one item, or one worker, stays in this process
+    assert sol_mod.pool_map(abs, [-1], 8) == [1]
+    assert sol_mod.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
+    assert sizes == [3]
 
 
 # ----------------------------------------------------------- identification

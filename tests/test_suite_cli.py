@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from grouplab import FactoredInteger
+from grouplab import FactoredInteger, build_named_group
 from grouplab import suite as suite_mod
 from grouplab.cli import main
 from grouplab.suite import (
@@ -14,7 +14,6 @@ from grouplab.suite import (
     ConjectureScanReport,
     RunConfig,
     render,
-    render_json,
     run_conjecture_scan,
     run_full_suite,
     run_table1,
@@ -65,8 +64,8 @@ def test_full_suite_json_is_deterministic_across_runs_and_workers():
     cfg1 = RunConfig(groups=("A:5", "PSL2:7"), workers=2)
     first = run_full_suite(cfg1)
     second = run_full_suite(cfg1)
-    doc1 = json.loads(render_json(first))
-    doc2 = json.loads(render_json(second))
+    doc1 = json.loads(render(first.to_json(), "json"))
+    doc2 = json.loads(render(second.to_json(), "json"))
     assert doc1.pop("meta") != {} and doc2.pop("meta") != {}
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
     # worker count must not leak into the content
@@ -90,7 +89,7 @@ def _parse_csv(text: str) -> list[list[str]]:
 
 def test_csv_shape_for_scan():
     report = run_conjecture_scan(RunConfig(groups=("A:5", "C:6"), workers=2))
-    rows = _parse_csv(render(report, "csv"))
+    rows = _parse_csv(render(report.to_json(), "csv"))
     assert rows[0] == ["group", "representative", "check", "status", "detail"]
     assert all(len(r) == 5 for r in rows)
     # 5 classes in A5 and the C:6 skip markers, three conjectures each
@@ -105,9 +104,20 @@ def test_scan_skips_soluble_groups_with_markers():
     assert not report.counterexamples
 
 
+def test_explicit_selector_resolves_elements_to_classes():
+    # (2,4,3) and (1,2,3) share a class; (1,5)(2,4) is an involution
+    elements = ("(2,4,3)", "(1,5)(2,4)", "(1,2,3)")
+    cfg = RunConfig(groups=("A:5",), selector="explicit", elements=elements)
+    assert suite_mod._rep_indices(build_named_group("A:5"), cfg) == [1, 2]
+    assert len(run_conjecture_scan(cfg).records) == 6
+    outside = RunConfig(groups=("A:5",), selector="explicit", elements=("(1,2)",))
+    with pytest.raises(ValueError):
+        run_conjecture_scan(outside)
+
+
 def test_csv_shape_for_suite():
     report = run_full_suite(RunConfig(groups=("A:5",), workers=2))
-    rows = _parse_csv(render(report, "csv"))
+    rows = _parse_csv(render(report.to_json(), "csv"))
     assert rows[0] == ["group", "representative", "check", "status", "detail"]
     assert all(len(r) == 5 for r in rows)
     lemma_rows = [r for r in rows[1:] if r[0] == "A:5"]
@@ -119,9 +129,9 @@ def test_table1_report():
     report = run_table1(RunConfig(workers=0))
     assert report.all_ok
     assert len(report.rows) == 14
-    text = render(report, "text")
+    text = render(report.to_json(), "text")
     assert "all rows pass" in text
-    doc = json.loads(render(report, "json"))
+    doc = json.loads(render(report.to_json(), "json"))
     assert doc["schema"] == "grouplab-report/1"
     assert doc["kind"] == "table1"
     assert all("_wall" not in row for row in doc["rows"])
