@@ -51,19 +51,16 @@ from .sol import (
     CheckRecord,
     CoreCheckReport,
     EllReport,
-    LemmaSuiteReport,
     ProductCheckReport,
     QuotientCheckReport,
     SolResult,
     StructureTag,
-    check_lemma_suite,
     direct_product_sol_check,
     ell_invariant,
     identify_small_group,
     quotient_sol_check,
     sol_core_check,
     solubilizer,
-    theorem_instance_checks,
 )
 
 __version__ = "0.1.0"

@@ -132,7 +132,7 @@ def _soluble_raw(n: int, gens: Sequence) -> bool:
 
 
 def is_soluble(G: PermGroup) -> bool:
-    return _soluble_raw(G.degree, G._gen_raws())
+    return G._memo("soluble", lambda: _soluble_raw(G.degree, G._gen_raws()))
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[Permutation]) -> PermGroup:
@@ -276,14 +276,13 @@ def core(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
 def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cached = G._cache.get(("sylow", p))
-    if cached is not None:
-        return cached
+    return G._memo(("sylow", p), lambda: _sylow_search(G, p, cap))
+
+
+def _sylow_search(G: PermGroup, p: int, cap: int) -> PermGroup:
     exp_p = G.order_factored.factors.get(p, 0)
     if exp_p == 0:
-        result = PermGroup([G.identity()])
-        G._cache[("sylow", p)] = result
-        return result
+        return PermGroup([G.identity()])
     target = p**exp_p
     seed = None
     for cls in G.conjugacy_classes(cap).classes:  # ascending element order
@@ -305,7 +304,6 @@ def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
         o = _raw_order(g, G.degree)
         if o > 1 and prime_power_base(o) != p:
             raise RuntimeError("Sylow subgroup contains a non-p element")
-    G._cache[("sylow", p)] = cur
     return cur
 
 
@@ -314,9 +312,10 @@ def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
 
 
 def fitting_subgroup(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    cached = G._cache.get("fitting")
-    if cached is not None:
-        return cached
+    return G._memo("fitting", lambda: _fitting_search(G, cap))
+
+
+def _fitting_search(G: PermGroup, cap: int) -> PermGroup:
     gens: list[Permutation] = []
     for p, _ in G.order_factored.factor_pairs:
         sub = p_core(G, p, cap)
@@ -325,7 +324,6 @@ def fitting_subgroup(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     result = G.subgroup(gens, check=False) if gens else PermGroup([G.identity()])
     if not is_nilpotent(result):
         raise RuntimeError("Fitting subgroup computed non-nilpotent")
-    G._cache["fitting"] = result
     return result
 
 
@@ -352,9 +350,10 @@ def is_radical_element(G: PermGroup, g: Permutation, cap: int = DEFAULT_CAP) -> 
 
 
 def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> RadicalCertificate:
-    cached = G._cache.get("radical")
-    if cached is not None:
-        return cached
+    return G._memo("radical", lambda: _radical_search(G, cap))
+
+
+def _radical_search(G: PermGroup, cap: int) -> RadicalCertificate:
     n = G.degree
     table = G.conjugacy_classes(cap)
     radical_raws: set = set()
@@ -367,9 +366,7 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> RadicalCertificate:
     radical = _group_from_raws(n, sorted(radical_raws))
     if set(radical._elements_raw(cap)) != radical_raws:
         raise RuntimeError("radical elements do not form the group they generate")
-    cert = RadicalCertificate(radical, checks)
-    G._cache["radical"] = cert
-    return cert
+    return RadicalCertificate(radical, checks)
 
 
 def quotient_group(
@@ -438,6 +435,10 @@ def exponent_of_group(P: PermGroup, cap: int = DEFAULT_CAP) -> int:
 def is_simple(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     """Exact test: no class representative generates a proper nontrivial
     normal closure."""
+    return G._memo("simple", lambda: _simple_search(G, cap))
+
+
+def _simple_search(G: PermGroup, cap: int) -> bool:
     if G.order == 1:
         return False
     for cls in G.conjugacy_classes(cap).classes:

@@ -345,20 +345,19 @@ def direct_product(
 _BUILD_CACHE: dict[str, PermGroup] = {}
 
 
-def build_named_group(name: str, cap: int = DEFAULT_CAP, validate: bool = True) -> PermGroup:
+def build_named_group(name: str, cap: int = DEFAULT_CAP) -> PermGroup:
     spec = group_spec(name)
     cached = _BUILD_CACHE.get(spec.name)
     if cached is not None:
         return cached
     if " x " in spec.name:
         parts = spec.name.split(" x ")
-        G = build_named_group(parts[0], cap, validate)
+        G = build_named_group(parts[0], cap)
         for part in parts[1:]:
-            G, _, _ = direct_product(G, build_named_group(part, cap, validate))
+            G, _, _ = direct_product(G, build_named_group(part, cap))
     else:
         G = PermGroup(_gens_for(spec.name))
-    if validate:
-        _validate_build(spec, G, cap)
+    _validate_build(spec, G, cap)
     _BUILD_CACHE[spec.name] = G
     return G
 

@@ -462,7 +462,7 @@ class PermGroup:
         self._order_f = FactoredInteger.from_int(self._chain.order())
         self._elements = None
         self._classes = None
-        self._cache = {}  # lazily filled by the analysis layer (sylow, radical, ...)
+        self._cache = {}  # group facts, filled through _memo only
 
     @property
     def degree(self) -> int:
@@ -497,6 +497,14 @@ class PermGroup:
 
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
+
+    def _memo(self, key, compute):
+        """The value cached under key, running compute() on the first request;
+        every cached fact about this group (Sol(x), R(G), Sylow subgroups,
+        ...) goes through here."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def _gen_raws(self) -> list:
         return [g._raw for g in self._generators]

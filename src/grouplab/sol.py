@@ -94,21 +94,19 @@ def _cyclic_raws(xraw, n: int) -> frozenset:
 
 
 def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
-    """{g : <x>^g = <x>} as raw tables; cached per (group, element)."""
-    key = ("ncyc", xraw)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    n = G.degree
-    powers = _cyclic_raws(xraw, n)
-    keep = []
-    for g in G._elements_raw(cap):
-        g_inv = _raw_inv(g, n)
-        if _raw_conj(xraw, g, g_inv) in powers:
-            keep.append(g)
-    result = frozenset(keep)
-    G._cache[key] = result
-    return result
+    """{g : <x>^g = <x>} as raw tables; memoized per (group, element)."""
+
+    def compute() -> frozenset:
+        n = G.degree
+        powers = _cyclic_raws(xraw, n)
+        keep = []
+        for g in G._elements_raw(cap):
+            g_inv = _raw_inv(g, n)
+            if _raw_conj(xraw, g, g_inv) in powers:
+                keep.append(g)
+        return frozenset(keep)
+
+    return G._memo(("ncyc", xraw), compute)
 
 
 def pool_map(fn, items: list, workers: int) -> list:
@@ -145,10 +143,10 @@ def solubilizer(
     """
     if not G.contains(x):
         raise ValueError("element is not in the group")
-    key = ("sol", x._raw)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
+    return G._memo(("sol", x._raw), lambda: _solubilizer_search(G, x, cap, workers))
+
+
+def _solubilizer_search(G: PermGroup, x: Permutation, cap: int, workers: int) -> SolResult:
     n = G.degree
     xraw = x._raw
     member_raws = _sol_member_raws(G, xraw, cap, workers)
@@ -184,7 +182,7 @@ def solubilizer(
         if p is not None and order.value == p * p:
             raise RuntimeError("solubilizer of prime-square size in an insoluble group")
 
-    result = SolResult(
+    return SolResult(
         ambient=G,
         x=x,
         members=members,
@@ -195,8 +193,6 @@ def solubilizer(
         normalizer_order=FactoredInteger.from_int(len(norm_set)),
         centralizer_order=FactoredInteger.from_int(cent_order),
     )
-    G._cache[key] = result
-    return result
 
 
 # ---------------------------------------------------------------- structure
@@ -330,15 +326,13 @@ def ell_invariant(
         return EllReport(x.order(), None, "undefined", sol.order.value, len(norm_set))
     powers = _cyclic_raws(xraw, n)
     x_order = len(powers)
-    ell = x_order
-    for y in G._elements_raw(cap):
-        if y in norm_set:
-            continue
-        y_inv = _raw_inv(y, n)
-        shared = len(powers & _cyclic_raws(_raw_conj(xraw, y, y_inv), n))
-        index = x_order // shared
-        if index < ell:
-            ell = index
+    # <x> meet <x^y> depends only on z = x^y, and y lies outside N_G(<x>)
+    # exactly when z is not in <x>: the class x^G holds every index needed
+    ell = min(
+        x_order // len(powers & _cyclic_raws(z, n))
+        for z in G.conjugacy_classes(cap).class_members(x)._raws
+        if z not in powers
+    )
     if sol.members._raws == norm_set:
         status = "normalizer_equals_sol"
     elif sol.order.value > ell * x_order:
@@ -374,49 +368,12 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
-class LemmaSuiteReport:
-    group: str
-    seed: int
-    checks: tuple[CheckRecord, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
 def _sampled_elements(G: PermGroup, label: str, seed: int, cap: int, count: int = 8) -> list:
     """Deterministic sample: every generator plus `count` seeded picks."""
     elements = G._elements_raw(cap)
     rng = random.Random(f"{seed}:{label}")
     picks = [elements[rng.randrange(len(elements))] for _ in range(count)]
     return G._gen_raws() + picks
-
-
-def _suite_context(G: PermGroup, cap: int) -> dict:
-    """Group-level facts shared by every per-representative check run."""
-    ctx = G._cache.get("suite_ctx")
-    if ctx is None:
-        radical = analysis.soluble_radical(G, cap).radical
-        ctx = {
-            "insoluble": not analysis.is_soluble(G),
-            "radical_order": radical.order,
-            "radical_set": frozenset(radical._elements_raw(cap)),
-            "sylow_exp": {
-                p: analysis.exponent_of_group(analysis.sylow_subgroup(G, p, cap), cap)
-                for p, _ in G.order_factored.factor_pairs
-            },
-        }
-        G._cache["suite_ctx"] = ctx
-    return ctx
 
 
 def lemma_checks_for_rep(
@@ -426,12 +383,15 @@ def lemma_checks_for_rep(
     seed: int = 0,
     cap: int = DEFAULT_CAP,
     full_equivariance: bool = False,
-) -> list[CheckRecord]:
-    """All lemma-level checks at one conjugacy-class representative."""
+) -> tuple[list[CheckRecord], list[CheckRecord]]:
+    """Every lemma-level check at one conjugacy-class representative, and
+    the theorem-instance checks there (none for a soluble G). All of them
+    are proved facts: a failure means the implementation is wrong, and the
+    record carries the witness."""
     n = G.degree
     ident = _raw_identity(n)
-    ctx = _suite_context(G, cap)
-    insoluble = ctx["insoluble"]
+    insoluble = not analysis.is_soluble(G)
+    radical = analysis.soluble_radical(G, cap).radical
     cls = G.conjugacy_classes(cap).classes[rep_idx]
 
     x = cls.representative
@@ -462,15 +422,19 @@ def lemma_checks_for_rep(
     # (1) <x> + N_G(<x>) + R(G) inside Sol; membership spot-check of the
     # union-of-soluble-subgroups description
     cyc = _cyclic_raws(xraw, n)
-    contained = cyc <= sol_set and norm_set <= sol_set and ctx["radical_set"] <= sol_set
+    contained = (
+        cyc <= sol_set
+        and norm_set <= sol_set
+        and sol_set.issuperset(radical._elements_raw(cap))
+    )
     spot_ok = all(analysis._soluble_raw(n, (xraw, y)) == (y in sol_set) for y in sample)
     record("containment", contained and spot_ok, {"rep": rep})
 
     # (5) |R(G)| divides |Sol|
     record(
         "radical_divides",
-        sol_order % ctx["radical_order"] == 0,
-        {"radical": ctx["radical_order"], "sol": sol_order},
+        sol_order % radical.order == 0,
+        {"radical": radical.order, "sol": sol_order},
     )
 
     # (6) insoluble G: <x> is proper in Sol
@@ -524,7 +488,8 @@ def lemma_checks_for_rep(
     # when |x| equals the exponent of its Sylow p-subgroup the same
     # dichotomy holds with the sharper bound p * |x|
     p = prime_power_base(x_order) if x_order > 1 else None
-    if p is not None and ctx["sylow_exp"].get(p) == x_order:
+    sylow = analysis.sylow_subgroup(G, p, cap) if p is not None else None
+    if sylow is not None and analysis.exponent_of_group(sylow, cap) == x_order:
         holds = sol.members._raws == norm_set or sol_order > p * x_order
         record(
             "exponent_dichotomy",
@@ -579,33 +544,46 @@ def lemma_checks_for_rep(
     else:
         record("involution_class_in_core", True, triggered=False)
 
-    return checks
+    lemma_count = len(checks)
+    if insoluble:  # every theorem hypothesis presupposes an insoluble G
+        factors = sol.order.factor_pairs
 
+        # |Sol| = 2p, p odd prime -> G simple and N_G(<x>) = Sol
+        if len(factors) == 2 and factors[0] == (2, 1) and factors[1][1] == 1:
+            passed = analysis.is_simple(G, cap) and norm_set == sol_set
+            record("sol_2p", passed, {"sol": sol_order})
+        else:
+            record("sol_2p", True, triggered=False)
 
-def full_equivariance_index(G: PermGroup, cap: int = DEFAULT_CAP) -> int | None:
-    """Designated representative for the one full Sol(x^g) = Sol(x)^g
-    set-equality recomputation per group: the first non-identity class."""
-    for idx, cls in enumerate(G.conjugacy_classes(cap).classes):
-        if cls.element_order > 1:
-            return idx
-    return None
+        # |Sol| = pq with |x| = q > p -> G simple and N_G(<x>) = Sol
+        if (
+            len(factors) == 2
+            and factors[0][1] == 1
+            and factors[1][1] == 1
+            and x_order == factors[1][0]
+        ):
+            passed = analysis.is_simple(G, cap) and norm_set == sol_set
+            record("sol_pq", passed, {"sol": sol_order})
+        else:
+            record("sol_pq", True, triggered=False)
 
+        # |Sol| = 16 -> Sol is a subgroup
+        if sol_order == 16:
+            record("sol_16", sol.is_subgroup, {"sol": sol_order})
+        else:
+            record("sol_16", True, triggered=False)
 
-def check_lemma_suite(
-    G: PermGroup, name: str = "", seed: int = 0, cap: int = DEFAULT_CAP
-) -> LemmaSuiteReport:
-    """Every lemma-level statement, checked at every conjugacy-class
-    representative. All of them are proved facts: a failure here means the
-    implementation is wrong, and the record carries the witness."""
-    full_idx = full_equivariance_index(G, cap)
-    checks: list[CheckRecord] = []
-    for rep_idx in range(len(G.conjugacy_classes(cap).classes)):
-        checks.extend(
-            lemma_checks_for_rep(
-                G, rep_idx, name, seed, cap, full_equivariance=rep_idx == full_idx
+        # Sol a 2-group -> it is a full Sylow 2-subgroup, and |x| >= 8
+        if sol.is_subgroup and prime_power_base(sol_order) == 2:
+            two_part = 2 ** G.order_factored.factors.get(2, 0)
+            record(
+                "sol_2group",
+                sol_order == two_part and x_order >= 8,
+                {"sol": sol_order, "two_part": two_part, "x_order": x_order},
             )
-        )
-    return LemmaSuiteReport(name, seed, tuple(checks))
+        else:
+            record("sol_2group", True, triggered=False)
+    return checks[:lemma_count], checks[lemma_count:]
 
 
 @dataclass(frozen=True)
@@ -664,84 +642,6 @@ def sol_core_check(
     return CoreCheckReport(
         x.cycle_string(), True, ok, core.order, len(class_raws), companion, witness
     )
-
-
-def _is_simple_cached(G: PermGroup, cap: int) -> bool:
-    cached = G._cache.get("simple")
-    if cached is None:
-        cached = analysis.is_simple(G, cap)
-        G._cache["simple"] = cached
-    return cached
-
-
-def theorem_checks_for_rep(G: PermGroup, rep_idx: int, cap: int = DEFAULT_CAP) -> list[CheckRecord]:
-    """Theorem-instance checks at one representative of an insoluble group."""
-    cls = G.conjugacy_classes(cap).classes[rep_idx]
-    records: list[CheckRecord] = []
-    two_part = 2 ** G.order_factored.factors.get(2, 0)
-    x = cls.representative
-    rep = x.cycle_string()
-    sol = solubilizer(G, x, cap)
-    s = sol.order.value
-    norm_set = _normalizer_of_cyclic_raws(G, x._raw, cap)
-    factors = sol.order.factor_pairs
-
-    # |Sol| = 2p, p odd prime -> G simple and N_G(<x>) = Sol
-    if len(factors) == 2 and factors[0] == (2, 1) and factors[1][1] == 1:
-        passed = _is_simple_cached(G, cap) and norm_set == sol.members._raws
-        records.append(CheckRecord("sol_2p", rep, passed, True, None if passed else {"sol": s}))
-    else:
-        records.append(CheckRecord("sol_2p", rep, True, False))
-
-    # |Sol| = pq with |x| = q > p -> G simple and N_G(<x>) = Sol
-    if (
-        len(factors) == 2
-        and factors[0][1] == 1
-        and factors[1][1] == 1
-        and cls.element_order == factors[1][0]
-    ):
-        passed = _is_simple_cached(G, cap) and norm_set == sol.members._raws
-        records.append(CheckRecord("sol_pq", rep, passed, True, None if passed else {"sol": s}))
-    else:
-        records.append(CheckRecord("sol_pq", rep, True, False))
-
-    # |Sol| = 16 -> Sol is a subgroup
-    if s == 16:
-        records.append(
-            CheckRecord("sol_16", rep, sol.is_subgroup, True, None if sol.is_subgroup else {"sol": s})
-        )
-    else:
-        records.append(CheckRecord("sol_16", rep, True, False))
-
-    # Sol a 2-group -> it is a full Sylow 2-subgroup, and |x| >= 8
-    if sol.is_subgroup and prime_power_base(s) == 2:
-        passed = s == two_part and cls.element_order >= 8
-        records.append(
-            CheckRecord(
-                "sol_2group",
-                rep,
-                passed,
-                True,
-                None if passed else {"sol": s, "two_part": two_part, "x_order": cls.element_order},
-            )
-        )
-    else:
-        records.append(CheckRecord("sol_2group", rep, True, False))
-    return records
-
-
-def theorem_instance_checks(
-    G: PermGroup, name: str = "", cap: int = DEFAULT_CAP
-) -> list[CheckRecord]:
-    """Scan class representatives for the named theorems' hypotheses and
-    verify the conclusions wherever one fires. All hypotheses presuppose an
-    insoluble ambient group; a soluble input yields no triggered records."""
-    if analysis.is_soluble(G):
-        return []
-    records: list[CheckRecord] = []
-    for rep_idx in range(len(G.conjugacy_classes(cap).classes)):
-        records.extend(theorem_checks_for_rep(G, rep_idx, cap))
-    return records
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,8 @@ def test_criterion_10_default_suite_gate(announce):
         "order_not_prime_square",
     }
     t0 = time.perf_counter()
-    report = run_full_suite(RunConfig(workers=8))
+    config = RunConfig()  # all available cores
+    report = run_full_suite(config)
     elapsed = time.perf_counter() - t0
     gate_failures = [
         c
@@ -200,7 +201,9 @@ def test_criterion_10_default_suite_gate(announce):
         if c["item"] in gate and not c["passed"]
     ]
     ok = not gate_failures and elapsed < 300.0
-    announce(10, ok, f"{len(report.groups)} groups, {elapsed:.1f}s, 8 workers")
+    announce(
+        10, ok, f"{len(report.groups)} groups, {elapsed:.1f}s, {config.resolved_workers()} workers"
+    )
     assert not gate_failures, gate_failures
     assert report.all_passed
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
@@ -220,7 +223,7 @@ def test_criterion_11_sl27_center_quotient(announce):
 
 
 def test_criterion_12_conjecture_scan_clean(announce):
-    report = run_conjecture_scan(RunConfig(workers=8))
+    report = run_conjecture_scan(RunConfig())
     exit_code = 2 if report.counterexamples else 0
     announce(12, exit_code == 0,
              f"{len(report.records)} records, {len(report.counterexamples)} counterexamples")

@@ -10,6 +10,7 @@ import random
 import pytest
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
+from grouplab import analysis as analysis_mod
 from grouplab import (
     PermGroup,
     build_named_group,
@@ -348,3 +349,21 @@ def test_fitting_below_radical_everywhere():
         assert rad.order % fit.order == 0
         for x in fit.elements():
             assert rad.contains(x)
+
+
+def test_group_facts_are_memoized(monkeypatch):
+    # a fresh group: the catalog build of A:6 has already asked is_soluble
+    G = PermGroup(list(g("A:6").generators))
+    derived_series_runs = []
+    real = analysis_mod._soluble_raw
+
+    def counting(n, gens):
+        derived_series_runs.append(n)
+        return real(n, gens)
+
+    monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
+    assert not is_soluble(G)
+    assert not is_soluble(G)
+    assert len(derived_series_runs) == 1
+    assert soluble_radical(G) is soluble_radical(G)
+    assert sylow_subgroup(G, 2) is sylow_subgroup(G, 2)

@@ -14,7 +14,6 @@ from grouplab import (
     FactoredInteger,
     build_named_group,
     centralizer,
-    check_lemma_suite,
     closure_test,
     direct_product_sol_check,
     derived_subgroup,
@@ -27,9 +26,10 @@ from grouplab import (
     solubilizer,
     subgroup_generated,
     sylow_subgroup,
-    theorem_instance_checks,
     center,
+    normalizer,
 )
+from grouplab.suite import RunConfig, run_full_suite
 
 
 def g(name):
@@ -41,6 +41,12 @@ def rep_of_order(G, k):
         if c.element_order == k:
             return c.representative
     raise AssertionError(f"no class of element order {k}")
+
+
+def suite_group(name, seed=0):
+    """The suite report's section for one group: the lemma and theorem
+    records checked at every class representative."""
+    return run_full_suite(RunConfig(groups=(name,), workers=1, seed=seed)).groups[0]
 
 
 def sol_orders_by_class(G):
@@ -79,8 +85,6 @@ def test_a5_five_cycle_is_dihedral_and_equals_normalizer():
     assert r.normalizer_order.value == 10
     # N_G(<x>) = Sol as literal sets
     H = subgroup_generated(a5, [x])
-    from grouplab import normalizer
-
     N = normalizer(a5, H)
     assert set(N.elements()) == set(r.members)
 
@@ -182,12 +186,23 @@ def test_centralizer_order_matches_full_scan():
             table.class_members(outside)
 
 
-def test_solubilizer_workers_agree():
-    a5 = g("A:5")
-    x = rep_of_order(a5, 2)
-    seq = solubilizer(a5, x, workers=1)
-    a5._cache.pop(("sol", x._raw))
-    par = solubilizer(a5, x, workers=2)
+def test_solubilizer_workers_agree(monkeypatch):
+    pgl = g("PGL2:11")
+    # more than one chunk, so workers=2 really runs the pool
+    assert pgl.order > sol_mod._SOL_CHUNK
+    sizes = []
+    real = sol_mod.ProcessPoolExecutor
+
+    def sized(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(sol_mod, "ProcessPoolExecutor", sized)
+    x = rep_of_order(pgl, 2)
+    seq = solubilizer(pgl, x, workers=1)
+    pgl._cache.pop(("sol", x._raw))
+    par = solubilizer(pgl, x, workers=2)
+    assert sizes == [2]
     assert seq.order.value == par.order.value
     assert seq.members._raws == par.members._raws
 
@@ -267,6 +282,32 @@ def test_ell_s7_double_transposition():
     assert rep.sol_order > rep.ell * rep.x_order
 
 
+def ell_by_full_scan(G, x):
+    """ell as defined: the least index |<x> : <x> meet <x^y>| over every y in
+    G outside N_G(<x>); None when N_G(<x>) = G."""
+    N = normalizer(G, subgroup_generated(G, [x]))
+    powers = {x**k for k in range(x.order())}
+    indices = []
+    for y in G.elements():
+        if y in N:
+            continue
+        xy = x.conjugate(y)
+        shared = powers & {xy**k for k in range(x.order())}
+        indices.append(x.order() // len(shared))
+    return min(indices) if indices else None
+
+
+@pytest.mark.parametrize("name", ["A:5", "PGL2:7", "S:6", "PGammaL2:8", "S:4 x S:4"])
+def test_ell_over_class_matches_full_group_scan(name):
+    G = g(name)
+    for c in G.conjugacy_classes().classes:
+        x = c.representative
+        expected = ell_by_full_scan(G, x)
+        rep = ell_invariant(G, x)
+        assert rep.ell == expected, (name, x)
+        assert (rep.dichotomy == "undefined") == (expected is None)
+
+
 def test_ell_undefined_when_normalizer_is_everything():
     c6 = g("C:6")
     rep = ell_invariant(c6, parse_permutation("(1,2,3,4,5,6)", 6))
@@ -304,15 +345,16 @@ def test_core_check_requires_involution():
 
 @pytest.mark.parametrize("name", ["A:5", "PSL2:7", "PGL2:7", "C:6", "S:4"])
 def test_lemma_suite_passes(name):
-    report = check_lemma_suite(g(name), name, seed=11)
-    failures = [c for c in report.checks if not c.passed]
+    report = run_full_suite(RunConfig(groups=(name,), workers=1, seed=11))
+    group = report.groups[0]
+    failures = [c for c in group["lemma_checks"] if not c["passed"]]
     assert not failures, failures
-    assert report.group == name
-    assert report.seed == 11
+    assert group["group"] == name
+    assert report.to_json()["seed"] == 11
 
 
 def test_lemma_suite_soluble_group_degenerates():
-    report = check_lemma_suite(g("C:6"), "C:6", seed=0)
+    checks = suite_group("C:6")["lemma_checks"]
     insoluble_only = {
         "cyclic_proper",
         "order_not_prime",
@@ -320,48 +362,48 @@ def test_lemma_suite_soluble_group_degenerates():
         "sylow2_of_sol_nonabelian_ge16",
         "no_self_normalizing_prime_cyclic",
     }
-    for c in report.checks:
-        if c.item in insoluble_only:
-            assert not c.triggered
+    for c in checks:
+        if c["item"] in insoluble_only:
+            assert not c["triggered"]
 
 
 def test_lemma_suite_r1_fires_on_pgl27():
-    report = check_lemma_suite(g("PGL2:7"), "PGL2:7", seed=0)
+    checks = suite_group("PGL2:7")["lemma_checks"]
     fired = [
-        c for c in report.checks
-        if c.item == "sylow2_of_sol_nonabelian_ge16" and c.triggered
+        c for c in checks
+        if c["item"] == "sylow2_of_sol_nonabelian_ge16" and c["triggered"]
     ]
-    assert fired and all(c.passed for c in fired)
+    assert fired and all(c["passed"] for c in fired)
 
 
 # --------------------------------------------------------- theorem checks
 
 
 def test_theorem_checks_a5():
-    checks = theorem_instance_checks(g("A:5"), "A:5")
-    fired = {(c.item, c.rep) for c in checks if c.triggered}
-    assert all(c.passed for c in checks)
+    checks = suite_group("A:5")["theorem_checks"]
+    fired = {(c["item"], c["rep"]) for c in checks if c["triggered"]}
+    assert all(c["passed"] for c in checks)
     # |Sol| = 10 = 2*5 at the 5-cycles triggers both hypotheses
     assert {"sol_2p", "sol_pq"} == {item for item, _ in fired}
 
 
 def test_theorem_checks_psl27_pq():
-    checks = theorem_instance_checks(g("PSL2:7"), "PSL2:7")
-    assert all(c.passed for c in checks)
-    pq = [c for c in checks if c.item == "sol_pq" and c.triggered]
+    checks = suite_group("PSL2:7")["theorem_checks"]
+    assert all(c["passed"] for c in checks)
+    pq = [c for c in checks if c["item"] == "sol_pq" and c["triggered"]]
     assert pq, "21 = 3*7 with |x| = 7 should trigger the pq remark"
 
 
 def test_theorem_checks_pgl27_16_and_2group():
-    checks = theorem_instance_checks(g("PGL2:7"), "PGL2:7")
-    assert all(c.passed for c in checks)
-    fired = {c.item for c in checks if c.triggered}
+    checks = suite_group("PGL2:7")["theorem_checks"]
+    assert all(c["passed"] for c in checks)
+    fired = {c["item"] for c in checks if c["triggered"]}
     assert "sol_16" in fired
     assert "sol_2group" in fired
 
 
 def test_theorem_checks_empty_for_soluble():
-    assert theorem_instance_checks(g("S:4"), "S:4") == []
+    assert suite_group("S:4")["theorem_checks"] == []
 
 
 # ------------------------------------------------------- quotient, product
