@@ -354,6 +354,8 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> RadicalCertificate:
 
 
 def _radical_search(G: PermGroup, cap: int) -> RadicalCertificate:
+    if is_soluble(G):  # a soluble group is its own soluble radical
+        return RadicalCertificate(G, 0)
     n = G.degree
     table = G.conjugacy_classes(cap)
     radical_raws: set = set()

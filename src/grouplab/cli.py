@@ -132,7 +132,7 @@ def cmd_sol(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    result = sol.solubilizer(G, x, cap, workers=config.resolved_workers())
+    result = sol.solubilizer(G, x, cap)
     ell = sol.ell_invariant(G, x, result, cap)
     report = {
         "schema": suite.SCHEMA,

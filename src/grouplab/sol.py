@@ -30,8 +30,6 @@ from .perm import (
     prime_power_base,
 )
 
-_SOL_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class StructureTag:
@@ -119,38 +117,53 @@ def pool_map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _sol_chunk_worker(args) -> list:
-    n, xraw, chunk = args
-    return [y for y in chunk if analysis._soluble_raw(n, (xraw, y))]
+def _sol_verdicts(G: PermGroup, xraw, cap: int) -> dict:
+    """{y: <x, y> is soluble} for every element y, one pair test per orbit.
+
+    The verdict is constant on orbits of y -> x*y, y -> y^-1 and y -> y^g for
+    g in N_G(<x>): <x, xy> = <x, y^-1> = <x, y>, and <x, y^g> = <x, y>^g
+    because x^g generates <x>. Elements are visited in enumeration order and
+    each one's verdict is flooded over its orbit.
+    """
+    n = G.degree
+    norm = _group_from_raws(n, sorted(_normalizer_of_cyclic_raws(G, xraw, cap)))
+    conj = [(g, _raw_inv(g, n)) for g in norm._gen_raws()]
+    verdict: dict = {}
+    for y in G._elements_raw(cap):
+        if y in verdict:
+            continue
+        soluble = analysis._soluble_raw(n, (xraw, y))
+        verdict[y] = soluble
+        stack = [y]
+        while stack:
+            a = stack.pop()
+            images = [_raw_mult(xraw, a), _raw_inv(a, n)]
+            images += [_raw_conj(a, g, g_inv) for g, g_inv in conj]
+            for b in images:
+                if b not in verdict:
+                    verdict[b] = soluble
+                    stack.append(b)
+    return verdict
 
 
-def _sol_member_raws(G: PermGroup, xraw, cap: int, workers: int) -> list:
-    elements = G._elements_raw(cap)
-    chunks = [
-        (G.degree, xraw, elements[i : i + _SOL_CHUNK])
-        for i in range(0, len(elements), _SOL_CHUNK)
-    ]
-    return [y for part in pool_map(_sol_chunk_worker, chunks, workers) for y in part]
-
-
-def solubilizer(
-    G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP, workers: int = 1
-) -> SolResult:
-    """Exhaustive Sol_G(x) with its structural trimmings.
+def solubilizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> SolResult:
+    """Sol_G(x) with its structural trimmings.
 
     The full invariant battery from the underlying theory is asserted on
     every call; a violation is an implementation bug, not a finding.
     """
     if not G.contains(x):
         raise ValueError("element is not in the group")
-    return G._memo(("sol", x._raw), lambda: _solubilizer_search(G, x, cap, workers))
+    return G._memo(("sol", x._raw), lambda: _solubilizer_search(G, x, cap))
 
 
-def _solubilizer_search(G: PermGroup, x: Permutation, cap: int, workers: int) -> SolResult:
+def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
     n = G.degree
     xraw = x._raw
-    member_raws = _sol_member_raws(G, xraw, cap, workers)
-    member_set = frozenset(member_raws)
+    verdict = _sol_verdicts(G, xraw, cap)
+    if len(verdict) != G.order:
+        raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
+    member_set = frozenset(y for y in G._elements_raw(cap) if verdict[y])
     members = ElementSet._from_raws(G, member_set)
     order = FactoredInteger.from_int(len(member_set))
 
@@ -727,13 +740,13 @@ class ProductCheckReport:
 
 
 def direct_product_sol_check(
-    A: PermGroup, H: PermGroup, x: Permutation, cap: int = DEFAULT_CAP, workers: int = 1
+    A: PermGroup, H: PermGroup, x: Permutation, cap: int = DEFAULT_CAP
 ) -> ProductCheckReport:
     """Sol_{A x H}(x) = A x Sol_H(x), checked as literal sets."""
     G, embed_left, embed_right = catalog.direct_product(A, H)
     x_in_g = embed_right(x)
     sol_h = solubilizer(H, x, cap)
-    sol_g = solubilizer(G, x_in_g, cap, workers)
+    sol_g = solubilizer(G, x_in_g, cap)
     expected = frozenset(
         _raw_mult(embed_left(a)._raw, embed_right(s)._raw)
         for a in A.elements(cap)

@@ -46,7 +46,7 @@ def rep_of_order(G, k):
 def test_criterion_01_s7_double_transposition(announce):
     t0 = time.perf_counter()
     s7 = build_named_group("S:7")
-    r = solubilizer(s7, parse_permutation("(1,2)(3,4)", 7), workers=1)
+    r = solubilizer(s7, parse_permutation("(1,2)(3,4)", 7))
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s single-threaded"
     announce(1, r.order.value == 42,
@@ -169,7 +169,7 @@ def test_criterion_09_products_with_pgl27(announce):
     expected = {"C:2": 32, "C:4": 64}
     reports = {}
     for name, want in expected.items():
-        rep = direct_product_sol_check(build_named_group(name), pgl7, x, workers=2)
+        rep = direct_product_sol_check(build_named_group(name), pgl7, x)
         reports[name] = rep
         assert rep.passed
         assert rep.sol_in_factor == 16

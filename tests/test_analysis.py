@@ -247,6 +247,24 @@ def test_radical_values():
     assert cert.witness_checks > 0
 
 
+def test_radical_of_soluble_group_is_the_group(monkeypatch):
+    # a fresh group, whose solubility is settled before counting
+    G = PermGroup(list(g("S:4 x S:4").generators))
+    assert is_soluble(G)
+    tests = []
+    real = analysis_mod._soluble_raw
+
+    def counting(n, gens):
+        tests.append(n)
+        return real(n, gens)
+
+    monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
+    cert = soluble_radical(G)
+    assert cert.radical.order == 576
+    assert cert.witness_checks == 0
+    assert tests == []
+
+
 def test_radical_element_predicate():
     a5 = g("A:5")
     assert is_radical_element(a5, a5.identity())

@@ -6,11 +6,16 @@ frozen values were produced the same way or by exhaustive runs of two
 independent implementations before being pinned here.
 """
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
+from grouplab import analysis
 from grouplab import sol as sol_mod
 from grouplab import (
+    TABLE1_NAMES,
     FactoredInteger,
     build_named_group,
     centralizer,
@@ -28,6 +33,7 @@ from grouplab import (
     sylow_subgroup,
     center,
     normalizer,
+    PermGroup,
 )
 from grouplab.suite import RunConfig, run_full_suite
 
@@ -186,25 +192,84 @@ def test_centralizer_order_matches_full_scan():
             table.class_members(outside)
 
 
-def test_solubilizer_workers_agree(monkeypatch):
-    pgl = g("PGL2:11")
-    # more than one chunk, so workers=2 really runs the pool
-    assert pgl.order > sol_mod._SOL_CHUNK
-    sizes = []
-    real = sol_mod.ProcessPoolExecutor
+# ------------------------------------------------ orbit walk vs exhaustive
 
-    def sized(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers)
 
-    monkeypatch.setattr(sol_mod, "ProcessPoolExecutor", sized)
-    x = rep_of_order(pgl, 2)
-    seq = solubilizer(pgl, x, workers=1)
-    pgl._cache.pop(("sol", x._raw))
-    par = solubilizer(pgl, x, workers=2)
-    assert sizes == [2]
-    assert seq.order.value == par.order.value
-    assert seq.members._raws == par.members._raws
+def sol_by_exhaustive_scan(G, x):
+    """The oracle: one pair test per element of G."""
+    n = G.degree
+    return [y for y in G._elements_raw() if analysis._soluble_raw(n, (x._raw, y))]
+
+
+@pytest.mark.parametrize(
+    "name", list(TABLE1_NAMES) + ["SL2:7", "S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4"]
+)
+def test_orbit_walk_matches_exhaustive_scan(name):
+    G = g(name)
+    for c in G.conjugacy_classes().classes:
+        x = c.representative
+        oracle = frozenset(sol_by_exhaustive_scan(G, x))
+        assert solubilizer(G, x).members._raws == oracle, (name, x)
+
+
+def test_orbit_walk_tests_one_element_per_orbit(monkeypatch):
+    # a fresh group, with R(G) and solubility computed before counting, so
+    # that only the solubilizer's own pair tests are counted
+    G = PermGroup(list(g("PGammaL2:8").generators))
+    analysis.soluble_radical(G)
+    analysis.is_soluble(G)
+    tests = []
+    real = analysis._soluble_raw
+
+    def counting(n, gens):
+        tests.append(n)
+        return real(n, gens)
+
+    monkeypatch.setattr(analysis, "_soluble_raw", counting)
+    reps = G.conjugacy_classes().representatives()
+    for x in reps:
+        solubilizer(G, x)
+    assert 0 < len(tests) * 20 <= len(reps) * G.order
+
+
+@functools.lru_cache(maxsize=None)
+def normalizer_of_rep(name, idx):
+    G = g(name)
+    x = G.conjugacy_classes().classes[idx].representative
+    return tuple(normalizer(G, subgroup_generated(G, [x])).elements())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pair_verdict_is_constant_on_orbits(data):
+    # the three maps the orbit walk floods over, checked on the pair test
+    # itself, with N_G(<x>) from analysis.normalizer
+    name = data.draw(st.sampled_from(["A:5", "PSL2:7", "PGL2:7", "S:6"]))
+    G = g(name)
+    classes = G.conjugacy_classes().classes
+    idx = data.draw(st.integers(0, len(classes) - 1))
+    x = classes[idx].representative
+    y = data.draw(st.sampled_from(G.elements()))
+    h = data.draw(st.sampled_from(normalizer_of_rep(name, idx)))
+
+    def verdict(z):
+        return analysis._soluble_raw(G.degree, (x._raw, z._raw))
+
+    expected = verdict(y)
+    for image in (x * y, y * x, y.inverse(), y.conjugate(h)):
+        assert verdict(image) == expected, (name, x, y, h)
+
+
+def test_conjugation_outside_the_normalizer_changes_membership():
+    # why the walk conjugates by N_G(<x>) only: x is in Sol(x), but a
+    # conjugate of x by an element outside N_G(<x>) is not
+    a5 = g("A:5")
+    x = rep_of_order(a5, 5)
+    N = normalizer(a5, subgroup_generated(a5, [x]))
+    h = next(h for h in a5.elements() if h not in N)
+    assert x in solubilizer(a5, x).members
+    assert not analysis._soluble_raw(5, (x._raw, x.conjugate(h)._raw))
+    assert x.conjugate(h) not in solubilizer(a5, x).members
 
 
 def test_pool_map_keeps_order_and_sizes_the_pool(monkeypatch):

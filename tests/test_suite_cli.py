@@ -7,6 +7,7 @@ import json
 import pytest
 
 from grouplab import FactoredInteger, build_named_group
+from grouplab import sol as sol_mod
 from grouplab import suite as suite_mod
 from grouplab.cli import main
 from grouplab.suite import (
@@ -161,6 +162,21 @@ def test_cli_sol_json(capsys):
     assert doc["kind"] == "sol"
     assert doc["result"]["order"]["value"] == 12
     assert doc["result"]["structure"]["label"] == "dihedral 12"
+
+
+def test_cli_sol_workers_flag_parses_and_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sol started a process pool")
+
+    monkeypatch.setattr(sol_mod, "ProcessPoolExecutor", no_pool)
+    docs = []
+    for workers in ("1", "2"):
+        assert main(["sol", "--group", "PGL2:11", "--order", "2", "--format", "json",
+                     "--workers", workers]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("meta")
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_cli_sol_element_not_in_group(capsys):
