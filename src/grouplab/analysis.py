@@ -358,9 +358,11 @@ def _radical_search(G: PermGroup, cap: int) -> RadicalCertificate:
         return RadicalCertificate(G, 0)
     n = G.degree
     table = G.conjugacy_classes(cap)
-    radical_raws: set = set()
+    radical_raws = {_raw_identity(n)}  # <1, y> is cyclic: no scan needed
     checks = 0
     for cls in table.classes:
+        if cls.element_order == 1:
+            continue
         ok, k = _radical_scan(G, cls.representative._raw, cap)
         checks += k
         if ok:

@@ -10,7 +10,13 @@ left factor first: ``(a*b)(p) == b(a(p))``, and ``x.conjugate(g)`` is
 All group machinery (order, membership, element enumeration, conjugacy
 classes) sits on a Schreier-Sims stabilizer chain built without any
 randomization; base points are always the smallest moved points, so two
-builds from the same generator list agree bit for bit.
+builds from the same generator list agree bit for bit. The chain is
+incremental (Seress, *Permutation Group Algorithms*, ch. 4): adding a strong
+generator grows each level's orbit in place, a transversal entry never
+changes once set, and each Schreier generator is sifted at most once. Each
+chain picks its composer once, ``bytes.translate`` up to degree 256. Element
+enumeration follows the transversals, so its order is deterministic but not
+fixed across versions of this module.
 """
 
 from __future__ import annotations
@@ -51,10 +57,7 @@ def _raw_mult(a, b):
 
 def _raw_inv(a, n: int):
     if type(a) is bytes:
-        out = bytearray(_IDENT)
-        for i in range(n):
-            out[a[i]] = i
-        return bytes(out)
+        return bytes.maketrans(a, _IDENT)  # maps a[i] -> i
     out = [0] * n
     for i in range(n):
         out[a[i]] = i
@@ -320,16 +323,25 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
 
 class _Chain:
-    """Stabilizer chain; all mutation goes through extend()."""
+    """Stabilizer chain; all mutation goes through extend().
 
-    __slots__ = ("n", "ident", "base", "sgens", "trans")
+    Each level keeps its orbit in discovery order and, per orbit point, how
+    many of the level's strong generators have been applied to it, so the
+    orbit grows in place and each Schreier generator is sifted at most once.
+    """
+
+    __slots__ = ("n", "ident", "mult", "base", "sgens", "trans", "orbit", "done")
 
     def __init__(self, n: int):
         self.n = n
         self.ident = _raw_identity(n)
+        # the composer, picked once: one C call on bytes tables
+        self.mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
         self.base: list[int] = []
-        self.sgens: list[list] = []  # sgens[i]: [(g, g_inv)] fixing base[:i]
+        self.sgens: list[list] = []  # sgens[i]: strong generators fixing base[:i]
         self.trans: list[dict] = []  # trans[i]: {point: (t, t_inv)}, base[i]^t = point
+        self.orbit: list[list] = []  # orbit[i]: the points of trans[i] in discovery order
+        self.done: list[list] = []  # done[i][j]: sgens[i][:done[i][j]] applied to orbit[i][j]
 
     def order(self) -> int:
         o = 1
@@ -338,13 +350,15 @@ class _Chain:
         return o
 
     def _strip(self, g, start: int):
-        for i in range(start, len(self.base)):
-            p = g[self.base[i]]
-            entry = self.trans[i].get(p)
+        mult = self.mult
+        base = self.base
+        trans = self.trans
+        for i in range(start, len(base)):
+            entry = trans[i].get(g[base[i]])
             if entry is None:
                 return g, i
-            g = _raw_mult(g, entry[1])
-        return g, len(self.base)
+            g = mult(g, entry[1])
+        return g, len(base)
 
     def sift(self, g):
         return self._strip(g, 0)[0]
@@ -367,48 +381,55 @@ class _Chain:
             self.base.append(pt)
             self.sgens.append([])
             self.trans.append({pt: (self.ident, self.ident)})
-        pair = (h, _raw_inv(h, self.n))
+            self.orbit.append([pt])
+            self.done.append([0])
         for i in range(depth + 1):
-            self.sgens[i].append(pair)
-
-    def _orbit(self, i: int):
-        bp = self.base[i]
-        gens = self.sgens[i]
-        tr = {bp: (self.ident, self.ident)}
-        queue = [bp]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            t, t_inv = tr[a]
-            for s, s_inv in gens:
-                b = s[a]
-                if b not in tr:
-                    tr[b] = (_raw_mult(t, s), _raw_mult(s_inv, t_inv))
-                    queue.append(b)
-        self.trans[i] = tr
+            self.sgens[i].append(h)
 
     def _close(self, i: int):
-        # first Schreier generator that fails to sift, or None when level i is closed
+        """Apply every generator of level i not yet applied to each orbit point:
+        an image outside the orbit joins it, any other image gives a Schreier
+        generator to sift. Returns the residue and depth of the first that
+        fails to sift, or None when level i is closed. A Schreier generator
+        that sifted, or whose residue was inserted, lies in <sgens[i+1]>, which
+        only grows, so it is never sifted again."""
+        mult = self.mult
+        ident = self.ident
+        bp = self.base[i]
         tr = self.trans[i]
+        orbit = self.orbit[i]
+        done = self.done[i]
         gens = self.sgens[i]
-        bi = self.base[i]
-        for t, _ in list(tr.values()):
-            for s, _ in gens:
-                u = _raw_mult(t, s)
-                t2_inv = tr[u[bi]][1]
-                sch = _raw_mult(u, t2_inv)
-                if sch == self.ident:
-                    continue
-                res, d = self._strip(sch, i + 1)
-                if res != self.ident:
-                    return res, d
+        ng = len(gens)
+        j = 0
+        while j < len(orbit):
+            k = done[j]
+            if k < ng:
+                t = tr[orbit[j]][0]
+                while k < ng:
+                    u = mult(t, gens[k])
+                    k += 1
+                    b = u[bp]
+                    entry = tr.get(b)
+                    if entry is None:
+                        tr[b] = (u, _raw_inv(u, self.n))
+                        orbit.append(b)
+                        done.append(0)
+                        continue
+                    sch = mult(u, entry[1])
+                    if sch == ident:
+                        continue
+                    res, d = self._strip(sch, i + 1)
+                    if res != ident:
+                        done[j] = k
+                        return res, d
+                done[j] = k
+            j += 1
         return None
 
     def _fixup(self, start: int):
         i = start
         while i >= 0:
-            self._orbit(i)
             hit = self._close(i)
             if hit is None:
                 i -= 1
@@ -421,10 +442,11 @@ class _Chain:
         o = self.order()
         if o > cap:
             raise CapExceededError(f"group order {o} exceeds cap {cap}")
+        mult = self.mult
         cur = [self.ident]
         for i in reversed(range(len(self.base))):
             tr = self.trans[i]
-            cur = [_raw_mult(h, tr[p][0]) for p in sorted(tr) for h in cur]
+            cur = [mult(h, tr[p][0]) for p in sorted(tr) for h in cur]
         return cur
 
 

@@ -1,10 +1,12 @@
 """Core permutation engine: parsing, arithmetic laws, chain enumeration."""
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 from grouplab import (
     CapExceededError,
@@ -12,11 +14,13 @@ from grouplab import (
     ParseError,
     PermGroup,
     Permutation,
+    build_named_group,
     closure_test,
     group_from_element_set,
     parse_permutation,
     subgroup_generated,
 )
+from grouplab.perm import _Chain, _chain_from_raws
 
 perms = st.integers(3, 8).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(lambda im: Permutation(list(im)))
@@ -259,3 +263,92 @@ def test_element_set_conjugation():
     moved = cls.conjugated(g)
     assert len(moved) == len(cls)
     assert {m.order() for m in moved} == {3}
+
+
+# ------------------------------------------- stabilizer chain vs an oracle
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_elements(name):
+    """(degree, sorted elements) of a catalog group, independent of the
+    chain's enumeration order."""
+    G = build_named_group(name)
+    return G.degree, tuple(sorted(G.elements()))
+
+
+def to_sympy(p):
+    return SPerm([i - 1 for i in p.images])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chain_matches_sympy_order_and_membership(data):
+    name = data.draw(st.sampled_from(["S:7", "PGammaL2:8", "M10", "PSL2:11"]))
+    n, elements = catalog_elements(name)
+    k = data.draw(st.integers(1, 3))
+    gens = data.draw(st.lists(st.sampled_from(elements), min_size=k, max_size=k))
+    H = PermGroup(gens)
+    oracle = PermutationGroup([to_sympy(p) for p in gens])
+    assert H.order == oracle.order()
+    inside = data.draw(st.lists(st.sampled_from(H.elements()), min_size=1, max_size=4))
+    anywhere = data.draw(
+        st.lists(
+            st.permutations(range(1, n + 1)).map(lambda im: Permutation(list(im))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for p in inside:
+        assert H.contains(p)
+    for p in anywhere:
+        assert H.contains(p) == oracle.contains(to_sympy(p))
+
+
+def test_chain_above_byte_degree_uses_tuples():
+    n = 300
+    rotation = Permutation([i % n + 1 for i in range(1, n + 1)])
+    reflection = Permutation([(-i) % n + 1 for i in range(n)])
+    D = PermGroup([rotation, reflection])
+    assert type(rotation._raw) is tuple
+    assert D.order == 2 * n
+    assert set(D.elements()) == brute_closure([rotation, reflection])
+    assert D.contains(rotation**7 * reflection)
+    assert not D.contains(parse_permutation("(1,2)", n))
+
+
+@pytest.mark.parametrize("name", ["S:7", "PGammaL2:8", "M10"])
+def test_chain_rebuild_is_bit_for_bit(name):
+    gens = build_named_group(name).generators
+    one, two = PermGroup(gens)._chain, PermGroup(gens)._chain
+    assert one.base == two.base
+    assert one.sgens == two.sgens
+    assert one.trans == two.trans
+
+
+def counted_chain_build(monkeypatch, n, raws):
+    """The chain of raws and the number of _strip calls made below level 0,
+    which are the Schreier generators sifted by _close."""
+    calls = []
+    real = _Chain._strip
+
+    def counting(self, g, start):
+        if start > 0:
+            calls.append(start)
+        return real(self, g, start)
+
+    monkeypatch.setattr(_Chain, "_strip", counting)
+    ch = _chain_from_raws(n, raws)
+    monkeypatch.undo()
+    return ch, len(calls)
+
+
+@pytest.mark.parametrize(
+    "name,source",
+    [("PGammaL2:8", "gens"), ("M10", "gens"), ("S:7", "sorted300"), ("PGammaL2:8", "sorted300")],
+)
+def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch, name, source):
+    n, elements = catalog_elements(name)
+    gens = build_named_group(name).generators if source == "gens" else elements[:300]
+    ch, sifted = counted_chain_build(monkeypatch, n, [p._raw for p in gens])
+    assert ch.order() == PermutationGroup([to_sympy(p) for p in gens]).order()
+    assert 0 < sifted <= sum(len(t) * len(s) for t, s in zip(ch.trans, ch.sgens))

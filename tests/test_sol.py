@@ -7,6 +7,7 @@ independent implementations before being pinned here.
 """
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +231,27 @@ def test_orbit_walk_tests_one_element_per_orbit(monkeypatch):
     for x in reps:
         solubilizer(G, x)
     assert 0 < len(tests) * 20 <= len(reps) * G.order
+
+
+@functools.lru_cache(maxsize=None)
+def s6_elements():
+    return tuple(sorted(g("S:6").elements()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sol_order_matches_sympy_on_random_s6_subgroups(seed):
+    # H = <a, b> for seeded random a, b in S6, and x in H; the oracle counts
+    # the y in H with <x, y> soluble, by sympy's own solubility test
+    rng = random.Random(seed)
+    H = PermGroup([rng.choice(s6_elements()), rng.choice(s6_elements())])
+    x = rng.choice(sorted(H.elements()))
+    sx = SPerm([i - 1 for i in x.images])
+    oracle = sum(
+        1
+        for y in H.elements()
+        if PermutationGroup([sx, SPerm([i - 1 for i in y.images])]).is_solvable
+    )
+    assert solubilizer(H, x).order.value == oracle
 
 
 @functools.lru_cache(maxsize=None)
