@@ -4,9 +4,10 @@ groups, and exponents.
 
 Everything here is a pure function of immutable inputs. The solubility test
 walks the derived series of the generated subgroup directly, one normal
-closure at a time, without ever building a stabilizer chain for the subgroup
-itself; that keeps the per-pair cost low enough for exhaustive solubilizer
-loops.
+closure at a time, and stops each closure as soon as it fills the previous
+term. Callers that know the ambient group G use pair_soluble, which first
+builds one stabilizer chain for <x, y>, stopped at |G|, and settles most pairs
+from its order alone before any walk.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .perm import (
     DEFAULT_CAP,
     CapExceededError,
     FactoredInteger,
+    OrderReached,
     PermGroup,
     Permutation,
     _Chain,
@@ -88,11 +90,11 @@ def _pair_commutators(n: int, gens: Sequence) -> list:
 def _normal_closure_raws(n: int, ambient_gens: Sequence, seeds: Sequence, stop_at: int | None = None):
     """Chain for <seeds^<ambient_gens>>, plus the generators that grew it.
 
-    stop_at: bail out early (returning the partial chain) as soon as the
-    closure order reaches this value; used by the solubility walk where
+    stop_at: the stop order of the chain, so OrderReached propagates as soon
+    as the closure order reaches it; the solubility walk uses it, since
     reaching the previous term's order already decides the answer.
     """
-    ch = _Chain(n)
+    ch = _Chain(n, stop_at)
     found = []
     for s in seeds:
         if ch.extend(s):
@@ -106,13 +108,12 @@ def _normal_closure_raws(n: int, ambient_gens: Sequence, seeds: Sequence, stop_a
             b = _raw_conj(a, g, g_inv)
             if ch.extend(b):
                 found.append(b)
-                if stop_at is not None and ch.order() >= stop_at:
-                    return ch, found
     return ch, found
 
 
 def _soluble_raw(n: int, gens: Sequence) -> bool:
-    """Derived-series termination test for <gens>."""
+    """Derived-series termination test for <gens>. Each term's closure stops
+    at the previous term's order, since reaching it means a perfect term."""
     ident = _raw_identity(n)
     cur = [g for g in gens if g != ident]
     prev = None
@@ -120,15 +121,41 @@ def _soluble_raw(n: int, gens: Sequence) -> bool:
         comms = _pair_commutators(n, cur)
         if not comms:
             return True
-        ch, found = _normal_closure_raws(n, cur, comms, stop_at=prev)
-        o = ch.order()
-        if o == 1:
-            return True
-        if prev is not None and o >= prev:
+        try:
+            ch, found = _normal_closure_raws(n, cur, comms, stop_at=prev)
+        except OrderReached:
             # the derived subgroup filled the whole term: perfect group below
             return False
-        prev = o
+        prev = ch.order()
+        if prev == 1:
+            return True
         cur = found
+
+
+def pair_soluble(G: PermGroup, x, y) -> bool:
+    """Is <x, y> soluble, for raw tables x and y of elements of G?
+
+    For an insoluble G, one chain of H = <x, y> stopped at |G| settles most
+    pairs: reaching |G| means H = G, so H is insoluble; otherwise |H| is known,
+    and H is soluble when |H| has at most two prime divisors (Burnside's
+    p^a q^b theorem) or is odd (Feit-Thompson). Only the remaining pairs run
+    the derived-series walk. For a soluble G every pair runs the walk, so
+    checks on soluble groups keep a test independent of G.
+    """
+    n = G.degree
+    # is_soluble(G) through its memo: a per-pair lookup, not a group-level test
+    if G._memo("soluble", lambda: _soluble_raw(n, G._gen_raws())):
+        return _soluble_raw(n, (x, y))
+    ch = _Chain(n, G.order)
+    try:
+        ch.extend(x)
+        ch.extend(y)
+    except OrderReached:
+        return False
+    h = ch.order()
+    if h % 2 or sum(1 for p, _ in G.order_factored.factor_pairs if h % p == 0) <= 2:
+        return True
+    return _soluble_raw(n, (x, y))
 
 
 def is_soluble(G: PermGroup) -> bool:
@@ -330,15 +357,14 @@ def _fitting_search(G: PermGroup, cap: int) -> PermGroup:
 def _radical_scan(G: PermGroup, xraw, cap: int) -> tuple[bool, int]:
     """Is x radical in G?  Generators are tried first: for an insoluble group
     they are the likeliest witnesses, so failures are found almost at once."""
-    n = G.degree
     checks = 0
     for y in G._gen_raws():
         checks += 1
-        if not _soluble_raw(n, (xraw, y)):
+        if not pair_soluble(G, xraw, y):
             return False, checks
     for y in G._elements_raw(cap):
         checks += 1
-        if not _soluble_raw(n, (xraw, y)):
+        if not pair_soluble(G, xraw, y):
             return False, checks
     return True, checks
 

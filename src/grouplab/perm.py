@@ -44,6 +44,10 @@ class CapExceededError(RuntimeError):
     """A group was larger than the enumeration cap allows."""
 
 
+class OrderReached(Exception):
+    """A chain built with a stop order reached it; the chain is left unfinished."""
+
+
 def _raw_identity(n: int):
     return _IDENT if n <= _BYTES_DEGREE else tuple(range(n))
 
@@ -328,12 +332,19 @@ class _Chain:
     Each level keeps its orbit in discovery order and, per orbit point, how
     many of the level's strong generators have been applied to it, so the
     orbit grows in place and each Schreier generator is sifted at most once.
+
+    With a stop order, extend() raises OrderReached as soon as the order
+    reaches it, possibly in the middle of a fixup. That is sound because each
+    level's partial orbit lies inside the true basic orbit and the base only
+    grows, so a partial chain never overstates |<gens>|. A stopped chain is
+    unfinished and must not be queried again.
     """
 
-    __slots__ = ("n", "ident", "mult", "base", "sgens", "trans", "orbit", "done")
+    __slots__ = ("n", "stop", "ident", "mult", "base", "sgens", "trans", "orbit", "done")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, stop: int | None = None):
         self.n = n
+        self.stop = stop
         self.ident = _raw_identity(n)
         # the composer, picked once: one C call on bytes tables
         self.mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
@@ -367,7 +378,8 @@ class _Chain:
         return self.sift(g) == self.ident
 
     def extend(self, g) -> bool:
-        """Adjoin g; True iff the generated group grew."""
+        """Adjoin g; True iff the generated group grew. Raises OrderReached
+        once the order reaches the chain's stop order."""
         h, lvl = self._strip(g, 0)
         if h == self.ident:
             return False
@@ -395,6 +407,7 @@ class _Chain:
         only grows, so it is never sifted again."""
         mult = self.mult
         ident = self.ident
+        stop = self.stop
         bp = self.base[i]
         tr = self.trans[i]
         orbit = self.orbit[i]
@@ -415,6 +428,8 @@ class _Chain:
                         tr[b] = (u, _raw_inv(u, self.n))
                         orbit.append(b)
                         done.append(0)
+                        if stop is not None and self.order() >= stop:
+                            raise OrderReached
                         continue
                     sch = mult(u, entry[1])
                     if sch == ident:

@@ -132,7 +132,7 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int) -> dict:
     for y in G._elements_raw(cap):
         if y in verdict:
             continue
-        soluble = analysis._soluble_raw(n, (xraw, y))
+        soluble = analysis.pair_soluble(G, xraw, y)
         verdict[y] = soluble
         stack = [y]
         while stack:
@@ -440,7 +440,7 @@ def lemma_checks_for_rep(
         and norm_set <= sol_set
         and sol_set.issuperset(radical._elements_raw(cap))
     )
-    spot_ok = all(analysis._soluble_raw(n, (xraw, y)) == (y in sol_set) for y in sample)
+    spot_ok = all(analysis.pair_soluble(G, xraw, y) == (y in sol_set) for y in sample)
     record("containment", contained and spot_ok, {"rep": rep})
 
     # (5) |R(G)| divides |Sol|
@@ -471,7 +471,7 @@ def lemma_checks_for_rep(
         xg = _raw_conj(xraw, g, g_inv)
         for y in sample:
             lhs = y in sol_set
-            rhs = analysis._soluble_raw(n, (xg, _raw_conj(y, g, g_inv)))
+            rhs = analysis.pair_soluble(G, xg, _raw_conj(y, g, g_inv))
             if lhs != rhs:
                 equi_ok = False
                 equi_witness = {"g": Permutation._from_raw(g, n).cycle_string()}
@@ -638,7 +638,7 @@ def sol_core_check(
     for g in _sampled_elements(G, f"core:{x.cycle_string()}", seed, cap):
         g_inv = _raw_inv(g, n)
         companion += 1
-        if not analysis._soluble_raw(n, (xraw, _raw_conj(xraw, g, g_inv))):
+        if not analysis.pair_soluble(G, xraw, _raw_conj(xraw, g, g_inv)):
             ok = False
             witness = {"g": Permutation._from_raw(g, n).cycle_string(), "companion": True}
             break

@@ -5,9 +5,11 @@ Frozen values were derived independently before implementation: by hand
 set computations spelled out in the test bodies themselves.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 from grouplab import analysis as analysis_mod
@@ -36,6 +38,7 @@ from grouplab import (
     subgroup_generated,
     sylow_subgroup,
 )
+from grouplab.perm import _Chain, _raw_commutator, _raw_conj, _raw_identity, _raw_inv
 
 
 def g(name):
@@ -98,6 +101,112 @@ def test_derived_subgroup_values():
     assert derived_subgroup(g("D:16")).order == 4
     assert derived_subgroup(g("Q:8")).order == 2
     assert derived_subgroup(g("C:12")).order == 1
+
+
+# ------------------------------------------------ ambient-screened pair test
+
+
+def frozen_walk(n, gens):
+    """The derived-series walk as it stood before the ambient screen, kept as
+    the oracle: each closure is built in full or until an extend brings its
+    order to the previous term's, and that order is tested afterwards."""
+    ident = _raw_identity(n)
+    cur = [g for g in gens if g != ident]
+    prev = None
+    while True:
+        comms = []
+        for i, a in enumerate(cur):
+            for b in cur[i + 1 :]:
+                c = _raw_commutator(a, b, n)
+                if c != ident:
+                    comms.append(c)
+        if not comms:
+            return True
+        ch = _Chain(n)
+        found = [c for c in comms if ch.extend(c)]
+        pairs = [(g, _raw_inv(g, n)) for g in cur]
+        qi = 0
+        while qi < len(found):
+            a = found[qi]
+            qi += 1
+            for g, g_inv in pairs:
+                b = _raw_conj(a, g, g_inv)
+                if ch.extend(b):
+                    found.append(b)
+                    if prev is not None and ch.order() >= prev:
+                        return False
+        o = ch.order()
+        if o == 1:
+            return True
+        if prev is not None and o >= prev:
+            return False
+        prev = o
+        cur = found
+
+
+SCREENED = ["A:5", "PSL2:7", "PGL2:7", "S:6", "PGammaL2:8", "M10", "SL2:7", "S:4 x S:4"]
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_elements(name):
+    return tuple(sorted(g(name).elements()))
+
+
+def sympy_pair(x, y):
+    return PermutationGroup([SPerm([i - 1 for i in p.images]) for p in (x, y)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pair_soluble_matches_frozen_walk_and_sympy(data):
+    name = data.draw(st.sampled_from(SCREENED))
+    G = g(name)
+    x = data.draw(st.sampled_from(sorted_elements(name)))
+    y = data.draw(st.sampled_from(sorted_elements(name)))
+    verdict = analysis_mod.pair_soluble(G, x._raw, y._raw)
+    assert verdict == frozen_walk(G.degree, (x._raw, y._raw)), (name, x, y)
+    assert verdict == sympy_pair(x, y).is_solvable, (name, x, y)
+
+
+def expected_branch(G, h_order):
+    """Which way pair_soluble must settle a pair, from |G|, |<x, y>| and
+    whether G is soluble."""
+    if is_soluble(G):
+        return "soluble G"
+    if h_order == G.order:
+        return "generates G"
+    primes = [p for p, _ in G.order_factored.factor_pairs if h_order % p == 0]
+    if h_order % 2 or len(primes) <= 2:
+        return "order"
+    return "walk"
+
+
+def test_pair_soluble_takes_every_branch(monkeypatch):
+    walks = []
+    real = analysis_mod._soluble_raw
+
+    def counting(n, gens):
+        walks.append(n)
+        return real(n, gens)
+
+    rng = random.Random(20261018)
+    seen = set()
+    for name in SCREENED:
+        G = g(name)
+        is_soluble(G)
+        elements = sorted_elements(name)
+        for _ in range(25):
+            x, y = rng.choice(elements), rng.choice(elements)
+            oracle = sympy_pair(x, y)
+            branch = expected_branch(G, oracle.order())
+            del walks[:]
+            monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
+            verdict = analysis_mod.pair_soluble(G, x._raw, y._raw)
+            monkeypatch.undo()
+            assert verdict == oracle.is_solvable, (name, x, y)
+            assert bool(walks) == (branch in ("walk", "soluble G")), (name, x, y, branch)
+            seen.add(branch)
+    assert seen == {"generates G", "order", "walk", "soluble G"}
 
 
 # ------------------------------------------------------------- nilpotency

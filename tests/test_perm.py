@@ -1,6 +1,7 @@
 """Core permutation engine: parsing, arithmetic laws, chain enumeration."""
 
 import functools
+import hashlib
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from grouplab import (
     parse_permutation,
     subgroup_generated,
 )
-from grouplab.perm import _Chain, _chain_from_raws
+from grouplab.perm import OrderReached, _Chain, _chain_from_raws
 
 perms = st.integers(3, 8).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(lambda im: Permutation(list(im)))
@@ -280,13 +281,18 @@ def to_sympy(p):
     return SPerm([i - 1 for i in p.images])
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_chain_matches_sympy_order_and_membership(data):
+def draw_generators(data):
+    """(degree, 1 to 3 random elements) of a random catalog group."""
     name = data.draw(st.sampled_from(["S:7", "PGammaL2:8", "M10", "PSL2:11"]))
     n, elements = catalog_elements(name)
     k = data.draw(st.integers(1, 3))
-    gens = data.draw(st.lists(st.sampled_from(elements), min_size=k, max_size=k))
+    return n, data.draw(st.lists(st.sampled_from(elements), min_size=k, max_size=k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chain_matches_sympy_order_and_membership(data):
+    n, gens = draw_generators(data)
     H = PermGroup(gens)
     oracle = PermutationGroup([to_sympy(p) for p in gens])
     assert H.order == oracle.order()
@@ -304,6 +310,30 @@ def test_chain_matches_sympy_order_and_membership(data):
         assert H.contains(p) == oracle.contains(to_sympy(p))
 
 
+def reaches_stop(n, raws, stop) -> bool:
+    ch = _Chain(n, stop)
+    try:
+        for r in raws:
+            ch.extend(r)
+    except OrderReached:
+        return True
+    assert ch.order() < stop
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chain_stop_order_fires_exactly_at_the_sympy_order(data):
+    n, gens = draw_generators(data)
+    order = PermutationGroup([to_sympy(p) for p in gens]).order()
+    raws = [p._raw for p in gens]
+    stops = {data.draw(st.integers(2, 2 * order + 2)), order + 1}
+    if order > 1:
+        stops |= {order, order - 1} - {1}
+    for stop in stops:
+        assert reaches_stop(n, raws, stop) == (order >= stop), (order, stop)
+
+
 def test_chain_above_byte_degree_uses_tuples():
     n = 300
     rotation = Permutation([i % n + 1 for i in range(1, n + 1)])
@@ -316,13 +346,31 @@ def test_chain_above_byte_degree_uses_tuples():
     assert not D.contains(parse_permutation("(1,2)", n))
 
 
+def chain_digest(ch) -> str:
+    blob = repr((ch.base, ch.sgens, [list(t.items()) for t in ch.trans]))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# base, sgens and trans (in insertion order) of each chain as it was before
+# the stop order was introduced
+CHAIN_DIGESTS = {"S:7": "307bb3a731b1df7e", "PGammaL2:8": "13f408032587d3d4", "M10": "80ef7a8c3c9f9ff9"}
+
+
 @pytest.mark.parametrize("name", ["S:7", "PGammaL2:8", "M10"])
 def test_chain_rebuild_is_bit_for_bit(name):
-    gens = build_named_group(name).generators
+    # a chain without a stop is the chain of before; a stop that never fires
+    # changes nothing
+    G = build_named_group(name)
+    gens = G.generators
     one, two = PermGroup(gens)._chain, PermGroup(gens)._chain
-    assert one.base == two.base
-    assert one.sgens == two.sgens
-    assert one.trans == two.trans
+    unreached = _Chain(G.degree, G.order + 1)
+    for p in gens:
+        unreached.extend(p._raw)
+    for ch in (two, unreached):
+        assert one.base == ch.base
+        assert one.sgens == ch.sgens
+        assert one.trans == ch.trans
+    assert chain_digest(one) == CHAIN_DIGESTS[name]
 
 
 def counted_chain_build(monkeypatch, n, raws):

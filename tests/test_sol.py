@@ -219,14 +219,15 @@ def test_orbit_walk_tests_one_element_per_orbit(monkeypatch):
     G = PermGroup(list(g("PGammaL2:8").generators))
     analysis.soluble_radical(G)
     analysis.is_soluble(G)
+    # counted at pair_soluble: most of its calls are settled without a walk
     tests = []
-    real = analysis._soluble_raw
+    real = analysis.pair_soluble
 
-    def counting(n, gens):
-        tests.append(n)
-        return real(n, gens)
+    def counting(G, x, y):
+        tests.append(y)
+        return real(G, x, y)
 
-    monkeypatch.setattr(analysis, "_soluble_raw", counting)
+    monkeypatch.setattr(analysis, "pair_soluble", counting)
     reps = G.conjugacy_classes().representatives()
     for x in reps:
         solubilizer(G, x)
