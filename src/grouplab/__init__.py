@@ -1,24 +1,22 @@
 """Permutation-group toolkit centred on solubilizer computations."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     RadicalCertificate,
     SeriesReport,
     center,
     centralizer,
     core,
-    derived_series,
     derived_subgroup,
     exponent_of_group,
     fitting_subgroup,
     is_nilpotent,
-    is_radical_element,
     is_simple,
     is_soluble,
     lower_central_series,
-    nilpotency_class,
     normal_closure,
     normalizer,
-    p_core,
     quotient_group,
     soluble_radical,
     sylow_subgroup,
@@ -29,7 +27,6 @@ from .catalog import (
     build_named_group,
     direct_product,
     group_spec,
-    validate_catalog,
 )
 from .perm import (
     DEFAULT_CAP,
@@ -43,9 +40,7 @@ from .perm import (
     PermGroup,
     Permutation,
     closure_test,
-    group_from_element_set,
     parse_permutation,
-    subgroup_generated,
 )
 from .sol import (
     CheckRecord,
@@ -65,4 +60,9 @@ from .sol import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names only: importing them also binds the submodules here
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

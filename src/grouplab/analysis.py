@@ -8,6 +8,11 @@ closure at a time, and stops each closure as soon as it fills the previous
 term. Callers that know the ambient group G use pair_soluble, which first
 builds one stabilizer chain for <x, y>, stopped at |G|, and settles most pairs
 from its order alone before any walk.
+
+R(G), Fit(G) and simplicity come from one memoized pass that builds the normal
+closure <x^G> of each class representative, stopped at |G|: x lies in R(G)
+when <x^G> is soluble, in Fit(G) when it is nilpotent, and G is simple when
+every non-identity closure is G.
 """
 
 from __future__ import annotations
@@ -45,10 +50,7 @@ class SeriesReport:
     stall is visible in the report itself.
     """
 
-    kind: str  # "derived" or "lower_central"
     terms: tuple[FactoredInteger, ...]
-    stabilized: bool
-    length: int
 
     def __post_init__(self):
         values = [t.value for t in self.terms]
@@ -59,18 +61,11 @@ class SeriesReport:
     def reaches_trivial(self) -> bool:
         return self.terms[-1].value == 1
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "terms": [t.to_json() for t in self.terms],
-            "stabilized": self.stabilized,
-            "length": self.length,
-        }
-
 
 @dataclass(frozen=True)
 class RadicalCertificate:
-    """R(G) together with the number of two-generated solubility tests spent."""
+    """R(G) together with the number of class normal closures walked for
+    solubility."""
 
     radical: PermGroup
     witness_checks: int
@@ -170,60 +165,29 @@ def normal_closure(G: PermGroup, seeds: Sequence[Permutation]) -> PermGroup:
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
     gens = G._gen_raws()
-    comms = _pair_commutators(G.degree, gens)
-    if not comms:
-        return PermGroup([G.identity()])
-    _, found = _normal_closure_raws(G.degree, gens, comms)
+    _, found = _normal_closure_raws(G.degree, gens, _pair_commutators(G.degree, gens))
     return _group_from_raws(G.degree, found)
 
 
-def _series(G: PermGroup, kind: str, step: Callable[[PermGroup], PermGroup]) -> SeriesReport:
+def lower_central_series(G: PermGroup) -> SeriesReport:
+    """G = gamma_1 >= gamma_2 >= ..., where gamma_(i+1) = [gamma_i, G] is the
+    normal closure of the commutators of generator pairs."""
+    n = G.degree
+    g_gens = G._gen_raws()
     terms = [G.order_factored]
     cur = G
     while cur.order > 1:
-        nxt = step(cur)
-        if nxt.order == cur.order:
-            terms.append(nxt.order_factored)  # stalled above 1: show the repeat
-            break
+        seeds = [_raw_commutator(a, b, n) for a in cur._gen_raws() for b in g_gens]
+        nxt = _group_from_raws(n, _normal_closure_raws(n, g_gens, seeds)[1])
         terms.append(nxt.order_factored)
+        if nxt.order == cur.order:
+            break  # stalled above 1: the repeated order shows it
         cur = nxt
-    return SeriesReport(kind, tuple(terms), True, len(terms) - 1)
-
-
-def derived_series(G: PermGroup) -> SeriesReport:
-    return _series(G, "derived", derived_subgroup)
-
-
-def lower_central_series(G: PermGroup) -> SeriesReport:
-    n = G.degree
-    ident = _raw_identity(n)
-    g_gens = G._gen_raws()
-
-    def step(term: PermGroup) -> PermGroup:
-        # [term, G] as the normal closure of generator-pair commutators
-        seeds = []
-        for a in term._gen_raws():
-            for b in g_gens:
-                c = _raw_commutator(a, b, n)
-                if c != ident:
-                    seeds.append(c)
-        if not seeds:
-            return PermGroup([G.identity()])
-        _, found = _normal_closure_raws(n, g_gens, seeds)
-        return _group_from_raws(n, found)
-
-    return _series(G, "lower_central", step)
+    return SeriesReport(tuple(terms))
 
 
 def is_nilpotent(G: PermGroup) -> bool:
     return lower_central_series(G).reaches_trivial
-
-
-def nilpotency_class(G: PermGroup) -> int:
-    report = lower_central_series(G)
-    if not report.reaches_trivial:
-        raise ValueError("group is not nilpotent")
-    return report.length
 
 
 def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -334,69 +298,72 @@ def _sylow_search(G: PermGroup, p: int, cap: int) -> PermGroup:
     return cur
 
 
-def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    return core(G, sylow_subgroup(G, p, cap), cap)
+def _class_closures(G: PermGroup, cap: int) -> list:
+    """(representative, closure) for every non-identity class of G, in class
+    table order. closure lists the generators that grew the chain of <x^G>,
+    or is None when <x^G> = G: each chain stops at |G|. The soluble radical,
+    the Fitting subgroup and simplicity are all read from this one list."""
+
+    def build():
+        n, gens = G.degree, G._gen_raws()
+        out = []
+        for cls in G.conjugacy_classes(cap).classes:
+            if cls.element_order == 1:
+                continue
+            try:
+                _, found = _normal_closure_raws(n, gens, [cls.representative._raw], G.order)
+            except OrderReached:
+                found = None
+            out.append((cls.representative, found))
+        return out
+
+    return G._memo("class closures", build)
+
+
+def _closure_union(G: PermGroup, cap: int, keep: Callable) -> tuple[PermGroup, int]:
+    """The identity and every class x^G with <x^G> != G whose closure passes
+    keep, checked to form a group; and the number of closures tested."""
+    n = G.degree
+    table = G.conjugacy_classes(cap)
+    raws = {_raw_identity(n)}
+    tested = 0
+    for rep, found in _class_closures(G, cap):
+        if found is not None:
+            tested += 1
+            if keep(found):
+                raws |= table.class_members(rep)._raws
+    out = _group_from_raws(n, sorted(raws))
+    if set(out._elements_raw(cap)) != raws:
+        raise RuntimeError("the selected classes do not form the group they generate")
+    return out, tested
 
 
 def fitting_subgroup(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    return G._memo("fitting", lambda: _fitting_search(G, cap))
+    """Fit(G): x lies in it exactly when <x^G> is nilpotent."""
 
+    def search() -> PermGroup:
+        if is_soluble(G) and is_nilpotent(G):
+            return G
+        n = G.degree
+        fit, _ = _closure_union(G, cap, lambda found: is_nilpotent(_group_from_raws(n, found)))
+        if not is_nilpotent(fit):
+            raise RuntimeError("Fitting subgroup computed non-nilpotent")
+        return fit
 
-def _fitting_search(G: PermGroup, cap: int) -> PermGroup:
-    gens: list[Permutation] = []
-    for p, _ in G.order_factored.factor_pairs:
-        sub = p_core(G, p, cap)
-        if sub.order > 1:
-            gens.extend(sub.generators)
-    result = G.subgroup(gens, check=False) if gens else PermGroup([G.identity()])
-    if not is_nilpotent(result):
-        raise RuntimeError("Fitting subgroup computed non-nilpotent")
-    return result
-
-
-def _radical_scan(G: PermGroup, xraw, cap: int) -> tuple[bool, int]:
-    """Is x radical in G?  Generators are tried first: for an insoluble group
-    they are the likeliest witnesses, so failures are found almost at once."""
-    checks = 0
-    for y in G._gen_raws():
-        checks += 1
-        if not pair_soluble(G, xraw, y):
-            return False, checks
-    for y in G._elements_raw(cap):
-        checks += 1
-        if not pair_soluble(G, xraw, y):
-            return False, checks
-    return True, checks
-
-
-def is_radical_element(G: PermGroup, g: Permutation, cap: int = DEFAULT_CAP) -> bool:
-    if not G.contains(g):
-        raise ValueError("element is not in the group")
-    return _radical_scan(G, g._raw, cap)[0]
+    return G._memo("fitting", search)
 
 
 def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> RadicalCertificate:
-    return G._memo("radical", lambda: _radical_search(G, cap))
+    """R(G): x lies in it exactly when <x^G> is soluble. A soluble group is its
+    own radical; in an insoluble one a closure equal to G is insoluble."""
 
+    def search() -> RadicalCertificate:
+        if is_soluble(G):
+            return RadicalCertificate(G, 0)
+        n = G.degree
+        return RadicalCertificate(*_closure_union(G, cap, lambda found: _soluble_raw(n, found)))
 
-def _radical_search(G: PermGroup, cap: int) -> RadicalCertificate:
-    if is_soluble(G):  # a soluble group is its own soluble radical
-        return RadicalCertificate(G, 0)
-    n = G.degree
-    table = G.conjugacy_classes(cap)
-    radical_raws = {_raw_identity(n)}  # <1, y> is cyclic: no scan needed
-    checks = 0
-    for cls in table.classes:
-        if cls.element_order == 1:
-            continue
-        ok, k = _radical_scan(G, cls.representative._raw, cap)
-        checks += k
-        if ok:
-            radical_raws |= table.class_members(cls.representative)._raws
-    radical = _group_from_raws(n, sorted(radical_raws))
-    if set(radical._elements_raw(cap)) != radical_raws:
-        raise RuntimeError("radical elements do not form the group they generate")
-    return RadicalCertificate(radical, checks)
+    return G._memo("radical", search)
 
 
 def quotient_group(
@@ -463,18 +430,5 @@ def exponent_of_group(P: PermGroup, cap: int = DEFAULT_CAP) -> int:
 
 
 def is_simple(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
-    """Exact test: no class representative generates a proper nontrivial
-    normal closure."""
-    return G._memo("simple", lambda: _simple_search(G, cap))
-
-
-def _simple_search(G: PermGroup, cap: int) -> bool:
-    if G.order == 1:
-        return False
-    for cls in G.conjugacy_classes(cap).classes:
-        if cls.element_order == 1:
-            continue
-        ncl, _ = _normal_closure_raws(G.degree, G._gen_raws(), [cls.representative._raw])
-        if ncl.order() < G.order:
-            return False
-    return True
+    """Exact test: the normal closure of every non-identity class is G."""
+    return G.order > 1 and all(found is None for _, found in _class_closures(G, cap))

@@ -416,9 +416,3 @@ def catalog_row(name: str, cap: int = DEFAULT_CAP) -> dict:
         "insoluble": not analysis.is_soluble(G),
         "fitting_order": analysis.fitting_subgroup(G, cap).order,
     }
-
-
-def validate_catalog(cap: int = DEFAULT_CAP) -> list[dict]:
-    """Construct all fourteen catalog groups and assert their recorded
-    facts: insoluble, trivial Fitting subgroup, and the listed order."""
-    return [catalog_row(spec.name, cap) for spec in TABLE1]

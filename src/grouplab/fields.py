@@ -51,9 +51,6 @@ class SmallField:
     def neg(self, a: int) -> int:
         return self._undigits([(-x) % self.p for x in self._digits(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         da, db = self._digits(a), self._digits(b)
         conv = [0] * (2 * self.k - 1)

@@ -257,9 +257,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return self._raw == _raw_identity(self._degree)
 
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self._degree) if self._raw[i] != i)
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(p + 1 for p in c) for c in _raw_cycles(self._raw, self._degree))
 
@@ -517,15 +514,8 @@ class PermGroup:
     def order_factored(self) -> FactoredInteger:
         return self._order_f
 
-    @property
-    def base(self) -> tuple[int, ...]:
-        return tuple(p + 1 for p in self._chain.base)
-
     def identity(self) -> Permutation:
         return Permutation.identity(self._degree)
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self._degree:
@@ -651,18 +641,10 @@ class ConjugacyClassTable:
 
 
 class ElementSet:
-    """A set of elements inside a fixed ambient group."""
+    """A set of elements inside a fixed ambient group, as returned by
+    class_members and the solubilizer."""
 
     __slots__ = ("ambient", "_raws")
-
-    def __init__(self, ambient: PermGroup, members: Iterable[Permutation], check: bool = True):
-        raws = set()
-        for m in members:
-            if check and not ambient.contains(m):
-                raise ValueError(f"{m!r} is not in the ambient group")
-            raws.add(m._raw)
-        self.ambient = ambient
-        self._raws = frozenset(raws)
 
     @classmethod
     def _from_raws(cls, ambient: PermGroup, raws: frozenset) -> "ElementSet":
@@ -702,10 +684,6 @@ class ElementSet:
         return f"ElementSet(size={len(self._raws)}, degree={self.ambient.degree})"
 
 
-def subgroup_generated(ambient: PermGroup, generators: Sequence[Permutation]) -> PermGroup:
-    return ambient.subgroup(generators)
-
-
 def _set_raws(S) -> tuple[int, frozenset]:
     """(degree, raw tables) from an ElementSet or any iterable of Permutation."""
     if isinstance(S, ElementSet):
@@ -726,14 +704,6 @@ def closure_test(S) -> bool:
         return False
     ch = _chain_from_raws(n, sorted(raws))
     return ch.order() == len(raws)
-
-
-def group_from_element_set(S) -> PermGroup:
-    """The subgroup generated by S, with a small deterministic generating set."""
-    n, raws = _set_raws(S)
-    if not raws:
-        raise ValueError("cannot build a group from an empty element set")
-    return _group_from_raws(n, sorted(raws))
 
 
 def _group_from_raws(n: int, raws: Iterable) -> PermGroup:

@@ -18,7 +18,6 @@ from grouplab import (
     center,
     closure_test,
     direct_product_sol_check,
-    is_radical_element,
     is_soluble,
     normal_closure,
     normalizer,
@@ -26,7 +25,6 @@ from grouplab import (
     quotient_sol_check,
     solubilizer,
     soluble_radical,
-    subgroup_generated,
 )
 from grouplab.suite import RunConfig, run_conjecture_scan, run_full_suite, run_table1
 
@@ -84,7 +82,7 @@ def test_criterion_04_a5_five_cycle(announce):
     a5 = build_named_group("A:5")
     x = rep_of_order(a5, 5)
     r = solubilizer(a5, x)
-    N = normalizer(a5, subgroup_generated(a5, [x]))
+    N = normalizer(a5, a5.subgroup([x]))
     ok = (
         r.order.value == 10
         and r.is_subgroup
@@ -245,10 +243,11 @@ def test_criterion_13_radical_against_brute_force(announce):
         assert G.order <= 200, name
         R = soluble_radical(G).radical
         radical_set = set(R.elements())
-        flagged = {g for g in G.elements() if is_radical_element(G, g)}
+        # R(G) = {g : Sol_G(g) = G} (Guralnick-Kunyavskii-Plotkin-Shalev)
+        flagged = {g for g in G.elements() if solubilizer(G, g).order.value == G.order}
         brute = {
             g for g in G.elements() if is_soluble(normal_closure(G, [g]))
         }
         assert radical_set == flagged == brute, name
-        assert subgroup_generated(G, list(brute)).order == R.order
+        assert G.subgroup(list(brute)).order == R.order
     announce(13, True, f"12 groups, seed 20260816: {', '.join(corpus)}")

@@ -11,9 +11,8 @@ from grouplab import (
     group_spec,
     is_soluble,
     quotient_group,
-    validate_catalog,
 )
-from grouplab.catalog import PSL31_SPEC
+from grouplab.catalog import PSL31_SPEC, catalog_row
 
 EXPECTED_ORDERS = {
     "A:5": 60,
@@ -215,7 +214,7 @@ def test_direct_product_embeddings():
 
 
 def test_validate_catalog_rows():
-    rows = validate_catalog()
+    rows = [catalog_row(name) for name in TABLE1_NAMES]
     assert len(rows) == 14
     for row in rows:
         assert row["insoluble"] is True

@@ -30,7 +30,6 @@ from grouplab import (
     quotient_sol_check,
     sol_core_check,
     solubilizer,
-    subgroup_generated,
     sylow_subgroup,
     center,
     normalizer,
@@ -91,7 +90,7 @@ def test_a5_five_cycle_is_dihedral_and_equals_normalizer():
     assert r.structure.label == "dihedral 10"
     assert r.normalizer_order.value == 10
     # N_G(<x>) = Sol as literal sets
-    H = subgroup_generated(a5, [x])
+    H = a5.subgroup([x])
     N = normalizer(a5, H)
     assert set(N.elements()) == set(r.members)
 
@@ -259,7 +258,7 @@ def test_sol_order_matches_sympy_on_random_s6_subgroups(seed):
 def normalizer_of_rep(name, idx):
     G = g(name)
     x = G.conjugacy_classes().classes[idx].representative
-    return tuple(normalizer(G, subgroup_generated(G, [x])).elements())
+    return tuple(normalizer(G, G.subgroup([x])).elements())
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,7 +287,7 @@ def test_conjugation_outside_the_normalizer_changes_membership():
     # conjugate of x by an element outside N_G(<x>) is not
     a5 = g("A:5")
     x = rep_of_order(a5, 5)
-    N = normalizer(a5, subgroup_generated(a5, [x]))
+    N = normalizer(a5, a5.subgroup([x]))
     h = next(h for h in a5.elements() if h not in N)
     assert x in solubilizer(a5, x).members
     assert not analysis._soluble_raw(5, (x._raw, x.conjugate(h)._raw))
@@ -373,7 +372,7 @@ def test_ell_s7_double_transposition():
 def ell_by_full_scan(G, x):
     """ell as defined: the least index |<x> : <x> meet <x^y>| over every y in
     G outside N_G(<x>); None when N_G(<x>) = G."""
-    N = normalizer(G, subgroup_generated(G, [x]))
+    N = normalizer(G, G.subgroup([x]))
     powers = {x**k for k in range(x.order())}
     indices = []
     for y in G.elements():
@@ -517,7 +516,7 @@ def test_quotient_check_insoluble_kernel_containment():
 
 def test_quotient_check_rejects_non_normal():
     s5 = g("S:5")
-    H = subgroup_generated(s5, [parse_permutation("(1,2)", 5)])
+    H = s5.subgroup([parse_permutation("(1,2)", 5)])
     with pytest.raises(ValueError):
         quotient_sol_check(s5, H, parse_permutation("(1,2,3)", 5))
 
