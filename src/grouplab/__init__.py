@@ -9,7 +9,6 @@ from .analysis import (
     centralizer,
     core,
     derived_subgroup,
-    exponent_of_group,
     fitting_subgroup,
     is_nilpotent,
     is_simple,

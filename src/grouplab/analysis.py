@@ -1,6 +1,6 @@
 """Structural computations: series, solubility, centralizers, normalizers,
-cores, Sylow subgroups, the Fitting subgroup, the soluble radical, quotient
-groups, and exponents.
+cores, Sylow subgroups, the Fitting subgroup, the soluble radical, and
+quotient groups.
 
 Everything here is a pure function of immutable inputs. The solubility test
 walks the derived series of the generated subgroup directly, one normal
@@ -13,12 +13,15 @@ R(G), Fit(G) and simplicity come from one memoized pass that builds the normal
 closure <x^G> of each class representative, stopped at |G|: x lies in R(G)
 when <x^G> is soluble, in Fit(G) when it is nilpotent, and G is simple when
 every non-identity closure is G.
+
+Z(G) and Core_G(H) are read off the conjugacy class table of G, and G/N is
+memoized on G with a coset index over every element of G, so projecting is a
+dict read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Sequence
 
 from .perm import (
@@ -199,12 +202,9 @@ def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGro
 
 
 def center(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    gens = G._gen_raws()
-    keep = [
-        g
-        for g in G._elements_raw(cap)
-        if all(_raw_mult(g, s) == _raw_mult(s, g) for s in gens)
-    ]
+    """Z(G): the elements whose conjugacy class has size 1."""
+    table = G.conjugacy_classes(cap)
+    keep = [g for g in G._elements_raw(cap) if table.classes[table._index[g]].size == 1]
     return _group_from_raws(G.degree, keep)
 
 
@@ -227,38 +227,15 @@ def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
 
 def core(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     """Largest normal subgroup of G inside H, i.e. the intersection of all
-    conjugates of H.
-
-    Because H is a subgroup, that intersection is exactly the set of x in H
-    whose whole conjugation orbit stays inside H (products of conjugates never
-    leave H), so one orbit walk per element suffices; orbits that escape are
-    abandoned at the first witness.
-    """
+    conjugates of H: the union of the classes of G that lie wholly in H,
+    found by counting H's members per class against the class size."""
     _require_subgroup(G, H)
-    n = G.degree
-    h_set = frozenset(H._elements_raw(cap))
-    gen_pairs = [(g, _raw_inv(g, n)) for g in G._gen_raws()]
-    status: dict = {}
-    for x in sorted(h_set):
-        if x in status:
-            continue
-        orbit = {x}
-        queue = [x]
-        escaped = False
-        while queue and not escaped:
-            a = queue.pop()
-            for g, g_inv in gen_pairs:
-                b = _raw_conj(a, g, g_inv)
-                if b not in h_set:
-                    escaped = True
-                    break
-                if b not in orbit:
-                    orbit.add(b)
-                    queue.append(b)
-        for m in orbit:
-            status[m] = not escaped
-    kept = sorted(x for x, ok in status.items() if ok)
-    out = _group_from_raws(n, kept)
+    table = G.conjugacy_classes(cap)
+    members: dict = {}  # class position -> H's members in that class
+    for h in H._elements_raw(cap):
+        members.setdefault(table._index[h], []).append(h)
+    kept = sorted(h for i, hs in members.items() if len(hs) == table.classes[i].size for h in hs)
+    out = _group_from_raws(G.degree, kept)
     if out.order != len(kept):
         raise RuntimeError("core set is not closed; intersection logic is wrong")
     return out
@@ -372,7 +349,8 @@ def quotient_group(
     """The coset action of G on N's right cosets, plus the projection map.
 
     N must be normal; the action has kernel exactly N, so the result is G/N
-    as a permutation group of degree |G : N|.
+    as a permutation group of degree |G : N|. It is memoized on G, keyed by
+    N's element set; the coset walk files every element of G under its coset.
     """
     _require_subgroup(G, N)
     n = G.degree
@@ -389,44 +367,34 @@ def quotient_group(
         raise CapExceededError(f"index {index} exceeds cap {cap}")
     n_raws = N._elements_raw(cap)
 
-    def coset_key(graw):
-        return min(_raw_mult(nr, graw) for nr in n_raws)
+    def build():
+        reps = [_raw_identity(n)]
+        coset_of = dict.fromkeys(n_raws, 0)  # element of G -> index of its coset N*t
+        qi = 0
+        while qi < len(reps):
+            r = reps[qi]
+            qi += 1
+            for s in gen_raws:
+                t = _raw_mult(r, s)
+                if t not in coset_of:
+                    coset_of.update(dict.fromkeys((_raw_mult(nr, t) for nr in n_raws), len(reps)))
+                    reps.append(t)
+        if len(reps) != index:
+            raise RuntimeError("coset walk did not reach every coset")
+        # N*r*t is the image of the coset N*r under every element of N*t
+        images = [Permutation([coset_of[_raw_mult(r, t)] + 1 for r in reps]) for t in reps]
 
-    ident = _raw_identity(n)
-    index_of = {coset_key(ident): 0}
-    reps = [ident]
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
-        for s in gen_raws:
-            t = _raw_mult(r, s)
-            key = coset_key(t)
-            if key not in index_of:
-                index_of[key] = len(reps)
-                reps.append(t)
-    if len(reps) != index:
-        raise RuntimeError("coset walk did not reach every coset")
+        def project(g: Permutation) -> Permutation:
+            if g.degree != n or not G.contains(g):
+                raise ValueError("element is not in the group being projected")
+            return images[coset_of[g._raw]]
 
-    def project(g: Permutation) -> Permutation:
-        if g.degree != n or not G.contains(g):
-            raise ValueError("element is not in the group being projected")
-        images = [0] * index
-        for i, r in enumerate(reps):
-            images[i] = index_of[coset_key(_raw_mult(r, g._raw))] + 1
-        return Permutation(images)
+        Q = PermGroup([project(g) for g in G.generators])
+        if Q.order * N.order != G.order:
+            raise RuntimeError("coset action kernel differs from the given subgroup")
+        return Q, project
 
-    Q = PermGroup([project(g) for g in G.generators])
-    if Q.order * N.order != G.order:
-        raise RuntimeError("coset action kernel differs from the given subgroup")
-    return Q, project
-
-
-def exponent_of_group(P: PermGroup, cap: int = DEFAULT_CAP) -> int:
-    out = 1
-    for g in P._elements_raw(cap):
-        out = lcm(out, _raw_order(g, P.degree))
-    return out
+    return G._memo(("quotient", frozenset(n_raws)), build)
 
 
 def is_simple(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:

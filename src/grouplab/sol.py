@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import lcm
 
 from . import analysis, catalog
 from .perm import (
@@ -221,7 +222,7 @@ def _order_histogram(H: PermGroup, cap: int) -> tuple:
 
 def _fingerprint(H: PermGroup, cap: int = DEFAULT_CAP) -> tuple:
     hist = _order_histogram(H, cap)
-    exponent = analysis.exponent_of_group(H, cap)
+    exponent = lcm(*(o for o, _ in hist))
     center_order = analysis.center(H, cap).order
     derived_order = analysis.derived_subgroup(H).order
     abelian = derived_order == 1
@@ -405,7 +406,8 @@ def lemma_checks_for_rep(
     ident = _raw_identity(n)
     insoluble = not analysis.is_soluble(G)
     radical = analysis.soluble_radical(G, cap).radical
-    cls = G.conjugacy_classes(cap).classes[rep_idx]
+    classes = G.conjugacy_classes(cap).classes
+    cls = classes[rep_idx]
 
     x = cls.representative
     rep = x.cycle_string()
@@ -499,10 +501,13 @@ def lemma_checks_for_rep(
     )
 
     # when |x| equals the exponent of its Sylow p-subgroup the same
-    # dichotomy holds with the sharper bound p * |x|
-    p = prime_power_base(x_order) if x_order > 1 else None
-    sylow = analysis.sylow_subgroup(G, p, cap) if p is not None else None
-    if sylow is not None and analysis.exponent_of_group(sylow, cap) == x_order:
+    # dichotomy holds with the sharper bound p * |x|. Every p-element lies in
+    # a conjugate of one Sylow p-subgroup, so that exponent is the largest
+    # p-power element order among the classes of G.
+    p = prime_power_base(x_order)
+    if p is not None and x_order == max(
+        c.element_order for c in classes if prime_power_base(c.element_order) == p
+    ):
         holds = sol.members._raws == norm_set or sol_order > p * x_order
         record(
             "exponent_dichotomy",

@@ -20,8 +20,8 @@ from grouplab import (
     centralizer,
     core,
     derived_subgroup,
-    exponent_of_group,
     fitting_subgroup,
+    identify_small_group,
     is_nilpotent,
     is_simple,
     is_soluble,
@@ -33,7 +33,16 @@ from grouplab import (
     soluble_radical,
     sylow_subgroup,
 )
-from grouplab.perm import _Chain, _raw_commutator, _raw_conj, _raw_identity, _raw_inv
+from grouplab.perm import (
+    Permutation,
+    _Chain,
+    _raw_commutator,
+    _raw_conj,
+    _raw_identity,
+    _raw_inv,
+    _raw_mult,
+)
+from grouplab.suite import _QUOTIENT_SECTIONS
 
 
 def g(name):
@@ -422,15 +431,83 @@ def test_quotient_rejects_non_normal():
         quotient_group(s4, H)
 
 
+def coset_key_quotient(G, N):
+    """Oracle: the coset action as built before the memoized coset index. Each
+    coset N*t is keyed by its least element, a minimum over |N| products, and
+    every projection recomputes |G : N| keys."""
+    n_raws = N._elements_raw()
+
+    def coset_key(graw):
+        return min(_raw_mult(nr, graw) for nr in n_raws)
+
+    ident = _raw_identity(G.degree)
+    index_of = {coset_key(ident): 0}
+    reps = [ident]
+    for r in reps:  # grows while it is walked
+        for s in G._gen_raws():
+            t = _raw_mult(r, s)
+            if coset_key(t) not in index_of:
+                index_of[coset_key(t)] = len(reps)
+                reps.append(t)
+
+    def project(g):
+        return Permutation([index_of[coset_key(_raw_mult(r, g._raw))] + 1 for r in reps])
+
+    return PermGroup([project(x) for x in G.generators]), project
+
+
+QUOTIENT_KERNELS = {
+    "center": center,
+    "derived": derived_subgroup,
+    "V4": lambda G: normal_closure(G, [perm("(1,2)(3,4)", 4)]),
+}
+QUOTIENT_CASES = _QUOTIENT_SECTIONS + (
+    ("S:4", "V4"),
+    ("SL2:5", "center"),
+    ("D:16", "center"),
+    ("C:2 x A:5", "center"),  # the factor C:2
+    ("C:2 x A:5", "derived"),  # the factor A:5
+)
+
+
+@pytest.mark.parametrize("name,kernel", QUOTIENT_CASES)
+def test_quotient_matches_coset_key_oracle(name, kernel):
+    G = g(name)
+    N = QUOTIENT_KERNELS[kernel](G)
+    Q, project = quotient_group(G, N)
+    oracle_Q, oracle_project = coset_key_quotient(G, N)
+    assert Q.generators == oracle_Q.generators
+    for x in G.elements():
+        assert project(x) == oracle_project(x)
+    # an equal kernel built separately, from other generators, hits the memo
+    again = G.subgroup(list(reversed(N.elements())))
+    assert again.generators != N.generators
+    assert quotient_group(G, again)[0] is Q
+
+
+def test_quotient_projection_rejects_foreign_elements():
+    G = g("SL2:7")
+    _, project = quotient_group(G, center(G))
+    with pytest.raises(ValueError):
+        project(perm("(1,2)", 5))  # another degree
+    outside = perm("(1,2)", G.degree)
+    assert not G.contains(outside)
+    with pytest.raises(ValueError):
+        project(outside)
+
+
 # ------------------------------------------------------------------ misc
 
 
 def test_exponent_values():
-    assert exponent_of_group(g("D:16")) == 8
-    assert exponent_of_group(g("SD:16")) == 8
-    assert exponent_of_group(g("Q:8")) == 4
-    assert exponent_of_group(g("S:4")) == 12
-    assert exponent_of_group(g("C:1")) == 1
+    def exponent(name):
+        return identify_small_group(g(name)).fingerprint[2]
+
+    assert exponent("D:16") == 8
+    assert exponent("SD:16") == 8
+    assert exponent("Q:8") == 4
+    assert exponent("S:4") == 12
+    assert exponent("C:1") == 1
 
 
 def test_is_simple():

@@ -7,6 +7,10 @@ class-closure pass computing all three:
 * G is simple when the unstopped normal closure of every non-identity class
   representative is G, and the catalog's flag agrees wherever it records one.
 
+Z(G), Core_G(H) and the exponent of a Sylow p-subgroup are read off the class
+table; they are checked against the element scan and the orbit walk that
+computed them before, and against sylow_subgroup.
+
 The groups: the fourteen catalog groups, a few more insoluble and soluble
 ones, the soluble products of the benchmark and the suite's two quotients.
 """
@@ -19,6 +23,7 @@ from grouplab import (
     TABLE1_NAMES,
     build_named_group,
     center,
+    centralizer,
     core,
     derived_subgroup,
     fitting_subgroup,
@@ -30,6 +35,7 @@ from grouplab import (
     soluble_radical,
     sylow_subgroup,
 )
+from grouplab.perm import _raw_conj, _raw_inv, _raw_mult, prime_power_base
 from grouplab.suite import _QUOTIENT_SECTIONS
 
 EXTRA = (
@@ -93,3 +99,63 @@ def test_simplicity_matches_normal_closures_and_catalog(label):
     assert is_simple(G) == oracle
     if " / " not in label and "simple" in group_spec(label).flags:
         assert oracle == group_spec(label).flags["simple"]
+
+
+def scanned_center(G):
+    """Oracle: the elements that commute with every generator."""
+    gens = G._gen_raws()
+    return {
+        g for g in G._elements_raw() if all(_raw_mult(g, s) == _raw_mult(s, g) for s in gens)
+    }
+
+
+def orbit_walk_core(G, H):
+    """Oracle: the elements of H whose conjugation orbit under G stays in H,
+    walked from each element and abandoned at the first escape."""
+    h_set = frozenset(H._elements_raw())
+    gen_pairs = [(g, _raw_inv(g, G.degree)) for g in G._gen_raws()]
+    status = {}
+    for x in sorted(h_set):
+        if x in status:
+            continue
+        orbit, queue, escaped = {x}, [x], False
+        while queue and not escaped:
+            a = queue.pop()
+            for g, g_inv in gen_pairs:
+                b = _raw_conj(a, g, g_inv)
+                if b not in h_set:
+                    escaped = True
+                    break
+                if b not in orbit:
+                    orbit.add(b)
+                    queue.append(b)
+        for m in orbit:
+            status[m] = not escaped
+    return {x for x, ok in status.items() if ok}
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_center_is_the_size_one_classes(label):
+    G = group(label)
+    assert set(center(G)._elements_raw()) == scanned_center(G)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_core_matches_orbit_walk(label):
+    G = group(label)
+    subgroups = [sylow_subgroup(G, p) for p, _ in G.order_factored.factor_pairs]
+    subgroups += [centralizer(G, x) for x in G.conjugacy_classes().representatives()]
+    for H in subgroups:
+        assert set(core(G, H)._elements_raw()) == orbit_walk_core(G, H)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_sylow_exponent_is_largest_p_power_class_order(label):
+    G = group(label)
+    for p, _ in G.order_factored.factor_pairs:
+        from_classes = max(
+            c.element_order
+            for c in G.conjugacy_classes().classes
+            if prime_power_base(c.element_order) == p
+        )
+        assert from_classes == max(x.order() for x in sylow_subgroup(G, p).elements())

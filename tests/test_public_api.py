@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "direct_product",
     "direct_product_sol_check",
     "ell_invariant",
-    "exponent_of_group",
     "fitting_subgroup",
     "group_spec",
     "identify_small_group",

@@ -35,6 +35,7 @@ from grouplab import (
     normalizer,
     PermGroup,
 )
+from grouplab.perm import prime_power_base
 from grouplab.suite import RunConfig, run_full_suite
 
 
@@ -461,6 +462,22 @@ def test_lemma_suite_r1_fires_on_pgl27():
         if c["item"] == "sylow2_of_sol_nonabelian_ge16" and c["triggered"]
     ]
     assert fired and all(c["passed"] for c in fired)
+
+
+@pytest.mark.parametrize("name", ["S:5", "PGL2:7", "M10"])
+def test_exponent_dichotomy_fires_where_the_sylow_exponent_is_reached(name):
+    """The battery reads the Sylow exponent off the class table; the oracle
+    takes it over the elements of sylow_subgroup(G, p)."""
+    G = g(name)
+    expected = set()
+    for cls in G.conjugacy_classes().classes:
+        p = prime_power_base(cls.element_order)
+        if p and cls.element_order == max(x.order() for x in sylow_subgroup(G, p).elements()):
+            expected.add(cls.representative.cycle_string())
+    checks = suite_group(name)["lemma_checks"]
+    fired = {c["rep"] for c in checks if c["item"] == "exponent_dichotomy" and c["triggered"]}
+    assert fired == expected
+    assert all(c["passed"] for c in checks if c["item"] == "exponent_dichotomy")
 
 
 # --------------------------------------------------------- theorem checks
