@@ -83,6 +83,8 @@ def _load_config(args) -> suite.RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     overrides = {
         "groups": getattr(args, "groups", None),
         "orders": getattr(args, "orders", None),

@@ -9,7 +9,6 @@ most of the checks in this module probe.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import lcm
 
@@ -106,16 +105,6 @@ def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
         return frozenset(keep)
 
     return G._memo(("ncyc", xraw), compute)
-
-
-def pool_map(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items], in input order, on min(workers, len(items))
-    worker processes; in this process when workers <= 1 or there is at most
-    one item. fn must be a module-level function so that it can be pickled."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sol_verdicts(G: PermGroup, xraw, cap: int) -> dict:
@@ -613,16 +602,6 @@ class CoreCheckReport:
     class_size: int | None
     companion_checked: int
     witness: dict | None
-
-    def to_json(self) -> dict:
-        return {
-            "rep": self.rep,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "core_order": self.core_order,
-            "class_size": self.class_size,
-            "companion_checked": self.companion_checked,
-        }
 
 
 def sol_core_check(

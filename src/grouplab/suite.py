@@ -14,7 +14,8 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import analysis, catalog, sol
@@ -33,6 +34,16 @@ def available_workers() -> int:
         return os.cpu_count() or 1
 
 
+def pool_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], in input order, on min(workers, len(items))
+    worker processes; in this process when workers <= 1 or there is at most
+    one item. fn must be a module-level function so that it can be pickled."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     groups: tuple[str, ...] = catalog.TABLE1_NAMES
@@ -48,6 +59,15 @@ class RunConfig:
     product_powers: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = (str, type(None)) if f.default is None else type(f.default)
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                want = getattr(kind, "__name__", "str or null")
+                raise ValueError(f"config field {f.name} must be {want}, not {value!r}")
+        for key, kind in (("groups", str), ("elements", str), ("orders", int)):
+            if not all(isinstance(v, kind) and type(v) is not bool for v in getattr(self, key)):
+                raise ValueError(f"config field {key} must list {kind.__name__} values")
         if self.selector not in _SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}; expected one of {_SELECTORS}")
         if self.format not in _FORMATS:
@@ -94,7 +114,7 @@ class RunConfig:
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         for key in ("groups", "orders", "elements"):
-            if key in known:
+            if isinstance(known.get(key), list):
                 known[key] = tuple(known[key])
         return cls(**known)
 
@@ -147,45 +167,48 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _task_main(task: tuple):
-    """Run one task tuple of any kind; the runners map it over their tasks."""
-    kind = task[0]
-    if kind == "lemma":
-        _, name, rep_idx, seed, cap, full = task
-        G = catalog.build_named_group(name, cap)
-        return sol.lemma_checks_for_rep(G, rep_idx, name, seed, cap, full_equivariance=full)
-    if kind == "scan":
-        _, name, rep_idx, cap = task
-        return _scan_records_for_rep(name, rep_idx, cap)
-    if kind == "table1":
-        _, name, cap = task
-        return _table1_row(name, cap)
-    if kind == "quotient":
-        _, name, mode, rep_idx, cap = task
-        G = catalog.build_named_group(name, cap)
-        N = analysis.center(G, cap) if mode == "center" else analysis.derived_subgroup(G)
-        x = G.conjugacy_classes(cap).classes[rep_idx].representative
-        return sol.quotient_sol_check(G, N, x, cap)
-    if kind == "product":
-        _, m, cap = task
-        pgl = catalog.build_named_group("PGL2:7", cap)
-        x8 = next(
-            c.representative
-            for c in pgl.conjugacy_classes(cap).classes
-            if c.element_order == 8
-        )
-        A = catalog.build_named_group(f"C:{2 ** m}", cap)
-        report = sol.direct_product_sol_check(A, pgl, x8, cap)
-        return f"C:{2 ** m} x PGL2:7", report
-    if kind == "explore":
-        _, name, rep_idx, cap = task
-        G = catalog.build_named_group(name, cap)
-        cls = G.conjugacy_classes(cap).classes[rep_idx]
-        result = sol.solubilizer(G, cls.representative, cap)
-        payload = result.to_json()
-        payload["is_two_group"] = prime_power_base(result.order.value) == 2
-        return payload
-    raise ValueError(f"unknown task kind {kind!r}")
+def _run_task(task: tuple) -> tuple:
+    """Run one ``(function, *args)`` task; return its result and its wall seconds."""
+    fn, *args = task
+    started = time.monotonic()
+    result = fn(*args)
+    return result, time.monotonic() - started
+
+
+def _lemma_task(name: str, rep_idx: int, seed: int, cap: int, full: bool):
+    G = catalog.build_named_group(name, cap)
+    return sol.lemma_checks_for_rep(G, rep_idx, name, seed, cap, full_equivariance=full)
+
+
+def _quotient_task(name: str, mode: str, rep_idx: int, cap: int) -> dict:
+    G = catalog.build_named_group(name, cap)
+    N = analysis.center(G, cap) if mode == "center" else analysis.derived_subgroup(G)
+    x = G.conjugacy_classes(cap).classes[rep_idx].representative
+    report = sol.quotient_sol_check(G, N, x, cap)
+    return {**report.to_json(), "group": name, "kernel": mode}
+
+
+def _product_task(m: int, cap: int) -> dict:
+    pgl = catalog.build_named_group("PGL2:7", cap)
+    x8 = next(
+        c.representative
+        for c in pgl.conjugacy_classes(cap).classes
+        if c.element_order == 8
+    )
+    A = catalog.build_named_group(f"C:{2 ** m}", cap)
+    report = sol.direct_product_sol_check(A, pgl, x8, cap)
+    return {**report.to_json(), "product": f"C:{2 ** m} x PGL2:7"}
+
+
+def _explore_task(name: str, rep_idx: int, cap: int) -> dict:
+    G = catalog.build_named_group(name, cap)
+    cls = G.conjugacy_classes(cap).classes[rep_idx]
+    result = sol.solubilizer(G, cls.representative, cap)
+    return {
+        **result.to_json(),
+        "is_two_group": prime_power_base(result.order.value) == 2,
+        "group": name,
+    }
 
 
 # ------------------------------------------------------------------ table1
@@ -193,7 +216,6 @@ def _task_main(task: tuple):
 
 def _table1_row(name: str, cap: int) -> dict:
     spec = catalog.group_spec(name)
-    started = time.monotonic()
     row = catalog.catalog_row(name, cap)
     G = catalog.build_named_group(name, cap)
     radical = analysis.soluble_radical(G, cap).radical.order
@@ -205,7 +227,7 @@ def _table1_row(name: str, cap: int) -> dict:
     )
     items = list(row.items())
     items.insert(3, ("expected_order", spec.expected_order.value))  # right after "order"
-    items += [("radical_order", radical), ("ok", ok), ("_wall", time.monotonic() - started)]
+    items += [("radical_order", radical), ("ok", ok)]
     return dict(items)
 
 
@@ -225,7 +247,7 @@ class Table1Report:
             "kind": "table1",
             "seed": self.seed,
             "all_ok": self.all_ok,
-            "rows": [{k: v for k, v in r.items() if not k.startswith("_")} for r in self.rows],
+            "rows": list(self.rows),
             "meta": self.meta,
         }
 
@@ -235,15 +257,14 @@ def run_table1(config: RunConfig | None = None) -> Table1Report:
     |Fit(G)| = 1 and |R(G)| = 1 for every catalog group."""
     config = config or RunConfig()
     started = _utc_now()
-    names = catalog.TABLE1_NAMES
-    tasks = [("table1", n, config.cap) for n in names]
-    rows = sol.pool_map(_task_main, tasks, config.resolved_workers())
+    tasks = [(_table1_row, name, config.cap) for name in catalog.TABLE1_NAMES]
+    results = pool_map(_run_task, tasks, config.resolved_workers())
     meta = {
         "started": started,
         "finished": _utc_now(),
-        "wall_times": {r["group"]: round(r["_wall"], 3) for r in rows},
+        "wall_times": {row["group"]: round(seconds, 3) for row, seconds in results},
     }
-    return Table1Report(tuple(rows), config.seed, meta)
+    return Table1Report(tuple(row for row, _ in results), config.seed, meta)
 
 
 # -------------------------------------------------------------------- scan
@@ -327,11 +348,11 @@ def run_conjecture_scan(config: RunConfig | None = None) -> ConjectureScanReport
             continue
         G = catalog.build_named_group(name, config.cap)
         tasks.extend(
-            ("scan", name, rep_idx, config.cap) for rep_idx in _rep_indices(G, config)
+            (_scan_records_for_rep, name, rep_idx, config.cap)
+            for rep_idx in _rep_indices(G, config)
         )
-    results = sol.pool_map(_task_main, tasks, config.resolved_workers())
     records = list(skipped)
-    for chunk in results:
+    for chunk, _ in pool_map(_run_task, tasks, config.resolved_workers()):
         records.extend(chunk)
     meta = {"started": started, "finished": _utc_now()}
     return ConjectureScanReport(tuple(records), config.seed, meta)
@@ -390,91 +411,72 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
     if config.include_psl31 and "PSL2:31" not in group_names:
         group_names.append("PSL2:31")
 
-    tasks: list[tuple] = []
-    group_slices: list[tuple[str, int, int, list[int]]] = []
+    group_tasks: list[tuple[str, list[tuple]]] = []
     for name in group_names:
         t0 = time.monotonic()
         G = catalog.build_named_group(name, config.cap)
         indices = _rep_indices(G, config)
         walls[f"prepare:{name}"] = round(time.monotonic() - t0, 3)
-        start = len(tasks)
         # the one full Sol(x^g) = Sol(x)^g recomputation per group runs at the
         # first non-identity class, which is index 1: classes are sorted by
         # element order and the identity is the only element of order 1
-        tasks.extend(
-            ("lemma", name, rep_idx, config.seed, config.cap, rep_idx == 1)
+        group_tasks.append((name, [
+            (_lemma_task, name, rep_idx, config.seed, config.cap, rep_idx == 1)
             for rep_idx in indices
-        )
-        group_slices.append((name, start, len(tasks), indices))
+        ]))
 
-    quotient_tasks: list[tuple] = []
+    # report section (a FullSuiteReport field) -> its tasks, in report order
+    sections: dict[str, list[tuple]] = {
+        "quotient_checks": [],
+        "product_checks": [(_product_task, m, config.cap)
+                           for m in range(1, config.product_powers + 1)],
+        "exploration": [],
+    }
     if config.selector == "all_class_reps" and tuple(config.groups) == catalog.TABLE1_NAMES:
         for name, mode in _QUOTIENT_SECTIONS:
             G = catalog.build_named_group(name, config.cap)
-            quotient_tasks.extend(
-                ("quotient", name, mode, rep_idx, config.cap)
+            sections["quotient_checks"].extend(
+                (_quotient_task, name, mode, rep_idx, config.cap)
                 for rep_idx in range(len(G.conjugacy_classes(config.cap).classes))
             )
-    product_tasks = [("product", m, config.cap) for m in range(1, config.product_powers + 1)]
-
-    explore_names = ["PSL2:31"] if config.include_psl31 else []
-    explore_tasks: list[tuple] = []
-    for name in explore_names:
-        G = catalog.build_named_group(name, config.cap)
-        explore_tasks.extend(
-            ("explore", name, rep_idx, config.cap) for rep_idx in _rep_indices(G, config)
+    if config.include_psl31:
+        G = catalog.build_named_group("PSL2:31", config.cap)
+        sections["exploration"].extend(
+            (_explore_task, "PSL2:31", rep_idx, config.cap) for rep_idx in _rep_indices(G, config)
         )
 
     t0 = time.monotonic()
-    all_tasks = tasks + quotient_tasks + product_tasks + explore_tasks
-    results = sol.pool_map(_task_main, all_tasks, config.resolved_workers())
+    all_tasks = [t for _, tasks in group_tasks + list(sections.items()) for t in tasks]
+    results = iter(pool_map(_run_task, all_tasks, config.resolved_workers()))
     walls["checks"] = round(time.monotonic() - t0, 3)
 
+    def take(key: str, tasks: list) -> list:
+        """The next len(tasks) results, with their summed seconds under checks:<key>."""
+        timed = [next(results) for _ in tasks]
+        walls[f"checks:{key}"] = round(sum(seconds for _, seconds in timed), 3)
+        return [payload for payload, _ in timed]
+
     groups: list[dict] = []
-    for name, start, end, indices in group_slices:
+    for name, tasks in group_tasks:
         lemma_records: list[sol.CheckRecord] = []
         theorem_records: list[sol.CheckRecord] = []
-        for lemma, thm in results[start:end]:
+        for lemma, thm in take(name, tasks):
             lemma_records.extend(lemma)
             theorem_records.extend(thm)
-        spec = catalog.group_spec(name)
         groups.append(
             {
                 "group": name,
-                "order": spec.expected_order.to_json(),
-                "representatives": len(indices),
+                "order": catalog.group_spec(name).expected_order.to_json(),
+                "representatives": len(tasks),
                 "all_passed": all(r.passed for r in lemma_records + theorem_records),
                 "lemma_checks": [r.to_json() for r in lemma_records],
                 "theorem_checks": [r.to_json() for r in theorem_records],
             }
         )
-
-    offset = len(tasks)
-    quotients = []
-    for task, rep in zip(quotient_tasks, results[offset : offset + len(quotient_tasks)]):
-        payload = rep.to_json()
-        payload["group"] = task[1]
-        payload["kernel"] = task[2]
-        payload["passed"] = rep.passed
-        quotients.append(payload)
-    offset += len(quotient_tasks)
-
-    products = []
-    for label, rep in results[offset : offset + len(product_tasks)]:
-        payload = rep.to_json()
-        payload["product"] = label
-        products.append(payload)
-    offset += len(product_tasks)
-
-    exploration = []
-    for task, payload in zip(explore_tasks, results[offset:]):
-        payload["group"] = task[1]
-        exploration.append(payload)
+    done = {key: tuple(take(key, tasks)) if tasks else () for key, tasks in sections.items()}
 
     meta = {"started": started, "finished": _utc_now(), "wall_times": walls}
-    return FullSuiteReport(
-        config, tuple(groups), tuple(quotients), tuple(products), tuple(exploration), meta
-    )
+    return FullSuiteReport(config, tuple(groups), meta=meta, **done)
 
 
 # --------------------------------------------------------------- rendering

@@ -15,6 +15,7 @@ from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 from grouplab import analysis
 from grouplab import sol as sol_mod
+from grouplab import suite as suite_mod
 from grouplab import (
     TABLE1_NAMES,
     FactoredInteger,
@@ -297,17 +298,17 @@ def test_conjugation_outside_the_normalizer_changes_membership():
 
 def test_pool_map_keeps_order_and_sizes_the_pool(monkeypatch):
     sizes = []
-    real = sol_mod.ProcessPoolExecutor
+    real = suite_mod.ProcessPoolExecutor
 
     def sized(max_workers):
         sizes.append(max_workers)
         return real(max_workers=max_workers)
 
-    monkeypatch.setattr(sol_mod, "ProcessPoolExecutor", sized)
-    assert sol_mod.pool_map(abs, [-3, 1, -2], 8) == [3, 1, 2]
+    monkeypatch.setattr(suite_mod, "ProcessPoolExecutor", sized)
+    assert suite_mod.pool_map(abs, [-3, 1, -2], 8) == [3, 1, 2]
     # one item, or one worker, stays in this process
-    assert sol_mod.pool_map(abs, [-1], 8) == [1]
-    assert sol_mod.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
+    assert suite_mod.pool_map(abs, [-1], 8) == [1]
+    assert suite_mod.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
     assert sizes == [3]
 
 

@@ -1,13 +1,15 @@
 """Report plumbing and CLI contract: configs, determinism, formats, exit codes."""
 
 import csv
+import functools
 import io
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from grouplab import FactoredInteger, build_named_group
-from grouplab import sol as sol_mod
 from grouplab import suite as suite_mod
 from grouplab.cli import main
 from grouplab.suite import (
@@ -43,6 +45,27 @@ def test_config_rejects_bad_fields():
         RunConfig(groups=("S:7",), cap=100)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"cap": "100"},
+        {"workers": 1.5},
+        {"seed": True},
+        {"include_psl31": 1},
+        {"format": None},
+        {"out": 3},
+        {"groups": "A:5"},
+        {"groups": ["A:5"]},
+        {"groups": ("A:5", 5)},
+        {"orders": (2, True), "selector": "orders"},
+        {"elements": ((1, 2),), "selector": "explicit"},
+    ],
+)
+def test_config_rejects_wrong_types(fields):
+    with pytest.raises(ValueError, match="config field"):
+        RunConfig(**fields)
+
+
 def test_config_json_round_trip():
     cfg = RunConfig(groups=("A:5", "PSL2:7"), selector="orders", orders=(2, 5), workers=3)
     assert RunConfig.from_json(cfg.to_json()) == cfg
@@ -74,6 +97,53 @@ def test_full_suite_json_is_deterministic_across_runs_and_workers():
     assert serial.groups == first.groups
     assert serial.product_checks == first.product_checks
     assert serial.exploration == first.exploration
+
+
+def _without_meta(report) -> dict:
+    doc = json.loads(render(report.to_json(), "json"))
+    doc.pop("meta")
+    return doc
+
+
+def test_full_suite_runs_every_section_through_one_pool():
+    docs = [
+        _without_meta(run_full_suite(RunConfig(
+            groups=("A:5",), include_psl31=True, orders=(2,), selector="orders",
+            product_powers=2, workers=workers,
+        )))
+        for workers in (1, 2)
+    ]
+    assert [doc["config"].pop("workers") for doc in docs] == [1, 2]
+    assert docs[0] == docs[1]
+    doc = docs[0]
+    assert [g["group"] for g in doc["groups"]] == ["A:5", "PSL2:31"]
+    assert {p["product"]: p["sol_in_product"] for p in doc["product_checks"]} == {
+        "C:2 x PGL2:7": 32,
+        "C:4 x PGL2:7": 64,
+    }
+    assert [(e["group"], e["order"]["value"]) for e in doc["exploration"]] == [
+        ("PSL2:31", 1120)
+    ]
+
+
+def test_runners_time_every_group_and_section_in_meta():
+    report = run_full_suite(RunConfig(groups=("A:5",), product_powers=1, workers=1))
+    walls = report.meta["wall_times"]
+    assert set(walls) == {"prepare:A:5", "checks", "checks:A:5", "checks:product_checks"}
+    assert all(seconds >= 0 for seconds in walls.values())
+    table1 = run_table1(RunConfig(workers=1))
+    assert list(table1.meta["wall_times"]) == [row["group"] for row in table1.rows]
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_full_suite_does_not_depend_on_the_start_method(monkeypatch, method):
+    config = RunConfig(groups=("A:5", "PSL2:7"), product_powers=1, workers=2)
+    expected = _without_meta(run_full_suite(config))
+    pool = functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+    )
+    monkeypatch.setattr(suite_mod, "ProcessPoolExecutor", pool)
+    assert _without_meta(run_full_suite(config)) == expected
 
 
 def test_scan_records_are_deterministic():
@@ -168,7 +238,7 @@ def test_cli_sol_workers_flag_parses_and_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("sol started a process pool")
 
-    monkeypatch.setattr(sol_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(suite_mod, "ProcessPoolExecutor", no_pool)
     docs = []
     for workers in ("1", "2"):
         assert main(["sol", "--group", "PGL2:11", "--order", "2", "--format", "json",
@@ -290,6 +360,26 @@ def test_cli_config_file_and_override(tmp_path, capsys):
     assert main(["scan", "--config", str(cfg), "--format", "csv"]) == 0
     rows = _parse_csv(capsys.readouterr().out)
     assert rows[0][0] == "group"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"include_psl31": "false", "groups": ["A:5"], "orders": [2]},
+        {"cap": "100"},
+        {"workers": 1.5},
+        ["A:5"],
+    ],
+    ids=["string-bool", "string-int", "float-int", "list"],
+)
+def test_cli_config_of_the_wrong_type_is_one_error_line(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["suite", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_cli_config_unknown_field(tmp_path, capsys):
