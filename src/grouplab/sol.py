@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from . import analysis, catalog
 from .perm import (
+    _BYTES_DEGREE,
     DEFAULT_CAP,
     ElementSet,
     FactoredInteger,
@@ -97,42 +98,63 @@ def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
     def compute() -> frozenset:
         n = G.degree
         powers = _cyclic_raws(xraw, n)
-        keep = []
-        for g in G._elements_raw(cap):
-            g_inv = _raw_inv(g, n)
-            if _raw_conj(xraw, g, g_inv) in powers:
-                keep.append(g)
-        return frozenset(keep)
+        elements = G._elements_raw(cap)
+        if n <= _BYTES_DEGREE:
+            # x^g sends g[i] to g[x[i]]: one table build and no inverse
+            return frozenset(g for g in elements if bytes.maketrans(g, xraw.translate(g)) in powers)
+        return frozenset(g for g in elements if _raw_conj(xraw, g, _raw_inv(g, n)) in powers)
 
     return G._memo(("ncyc", xraw), compute)
 
 
-def _sol_verdicts(G: PermGroup, xraw, cap: int) -> dict:
-    """{y: <x, y> is soluble} for every element y, one pair test per orbit.
+def _coprime_powers(y, ident, mult) -> list:
+    """The y^m with gcd(m, |y|) = 1, that is the generators of <y>."""
+    powers = [y]
+    while powers[-1] != ident:
+        powers.append(mult(powers[-1], y))
+    order = len(powers)  # powers[k - 1] = y^k, the last one the identity
+    return [powers[k - 1] for k in range(1, order + 1) if gcd(k, order) == 1]
 
-    The verdict is constant on orbits of y -> x*y, y -> y^-1 and y -> y^g for
-    g in N_G(<x>): <x, xy> = <x, y^-1> = <x, y>, and <x, y^g> = <x, y>^g
-    because x^g generates <x>. Elements are visited in enumeration order and
-    each one's verdict is flooded over its orbit.
+
+def _sol_verdicts(G: PermGroup, xraw, cap: int, soluble: bool) -> dict:
+    """{y: <x, y> is soluble} for every element y, one pair test per block.
+
+    A soluble G is one block: every subgroup of G is soluble, so the first
+    element's pair test, which is still run, gives every verdict. Otherwise,
+    with N = N_G(<x>), the verdict of y holds on the block <x>*Y, where Y is
+    the closure under N-conjugation of the powers y^m with gcd(m, |y|) = 1:
+    <x, p*b> = <x, b> for p in <x>, <x, b^g> = <x, b>^g because x^g
+    generates <x>, and <x, y^m> = <x, y>. Since x lies in N and N normalizes
+    <x>, a block is a union of orbits of y -> x*y, y -> y^-1 and y -> y^g
+    (g in N), so no two elements of one such orbit are tested.
+
+    Elements are visited in enumeration order, and each one without a verdict
+    is tested. Its block is listed coset by coset: N permutes the cosets
+    <x>*b, so a flood under N's generators lists each coset once and stops
+    at any b that already has a verdict, as its whole coset does.
     """
+    elements = G._elements_raw(cap)
+    if soluble:
+        return dict.fromkeys(elements, analysis.pair_soluble(G, xraw, elements[0]))
     n = G.degree
+    # the composer, picked once, as _Chain does
+    mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+    ident = _raw_identity(n)
+    powers = _cyclic_raws(xraw, n)
     norm = _group_from_raws(n, sorted(_normalizer_of_cyclic_raws(G, xraw, cap)))
     conj = [(g, _raw_inv(g, n)) for g in norm._gen_raws()]
     verdict: dict = {}
-    for y in G._elements_raw(cap):
+    for y in elements:
         if y in verdict:
             continue
-        soluble = analysis.pair_soluble(G, xraw, y)
-        verdict[y] = soluble
-        stack = [y]
+        answer = analysis.pair_soluble(G, xraw, y)
+        stack = _coprime_powers(y, ident, mult)
         while stack:
-            a = stack.pop()
-            images = [_raw_mult(xraw, a), _raw_inv(a, n)]
-            images += [_raw_conj(a, g, g_inv) for g, g_inv in conj]
-            for b in images:
-                if b not in verdict:
-                    verdict[b] = soluble
-                    stack.append(b)
+            b = stack.pop()
+            if b in verdict:
+                continue
+            verdict.update(dict.fromkeys([mult(p, b) for p in powers], answer))
+            stack += [mult(mult(g_inv, b), g) for g, g_inv in conj]
     return verdict
 
 
@@ -150,15 +172,19 @@ def solubilizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> SolResu
 def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
     n = G.degree
     xraw = x._raw
-    verdict = _sol_verdicts(G, xraw, cap)
+    soluble = analysis.is_soluble(G)
+    verdict = _sol_verdicts(G, xraw, cap, soluble)
     if len(verdict) != G.order:
         raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
     member_set = frozenset(y for y in G._elements_raw(cap) if verdict[y])
     members = ElementSet._from_raws(G, member_set)
     order = FactoredInteger.from_int(len(member_set))
 
-    is_sub = closure_test(members)
-    subgroup = _group_from_raws(n, sorted(member_set)) if is_sub else None
+    if len(member_set) == G.order:
+        is_sub, subgroup = True, G  # Sol = G: no closure test, no second chain
+    else:
+        is_sub = closure_test(members)
+        subgroup = _group_from_raws(n, sorted(member_set)) if is_sub else None
     structure = None
     if is_sub and len(member_set) <= 64:
         structure = identify_small_group(subgroup)
@@ -178,7 +204,7 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
     for d in (x.order(), cent_order, radical.order):
         if order.value % d:
             raise RuntimeError(f"divisor invariant broken: {d} does not divide {order.value}")
-    if not analysis.is_soluble(G):
+    if not soluble:
         if is_prime(order.value):
             raise RuntimeError("solubilizer of prime size in an insoluble group")
         p = prime_power_base(order.value)

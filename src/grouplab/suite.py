@@ -82,8 +82,12 @@ class RunConfig:
             raise ValueError("selector 'orders' requires a nonempty order list")
         if self.selector == "explicit" and not self.elements:
             raise ValueError("selector 'explicit' requires explicit elements")
+        named: set[str] = set()
         for name in self.groups:
             spec = catalog.group_spec(name)
+            if spec.name in named:
+                raise ValueError(f"group {spec.name} is named twice")
+            named.add(spec.name)
             if spec.expected_order.value > self.cap:
                 raise ValueError(
                     f"group {name} has order {spec.expected_order.value} over the cap {self.cap}"

@@ -8,6 +8,7 @@ independent implementations before being pinned here.
 
 import functools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +36,9 @@ from grouplab import (
     center,
     normalizer,
     PermGroup,
+    Permutation,
 )
-from grouplab.perm import prime_power_base
+from grouplab.perm import _raw_conj, _raw_inv, _raw_mult, prime_power_base
 from grouplab.suite import RunConfig, run_full_suite
 
 
@@ -170,6 +172,49 @@ def test_soluble_ambient_gives_whole_group():
             assert r.is_subgroup
 
 
+@pytest.mark.parametrize("name", ["S:4", "C7:C3 x S:4", "S:4 x S:4"])
+def test_soluble_ambient_is_one_block(monkeypatch, name):
+    # Sol(x) = G in a soluble G: one pair test per cold solubilizer call,
+    # still run, and no closure test, the subgroup being G itself
+    G = PermGroup(list(g(name).generators))
+    tests, closures = [], []
+    real_pair, real_closure = analysis.pair_soluble, sol_mod.closure_test
+
+    def counting_pair(G, x, y):
+        tests.append(y)
+        return real_pair(G, x, y)
+
+    def counting_closure(S):
+        closures.append(S)
+        return real_closure(S)
+
+    monkeypatch.setattr(analysis, "pair_soluble", counting_pair)
+    monkeypatch.setattr(sol_mod, "closure_test", counting_closure)
+    for x in G.conjugacy_classes().representatives():
+        tests.clear()
+        r = solubilizer(G, x)
+        assert len(tests) == 1 and not closures, (name, x)
+        assert r.order.value == G.order and r.is_subgroup and r.subgroup is G
+
+
+def test_solubilizer_above_byte_degree():
+    # tuple tables past degree 256: the same Sol as on the small degree, for
+    # an insoluble G (blocks) and a soluble one (one block)
+    for name in ("A:5", "S:4"):
+        small = g(name)
+        fixed = list(range(small.degree + 1, 301))
+        G = PermGroup([Permutation(list(p.images) + fixed) for p in small.generators])
+        assert G.degree == 300 and type(G.generators[0]._raw) is tuple
+        for c in small.conjugacy_classes().classes:
+            x = c.representative
+            big = solubilizer(G, Permutation(list(x.images) + fixed))
+            want = solubilizer(small, x)
+            assert sorted(y.images[: small.degree] for y in big.members) == sorted(
+                y.images for y in want.members
+            )
+            assert (big.is_subgroup, big.normalizer_order) == (want.is_subgroup, want.normalizer_order)
+
+
 def test_solubilizer_rejects_outside_element():
     with pytest.raises(ValueError):
         solubilizer(g("A:5"), parse_permutation("(1,2)", 5))
@@ -214,13 +259,36 @@ def test_orbit_walk_matches_exhaustive_scan(name):
         assert solubilizer(G, x).members._raws == oracle, (name, x)
 
 
+def flood_orbit_count(G, x):
+    """The oracle for the listing: the number of orbits of y -> x*y,
+    y -> y^-1 and y -> y^g for g in N_G(<x>), found by a plain graph flood
+    over every element of G."""
+    n = G.degree
+    N = normalizer(G, G.subgroup([x]))
+    conj = [(h._raw, h.inverse()._raw) for h in N.generators]
+    seen = set()
+    orbits = 0
+    for y in G._elements_raw():
+        if y in seen:
+            continue
+        orbits += 1
+        seen.add(y)
+        stack = [y]
+        while stack:
+            a = stack.pop()
+            images = [_raw_mult(x._raw, a), _raw_inv(a, n)]
+            images += [_raw_conj(a, h, h_inv) for h, h_inv in conj]
+            for b in images:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return orbits
+
+
 def test_orbit_walk_tests_one_element_per_orbit(monkeypatch):
-    # a fresh group, with R(G) and solubility computed before counting, so
-    # that only the solubilizer's own pair tests are counted
-    G = PermGroup(list(g("PGammaL2:8").generators))
-    analysis.soluble_radical(G)
-    analysis.is_soluble(G)
-    # counted at pair_soluble: most of its calls are settled without a walk
+    # every block is a union of flood orbits, so no representative tests more
+    # elements than there are orbits; counted at pair_soluble, since most of
+    # its calls are settled without a walk
     tests = []
     real = analysis.pair_soluble
 
@@ -229,10 +297,22 @@ def test_orbit_walk_tests_one_element_per_orbit(monkeypatch):
         return real(G, x, y)
 
     monkeypatch.setattr(analysis, "pair_soluble", counting)
-    reps = G.conjugacy_classes().representatives()
-    for x in reps:
-        solubilizer(G, x)
-    assert 0 < len(tests) * 20 <= len(reps) * G.order
+    for name in ("PGammaL2:8", "M10"):
+        # a fresh group, with R(G) and solubility computed before counting, so
+        # that only the solubilizer's own pair tests are counted
+        G = PermGroup(list(g(name).generators))
+        analysis.soluble_radical(G)
+        analysis.is_soluble(G)
+        total_tests = total_orbits = 0
+        for x in G.conjugacy_classes().representatives():
+            tests.clear()
+            solubilizer(G, x)
+            orbits = flood_orbit_count(G, x)
+            assert 0 < len(tests) <= orbits, (name, x)
+            total_tests += len(tests)
+            total_orbits += orbits
+        # merging the coprime powers of y saves tests beyond the orbits
+        assert total_tests < total_orbits, name
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,25 +343,35 @@ def normalizer_of_rep(name, idx):
     return tuple(normalizer(G, G.subgroup([x])).elements())
 
 
-@settings(max_examples=60, deadline=None)
+@functools.lru_cache(maxsize=None)
+def radical_of(name):
+    """R(G) without the identity, or just the identity when R(G) = 1."""
+    radical = analysis.soluble_radical(g(name)).radical.elements()
+    return tuple(r for r in radical if not r.is_identity()) or tuple(radical)
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_pair_verdict_is_constant_on_orbits(data):
-    # the three maps the orbit walk floods over, checked on the pair test
-    # itself, with N_G(<x>) from analysis.normalizer
-    name = data.draw(st.sampled_from(["A:5", "PSL2:7", "PGL2:7", "S:6"]))
+    # the maps the solubilizer's blocks are made of, checked on the pair test
+    # itself: x*y, y^-1, y^h with h in N_G(<x>) from analysis.normalizer,
+    # y^m with m prime to |y|, and y*r with r in R(G) (of order 2 in SL2:7)
+    name = data.draw(st.sampled_from(["A:5", "PSL2:7", "PGL2:7", "S:6", "SL2:7"]))
     G = g(name)
     classes = G.conjugacy_classes().classes
     idx = data.draw(st.integers(0, len(classes) - 1))
     x = classes[idx].representative
     y = data.draw(st.sampled_from(G.elements()))
     h = data.draw(st.sampled_from(normalizer_of_rep(name, idx)))
+    m = data.draw(st.sampled_from([m for m in range(1, y.order() + 1) if gcd(m, y.order()) == 1]))
+    r = data.draw(st.sampled_from(radical_of(name)))
 
     def verdict(z):
         return analysis._soluble_raw(G.degree, (x._raw, z._raw))
 
     expected = verdict(y)
-    for image in (x * y, y * x, y.inverse(), y.conjugate(h)):
-        assert verdict(image) == expected, (name, x, y, h)
+    for image in (x * y, y * x, y.inverse(), y.conjugate(h), y**m, y * r):
+        assert verdict(image) == expected, (name, x, y, h, m, r)
 
 
 def test_conjugation_outside_the_normalizer_changes_membership():

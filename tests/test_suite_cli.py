@@ -45,6 +45,14 @@ def test_config_rejects_bad_fields():
         RunConfig(groups=("S:7",), cap=100)
 
 
+def test_config_rejects_a_group_named_twice():
+    # names that resolve to one catalog group would run its battery twice
+    for groups in [("A:5", "A:5"), ("A:5", "PSL2:7", " A:5"), ("S:4 x S:4", "S:4 x  S:4")]:
+        with pytest.raises(ValueError, match="named twice"):
+            RunConfig(groups=groups)
+    assert RunConfig(groups=("A:5", "S:4 x A:5")).groups == ("A:5", "S:4 x A:5")
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -380,6 +388,13 @@ def test_cli_config_of_the_wrong_type_is_one_error_line(tmp_path, capsys, config
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_cli_group_named_twice_is_one_error_line(capsys):
+    assert main(["suite", "--groups", "A:5, A:5", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group A:5 is named twice\n"
 
 
 def test_cli_config_unknown_field(tmp_path, capsys):
