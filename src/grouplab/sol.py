@@ -101,7 +101,9 @@ def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
         elements = G._elements_raw(cap)
         if n <= _BYTES_DEGREE:
             # x^g sends g[i] to g[x[i]]: one table build and no inverse
-            return frozenset(g for g in elements if bytes.maketrans(g, xraw.translate(g)) in powers)
+            return frozenset(
+                g for g in elements if bytes.maketrans(g, xraw.translate(g)) in powers
+            )
         return frozenset(g for g in elements if _raw_conj(xraw, g, _raw_inv(g, n)) in powers)
 
     return G._memo(("ncyc", xraw), compute)
