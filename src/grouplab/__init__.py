@@ -4,18 +4,14 @@ from types import ModuleType as _ModuleType
 
 from .analysis import (
     RadicalCertificate,
-    SeriesReport,
     center,
-    centralizer,
     core,
     derived_subgroup,
     fitting_subgroup,
     is_nilpotent,
     is_simple,
     is_soluble,
-    lower_central_series,
     normal_closure,
-    normalizer,
     quotient_group,
     soluble_radical,
     sylow_subgroup,

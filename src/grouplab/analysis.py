@@ -1,6 +1,6 @@
-"""Structural computations: series, solubility, centralizers, normalizers,
-cores, Sylow subgroups, the Fitting subgroup, the soluble radical, and
-quotient groups.
+"""Structural computations: solubility, nilpotency, normal closures, the
+centre, cores, Sylow subgroups, the Fitting subgroup, the soluble radical,
+and quotient groups.
 
 Everything here is a pure function of immutable inputs. The solubility test
 walks the derived series of the generated subgroup directly, one normal
@@ -11,8 +11,10 @@ from its order alone before any walk.
 
 R(G), Fit(G) and simplicity come from one memoized pass that builds the normal
 closure <x^G> of each class representative, stopped at |G|: x lies in R(G)
-when <x^G> is soluble, in Fit(G) when it is nilpotent, and G is simple when
-every non-identity closure is G.
+when <x^G> is soluble, and G is simple when every non-identity closure is G.
+Fit(G) = Fit(R(G)), and in a soluble G, x lies in Fit(G) when <x^G> is
+nilpotent. Nilpotency is counted from element orders, and a Sylow subgroup is
+grown in one pass over the p-elements: see is_nilpotent and sylow_subgroup.
 
 Z(G) and Core_G(H) are read off the conjugacy class table of G, and G/N is
 memoized on G with a coset index over every element of G, so projecting is a
@@ -27,12 +29,12 @@ from typing import Callable, Sequence
 from .perm import (
     DEFAULT_CAP,
     CapExceededError,
-    FactoredInteger,
     OrderReached,
     PermGroup,
     Permutation,
     _Chain,
     _group_from_raws,
+    _order_histogram,
     _raw_commutator,
     _raw_conj,
     _raw_identity,
@@ -42,27 +44,6 @@ from .perm import (
     is_prime,
     prime_power_base,
 )
-
-
-@dataclass(frozen=True)
-class SeriesReport:
-    """A normal series run to stabilization.
-
-    terms holds the orders G = T_0 >= T_1 >= ...; when the series stalls above
-    the trivial group the repeated order is kept as the last entry, so the
-    stall is visible in the report itself.
-    """
-
-    terms: tuple[FactoredInteger, ...]
-
-    def __post_init__(self):
-        values = [t.value for t in self.terms]
-        if any(a < b for a, b in zip(values, values[1:])):
-            raise RuntimeError(f"series orders increased: {values}")
-
-    @property
-    def reaches_trivial(self) -> bool:
-        return self.terms[-1].value == 1
 
 
 @dataclass(frozen=True)
@@ -172,33 +153,14 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return _group_from_raws(G.degree, found)
 
 
-def lower_central_series(G: PermGroup) -> SeriesReport:
-    """G = gamma_1 >= gamma_2 >= ..., where gamma_(i+1) = [gamma_i, G] is the
-    normal closure of the commutators of generator pairs."""
-    n = G.degree
-    g_gens = G._gen_raws()
-    terms = [G.order_factored]
-    cur = G
-    while cur.order > 1:
-        seeds = [_raw_commutator(a, b, n) for a in cur._gen_raws() for b in g_gens]
-        nxt = _group_from_raws(n, _normal_closure_raws(n, g_gens, seeds)[1])
-        terms.append(nxt.order_factored)
-        if nxt.order == cur.order:
-            break  # stalled above 1: the repeated order shows it
-        cur = nxt
-    return SeriesReport(tuple(terms))
-
-
-def is_nilpotent(G: PermGroup) -> bool:
-    return lower_central_series(G).reaches_trivial
-
-
-def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
-    if not G.contains(x):
-        raise ValueError("element is not in the group")
-    xr = x._raw
-    keep = [g for g in G._elements_raw(cap) if _raw_mult(g, xr) == _raw_mult(xr, g)]
-    return _group_from_raws(G.degree, keep)
+def is_nilpotent(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+    """G is nilpotent when each Sylow subgroup is normal, that is the only one:
+    when exactly |G|_p elements have p-power order, for every prime p."""
+    hist = _order_histogram(G, cap)
+    return all(
+        sum(c for o, c in hist if o == 1 or prime_power_base(o) == p) == p**e
+        for p, e in G.order_factored.factor_pairs
+    )
 
 
 def center(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -213,23 +175,13 @@ def _require_subgroup(G: PermGroup, H: PermGroup):
         raise ValueError("not a subgroup of the ambient group")
 
 
-def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    _require_subgroup(G, H)
-    n = G.degree
-    h_gens = [h._raw for h in H.generators]
-    keep = []
-    for g in G._elements_raw(cap):
-        g_inv = _raw_inv(g, n)
-        if all(H._chain.contains(_raw_conj(h, g, g_inv)) for h in h_gens):
-            keep.append(g)
-    return _group_from_raws(n, keep)
-
-
 def core(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     """Largest normal subgroup of G inside H, i.e. the intersection of all
     conjugates of H: the union of the classes of G that lie wholly in H,
     found by counting H's members per class against the class size."""
     _require_subgroup(G, H)
+    if H.order == G.order:
+        return G
     table = G.conjugacy_classes(cap)
     members: dict = {}  # class position -> H's members in that class
     for h in H._elements_raw(cap):
@@ -242,37 +194,37 @@ def core(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
 
 
 def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
+    """A Sylow p-subgroup P of G, grown in one pass over the p-elements g of
+    G by adjoining each g that keeps <P, g> a p-group. A rejected g stays
+    rejected as P grows, so no p-element enlarges the final P. So P is Sylow:
+    inside a larger Sylow subgroup Q, any g in Q but not in P would enlarge it."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return G._memo(("sylow", p), lambda: _sylow_search(G, p, cap))
 
-
-def _sylow_search(G: PermGroup, p: int, cap: int) -> PermGroup:
-    exp_p = G.order_factored.factors.get(p, 0)
-    if exp_p == 0:
-        return PermGroup([G.identity()])
-    target = p**exp_p
-    seed = None
-    for cls in G.conjugacy_classes(cap).classes:  # ascending element order
-        if cls.element_order > 1 and prime_power_base(cls.element_order) == p:
-            seed = cls.representative
-    cur = PermGroup([seed])
-    while cur.order < target:
-        norm = normalizer(G, cur, cap)
-        grown = False
-        for g in norm._elements_raw(cap):
-            o = _raw_order(g, G.degree)
-            if o > 1 and prime_power_base(o) == p and not cur._chain.contains(g):
-                cur = PermGroup(list(cur.generators) + [Permutation._from_raw(g, G.degree)])
-                grown = True
+    def grow() -> PermGroup:
+        n = G.degree
+        target = p ** G.order_factored.factors.get(p, 0)
+        kept: list = []
+        chain = _Chain(n)
+        for g in G._elements_raw(cap):
+            if chain.order() == target:
                 break
-        if not grown:
-            raise RuntimeError("Sylow growth stalled below the full p-part")
-    for g in cur._elements_raw(cap):
-        o = _raw_order(g, G.degree)
-        if o > 1 and prime_power_base(o) != p:
-            raise RuntimeError("Sylow subgroup contains a non-p element")
-    return cur
+            if chain.contains(g) or prime_power_base(_raw_order(g, n)) != p:
+                continue
+            trial = _Chain(n, target + 1)  # no p-subgroup is larger than target
+            try:
+                for h in kept + [g]:
+                    trial.extend(h)
+            except OrderReached:
+                continue
+            if prime_power_base(trial.order()) == p:
+                chain = trial
+                kept.append(g)
+        if chain.order() != target:
+            raise RuntimeError("Sylow pass ended below the full p-part")
+        return G.subgroup([Permutation._from_raw(g, n) for g in kept], check=False)
+
+    return G._memo(("sylow", p), grow)
 
 
 def _class_closures(G: PermGroup, cap: int) -> list:
@@ -316,14 +268,18 @@ def _closure_union(G: PermGroup, cap: int, keep: Callable) -> tuple[PermGroup, i
 
 
 def fitting_subgroup(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Fit(G): x lies in it exactly when <x^G> is nilpotent."""
+    """Fit(G). It is a soluble normal subgroup, so Fit(G) = Fit(R(G)); in a
+    soluble G, x lies in it exactly when <x^G> is nilpotent."""
 
     def search() -> PermGroup:
-        if is_soluble(G) and is_nilpotent(G):
+        radical = soluble_radical(G, cap).radical
+        if radical.order != G.order:
+            return fitting_subgroup(radical, cap)
+        if is_nilpotent(G, cap):
             return G
         n = G.degree
-        fit, _ = _closure_union(G, cap, lambda found: is_nilpotent(_group_from_raws(n, found)))
-        if not is_nilpotent(fit):
+        fit, _ = _closure_union(G, cap, lambda found: is_nilpotent(_group_from_raws(n, found), cap))
+        if not is_nilpotent(fit, cap):
             raise RuntimeError("Fitting subgroup computed non-nilpotent")
         return fit
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import analysis
 from .fields import SmallField, field_arithmetic
-from .perm import DEFAULT_CAP, FactoredInteger, PermGroup, Permutation, _raw_order, is_prime
+from .perm import DEFAULT_CAP, FactoredInteger, PermGroup, Permutation, _order_histogram, is_prime
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,6 @@ def _psl_family_gens(q: int, kind: str) -> list[Permutation]:
     return [_one_based(t) for t in tables]
 
 
-def _element_order_spectrum(G: PermGroup, cap: int = DEFAULT_CAP) -> frozenset[int]:
-    return frozenset(_raw_order(g, G.degree) for g in G._elements_raw(cap))
-
-
 def _m10_gens() -> list[Permutation]:
     """M10 = the index-2 overgroup of PSL(2,9) in PGammaL(2,9) generated by
     (Frobenius) * (non-square scalar); selected by order and order spectrum
@@ -299,7 +295,7 @@ def _m10_gens() -> list[Permutation]:
         for cand in (_compose0(frob, scale(nonsq)), _compose0(scale(nonsq), frob)):
             gens = [_one_based(t) for t in psl + [cand]]
             H = PermGroup(gens)
-            if H.order == 720 and _element_order_spectrum(H) == want:
+            if H.order == 720 and {o for o, _ in _order_histogram(H, DEFAULT_CAP)} == want:
                 return gens
     raise RuntimeError("no candidate produced the M10 order spectrum")
 

@@ -706,6 +706,15 @@ def closure_test(S) -> bool:
     return ch.order() == len(raws)
 
 
+def _order_histogram(H: PermGroup, cap: int) -> tuple:
+    """((element order, number of elements of that order), ...), ascending."""
+    counts: dict[int, int] = {}
+    for g in H._elements_raw(cap):
+        o = _raw_order(g, H.degree)
+        counts[o] = counts.get(o, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def _group_from_raws(n: int, raws: Iterable) -> PermGroup:
     """Build a PermGroup from raw tables, keeping only chain-growing generators.
 

@@ -21,11 +21,11 @@ from .perm import (
     PermGroup,
     Permutation,
     _group_from_raws,
+    _order_histogram,
     _raw_conj,
     _raw_identity,
     _raw_inv,
     _raw_mult,
-    _raw_order,
     closure_test,
     is_prime,
     prime_power_base,
@@ -227,14 +227,6 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
 
 
 # ---------------------------------------------------------------- structure
-
-
-def _order_histogram(H: PermGroup, cap: int) -> tuple:
-    counts: dict[int, int] = {}
-    for g in H._elements_raw(cap):
-        o = _raw_order(g, H.degree)
-        counts[o] = counts.get(o, 0) + 1
-    return tuple(sorted(counts.items()))
 
 
 def _fingerprint(H: PermGroup, cap: int = DEFAULT_CAP) -> tuple:
@@ -550,7 +542,7 @@ def lemma_checks_for_rep(
     # underlying maximal-subgroup solubility criterion bite; without it
     # the statement is false (Sol of a 5-cycle in A5 is dihedral of
     # order 10 with a Sylow 2-subgroup of order 2).
-    if insoluble and sol.is_subgroup and analysis.is_nilpotent(sol.subgroup):
+    if insoluble and sol.is_subgroup and analysis.is_nilpotent(sol.subgroup, cap):
         syl2 = analysis.sylow_subgroup(sol.subgroup, 2, cap)
         ok = syl2.order >= 16 and analysis.derived_subgroup(syl2).order > 1
         record("sylow2_of_sol_nonabelian_ge16", ok, {"sylow2_order": syl2.order})

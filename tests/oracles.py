@@ -1,0 +1,82 @@
+"""Subgroup computations that the package no longer needs, kept here as
+oracles for the tests: the lower central series, and the centralizer and
+normalizer found by scanning every element of the ambient group.
+
+The series shares no code with analysis.is_nilpotent, which counts elements
+of prime-power order instead of walking normal closures of commutators.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from grouplab.analysis import _normal_closure_raws, _require_subgroup
+from grouplab.perm import (
+    DEFAULT_CAP,
+    FactoredInteger,
+    PermGroup,
+    Permutation,
+    _group_from_raws,
+    _raw_commutator,
+    _raw_conj,
+    _raw_inv,
+    _raw_mult,
+)
+
+
+@dataclass(frozen=True)
+class SeriesReport:
+    """A normal series run to stabilization.
+
+    terms holds the orders G = T_0 >= T_1 >= ...; when the series stalls above
+    the trivial group the repeated order is kept as the last entry, so the
+    stall is visible in the report itself.
+    """
+
+    terms: tuple[FactoredInteger, ...]
+
+    def __post_init__(self):
+        values = [t.value for t in self.terms]
+        if any(a < b for a, b in zip(values, values[1:])):
+            raise RuntimeError(f"series orders increased: {values}")
+
+    @property
+    def reaches_trivial(self) -> bool:
+        return self.terms[-1].value == 1
+
+
+def lower_central_series(G: PermGroup) -> SeriesReport:
+    """G = gamma_1 >= gamma_2 >= ..., where gamma_(i+1) = [gamma_i, G] is the
+    normal closure of the commutators of generator pairs."""
+    n = G.degree
+    g_gens = G._gen_raws()
+    terms = [G.order_factored]
+    cur = G
+    while cur.order > 1:
+        seeds = [_raw_commutator(a, b, n) for a in cur._gen_raws() for b in g_gens]
+        nxt = _group_from_raws(n, _normal_closure_raws(n, g_gens, seeds)[1])
+        terms.append(nxt.order_factored)
+        if nxt.order == cur.order:
+            break  # stalled above 1: the repeated order shows it
+        cur = nxt
+    return SeriesReport(tuple(terms))
+
+
+def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
+    if not G.contains(x):
+        raise ValueError("element is not in the group")
+    xr = x._raw
+    keep = [g for g in G._elements_raw(cap) if _raw_mult(g, xr) == _raw_mult(xr, g)]
+    return _group_from_raws(G.degree, keep)
+
+
+def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
+    _require_subgroup(G, H)
+    n = G.degree
+    h_gens = [h._raw for h in H.generators]
+    keep = []
+    for g in G._elements_raw(cap):
+        g_inv = _raw_inv(g, n)
+        if all(H._chain.contains(_raw_conj(h, g, g_inv)) for h in h_gens):
+            keep.append(g)
+    return _group_from_raws(n, keep)

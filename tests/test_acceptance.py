@@ -20,13 +20,13 @@ from grouplab import (
     direct_product_sol_check,
     is_soluble,
     normal_closure,
-    normalizer,
     parse_permutation,
     quotient_sol_check,
     solubilizer,
     soluble_radical,
 )
 from grouplab.suite import RunConfig, run_conjecture_scan, run_full_suite, run_table1
+from oracles import normalizer
 
 
 def rep_of_order(G, k):

@@ -17,7 +17,6 @@ from grouplab import (
     PermGroup,
     build_named_group,
     center,
-    centralizer,
     core,
     derived_subgroup,
     fitting_subgroup,
@@ -25,9 +24,7 @@ from grouplab import (
     is_nilpotent,
     is_simple,
     is_soluble,
-    lower_central_series,
     normal_closure,
-    normalizer,
     parse_permutation,
     quotient_group,
     soluble_radical,
@@ -43,6 +40,8 @@ from grouplab.perm import (
     _raw_mult,
 )
 from grouplab.suite import _QUOTIENT_SECTIONS
+from oracles import centralizer, lower_central_series, normalizer
+from test_group_facts import LABELS, group
 
 
 def g(name):
@@ -293,6 +292,12 @@ def test_core_is_normal_and_contained():
     assert C.order == 1
 
 
+@pytest.mark.parametrize("name", ["S:4 x S:4", "PGL2:7"])
+def test_core_of_the_whole_group_is_the_group(name):
+    G = g(name)
+    assert core(G, G) is G
+
+
 def test_core_rejects_non_subgroup_input():
     with pytest.raises(ValueError):
         core(g("A:5"), g("S:4"))
@@ -313,17 +318,24 @@ def test_sylow_orders(name, p, expected):
     assert sylow_subgroup(g(name), p).order == expected
 
 
+def is_p_element(x, p):
+    o = x.order()
+    while o % p == 0:
+        o //= p
+    return o == 1
+
+
 def test_sylow_is_full_p_part_and_p_group():
-    for name in ["S:5", "A:6", "PSL2:7", "M10", "D:16"]:
-        G = g(name)
+    # on a nilpotent group the Sylow p-subgroup is the set of its p-elements
+    for label in LABELS:
+        G = group(label)
+        nilpotent = lower_central_series(G).reaches_trivial
         for p, e in G.order_factored.factor_pairs:
             P = sylow_subgroup(G, p)
             assert P.order == p**e
-            for x in P.elements():
-                o = x.order()
-                while o % p == 0:
-                    o //= p
-                assert o == 1
+            assert all(is_p_element(x, p) for x in P.elements())
+            if nilpotent:
+                assert set(P.elements()) == {x for x in G.elements() if is_p_element(x, p)}
 
 
 def test_sylow_for_prime_not_dividing():

@@ -11,6 +11,10 @@ Z(G), Core_G(H) and the exponent of a Sylow p-subgroup are read off the class
 table; they are checked against the element scan and the orbit walk that
 computed them before, and against sylow_subgroup.
 
+Nilpotency, counted from element orders, is checked against the lower central
+series on every group and on every subgroup Sol_G(x) at a class representative
+of the catalog, the groups the nilpotent-Sol check asks about.
+
 The groups: the fourteen catalog groups, a few more insoluble and soluble
 ones, the soluble products of the benchmark and the suite's two quotients.
 """
@@ -23,11 +27,11 @@ from grouplab import (
     TABLE1_NAMES,
     build_named_group,
     center,
-    centralizer,
     core,
     derived_subgroup,
     fitting_subgroup,
     group_spec,
+    is_nilpotent,
     is_simple,
     normal_closure,
     quotient_group,
@@ -37,6 +41,7 @@ from grouplab import (
 )
 from grouplab.perm import _raw_conj, _raw_inv, _raw_mult, prime_power_base
 from grouplab.suite import _QUOTIENT_SECTIONS
+from oracles import centralizer, lower_central_series
 
 EXTRA = (
     "SL2:7", "SL2:5", "C:2 x A:5", "S:4", "C:12", "D:16",
@@ -159,3 +164,14 @@ def test_sylow_exponent_is_largest_p_power_class_order(label):
             if prime_power_base(c.element_order) == p
         )
         assert from_classes == max(x.order() for x in sylow_subgroup(G, p).elements())
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_nilpotency_count_matches_lower_central_series(label):
+    G = group(label)
+    subgroups = [G]
+    if label in TABLE1_NAMES:
+        sols = (solubilizer(G, x) for x in G.conjugacy_classes().representatives())
+        subgroups += [sol.subgroup for sol in sols if sol.is_subgroup]
+    for H in subgroups:
+        assert is_nilpotent(H) == lower_central_series(H).reaches_trivial

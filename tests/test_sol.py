@@ -21,7 +21,6 @@ from grouplab import (
     TABLE1_NAMES,
     FactoredInteger,
     build_named_group,
-    centralizer,
     closure_test,
     direct_product_sol_check,
     derived_subgroup,
@@ -34,12 +33,12 @@ from grouplab import (
     solubilizer,
     sylow_subgroup,
     center,
-    normalizer,
     PermGroup,
     Permutation,
 )
 from grouplab.perm import _raw_conj, _raw_inv, _raw_mult, prime_power_base
 from grouplab.suite import RunConfig, run_full_suite
+from oracles import centralizer, normalizer
 
 
 def g(name):
