@@ -5,9 +5,11 @@ and quotient groups.
 Everything here is a pure function of immutable inputs. The solubility test
 walks the derived series of the generated subgroup directly, one normal
 closure at a time, and stops each closure as soon as it fills the previous
-term. Callers that know the ambient group G use pair_soluble, which first
-builds one stabilizer chain for <x, y>, stopped at |G|, and settles most pairs
-from its order alone before any walk.
+term. The same walk on G, memoized, gives the soluble residual D = G^(oo), the
+last term of the series; is_soluble(G) asks whether D is trivial. Callers that
+know the ambient group G use pair_soluble, which first builds one stabilizer
+chain for <x, y>, stopped at |G|, and settles most pairs from its order, or
+from D sifting into it, before any walk.
 
 R(G), Fit(G) and simplicity come from one memoized pass that builds the normal
 closure <x^G> of each class representative, stopped at |G|: x lies in R(G)
@@ -90,25 +92,37 @@ def _normal_closure_raws(n: int, ambient_gens: Sequence, seeds: Sequence, stop_a
     return ch, found
 
 
-def _soluble_raw(n: int, gens: Sequence) -> bool:
-    """Derived-series termination test for <gens>. Each term's closure stops
-    at the previous term's order, since reaching it means a perfect term."""
+def _residual_raw(n: int, gens: Sequence, order: int | None = None) -> tuple[int, tuple]:
+    """(|D|, generators of D) for D the last term of the derived series of
+    <gens>, whose order is passed when known. Each term's closure stops at
+    the previous term's order, since reaching it means that term is perfect."""
     ident = _raw_identity(n)
     cur = [g for g in gens if g != ident]
-    prev = None
     while True:
         comms = _pair_commutators(n, cur)
         if not comms:
-            return True
+            return 1, ()
         try:
-            ch, found = _normal_closure_raws(n, cur, comms, stop_at=prev)
+            ch, found = _normal_closure_raws(n, cur, comms, stop_at=order)
         except OrderReached:
-            # the derived subgroup filled the whole term: perfect group below
-            return False
-        prev = ch.order()
-        if prev == 1:
-            return True
+            # the derived subgroup filled the whole term: a perfect group
+            return order, tuple(cur)
+        order = ch.order()
+        if order == 1:
+            return 1, ()
         cur = found
+
+
+def _soluble_raw(n: int, gens: Sequence) -> bool:
+    """Derived-series termination test for <gens>."""
+    return _residual_raw(n, gens)[0] == 1
+
+
+def _soluble_residual(G: PermGroup) -> tuple[int, tuple]:
+    """(|D|, generators of D) for the soluble residual D = G^(oo), the last
+    term of the derived series: perfect, and trivial exactly when G is
+    soluble. Memoized per group."""
+    return G._memo("residual", lambda: _residual_raw(G.degree, G._gen_raws(), G.order))
 
 
 def pair_soluble(G: PermGroup, x, y) -> bool:
@@ -117,13 +131,15 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     For an insoluble G, one chain of H = <x, y> stopped at |G| settles most
     pairs: reaching |G| means H = G, so H is insoluble; otherwise |H| is known,
     and H is soluble when |H| has at most two prime divisors (Burnside's
-    p^a q^b theorem) or is odd (Feit-Thompson). Only the remaining pairs run
-    the derived-series walk. For a soluble G every pair runs the walk, so
-    checks on soluble groups keep a test independent of G.
+    p^a q^b theorem) or is odd (Feit-Thompson). Then H is insoluble when it
+    contains the soluble residual D = G^(oo), which is perfect and non-trivial:
+    |D| divides |H| and every generator of D sifts into H's chain. Only the
+    remaining pairs run the derived-series walk. For a soluble G every pair
+    runs the walk, so checks on soluble groups keep a test independent of G.
     """
     n = G.degree
-    # is_soluble(G) through its memo: a per-pair lookup, not a group-level test
-    if G._memo("soluble", lambda: _soluble_raw(n, G._gen_raws())):
+    residual_order, residual = _soluble_residual(G)
+    if residual_order == 1:
         return _soluble_raw(n, (x, y))
     ch = _Chain(n, G.order)
     try:
@@ -134,11 +150,13 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     h = ch.order()
     if h % 2 or sum(1 for p, _ in G.order_factored.factor_pairs if h % p == 0) <= 2:
         return True
+    if h % residual_order == 0 and all(ch.contains(d) for d in residual):
+        return False
     return _soluble_raw(n, (x, y))
 
 
 def is_soluble(G: PermGroup) -> bool:
-    return G._memo("soluble", lambda: _soluble_raw(G.degree, G._gen_raws()))
+    return _soluble_residual(G)[0] == 1
 
 
 def normal_closure(G: PermGroup, seeds: Sequence[Permutation]) -> PermGroup:

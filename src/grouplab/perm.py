@@ -715,17 +715,31 @@ def _order_histogram(H: PermGroup, cap: int) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def _group_from_raws(n: int, raws: Iterable) -> PermGroup:
-    """Build a PermGroup from raw tables, keeping only chain-growing generators.
+def _chain_growers(n: int, raws: Iterable, order: int | None = None) -> list:
+    """The raw tables that grow a chain extended over raws in turn.
+
+    order: the order of <raws>, when raws list a set already known to be a
+    group. The chain then stops on reaching it; the element that reaches it is
+    the last one kept, and no later element would have grown the chain, so
+    the kept list is the same as without a stop.
+    """
+    ch = _Chain(n, order)
+    kept = []
+    try:
+        for r in raws:
+            if ch.extend(r):
+                kept.append(r)
+    except OrderReached:
+        kept.append(r)
+    return kept
+
+
+def _group_from_raws(n: int, raws: Iterable, order: int | None = None) -> PermGroup:
+    """Build a PermGroup from raw tables, keeping only chain-growing generators
+    (see _chain_growers for order).
 
     The input order must be deterministic; pass sorted() output when the
     source is an unordered set.
     """
-    ch = _Chain(n)
-    kept = []
-    for r in raws:
-        if ch.extend(r):
-            kept.append(r)
-    if not kept:
-        kept = [_raw_identity(n)]
+    kept = _chain_growers(n, raws, order) or [_raw_identity(n)]
     return PermGroup([Permutation._from_raw(r, n) for r in kept])

@@ -20,6 +20,7 @@ from .perm import (
     FactoredInteger,
     PermGroup,
     Permutation,
+    _chain_growers,
     _group_from_raws,
     _order_histogram,
     _raw_conj,
@@ -143,8 +144,8 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, soluble: bool) -> dict:
     mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
     ident = _raw_identity(n)
     powers = _cyclic_raws(xraw, n)
-    norm = _group_from_raws(n, sorted(_normalizer_of_cyclic_raws(G, xraw, cap)))
-    conj = [(g, _raw_inv(g, n)) for g in norm._gen_raws()]
+    norm = _normalizer_of_cyclic_raws(G, xraw, cap)
+    conj = [(g, _raw_inv(g, n)) for g in _chain_growers(n, sorted(norm), len(norm))]
     verdict: dict = {}
     for y in elements:
         if y in verdict:
@@ -186,7 +187,8 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
         is_sub, subgroup = True, G  # Sol = G: no closure test, no second chain
     else:
         is_sub = closure_test(members)
-        subgroup = _group_from_raws(n, sorted(member_set)) if is_sub else None
+        # closed, so its order is its size and the chain can stop there
+        subgroup = _group_from_raws(n, sorted(member_set), len(member_set)) if is_sub else None
     structure = None
     if is_sub and len(member_set) <= 64:
         structure = identify_small_group(subgroup)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 from grouplab import analysis as analysis_mod
+from grouplab import catalog as catalog_mod
 from grouplab import (
     PermGroup,
     build_named_group,
@@ -39,7 +40,7 @@ from grouplab.perm import (
     _raw_inv,
     _raw_mult,
 )
-from grouplab.suite import _QUOTIENT_SECTIONS
+from grouplab.suite import _QUOTIENT_SECTIONS, RunConfig, run_full_suite
 from oracles import centralizer, lower_central_series, normalizer
 from test_group_facts import LABELS, group
 
@@ -167,16 +168,28 @@ def test_pair_soluble_matches_frozen_walk_and_sympy(data):
     assert verdict == sympy_pair(x, y).is_solvable, (name, x, y)
 
 
-def expected_branch(G, h_order):
-    """Which way pair_soluble must settle a pair, from |G|, |<x, y>| and
-    whether G is soluble."""
+@functools.lru_cache(maxsize=None)
+def sympy_residual(name):
+    """The last term of the derived series of the group, by sympy."""
+    gens = [SPerm([i - 1 for i in p.images]) for p in g(name).generators]
+    return PermutationGroup(gens).derived_series()[-1]
+
+
+def expected_branch(name, H):
+    """Which way pair_soluble must settle a pair generating the sympy group H
+    in the group called name, from |G|, |H|, whether G is soluble and whether
+    H contains G's soluble residual D."""
+    G = g(name)
     if is_soluble(G):
         return "soluble G"
+    h_order = H.order()
     if h_order == G.order:
         return "generates G"
     primes = [p for p, _ in G.order_factored.factor_pairs if h_order % p == 0]
     if h_order % 2 or len(primes) <= 2:
         return "order"
+    if all(H.contains(d) for d in sympy_residual(name).generators):
+        return "contains residual"
     return "walk"
 
 
@@ -197,7 +210,7 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
         for _ in range(25):
             x, y = rng.choice(elements), rng.choice(elements)
             oracle = sympy_pair(x, y)
-            branch = expected_branch(G, oracle.order())
+            branch = expected_branch(name, oracle)
             del walks[:]
             monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
             verdict = analysis_mod.pair_soluble(G, x._raw, y._raw)
@@ -205,7 +218,55 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
             assert verdict == oracle.is_solvable, (name, x, y)
             assert bool(walks) == (branch in ("walk", "soluble G")), (name, x, y, branch)
             seen.add(branch)
-    assert seen == {"generates G", "order", "walk", "soluble G"}
+    assert seen == {"generates G", "order", "contains residual", "walk", "soluble G"}
+
+
+def test_residual_screen_sifts_every_generator():
+    # C4 x AGL(1,7) in C4 x PGL(2,7) is soluble, yet its order is a multiple
+    # of |D| = |PSL(2,7)|: only the sift of D's generators keeps the screen
+    # from calling it insoluble, so pairs in or around it must be decided right
+    name = "C:4 x PGL2:7"
+    G = g(name)
+    order, gens = analysis_mod._soluble_residual(G)
+    elements = sorted_elements(name)
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(1500):
+        x, y = rng.choice(elements), rng.choice(elements)
+        ch = _Chain(G.degree)
+        ch.extend(x._raw)
+        ch.extend(y._raw)
+        if ch.order() == G.order or ch.order() % order:
+            continue
+        inside = sum(ch.contains(d) for d in gens)
+        verdict = analysis_mod.pair_soluble(G, x._raw, y._raw)
+        assert verdict == frozen_walk(G.degree, (x._raw, y._raw)), (x, y)
+        if inside < len(gens):
+            assert verdict == sympy_pair(x, y).is_solvable, (x, y)
+        seen.add(inside)
+    assert seen == set(range(len(gens) + 1))
+
+
+# derived-series walks in the suite below with the residual screen in place;
+# with it removed the suite makes 635
+SUITE_WALKS = 321
+
+
+def test_suite_walk_count_stays_screened(monkeypatch):
+    # a gate on work done: with cold groups and one worker the count repeats
+    # exactly, so a lost or weakened screen in pair_soluble raises it
+    walks = []
+    real = analysis_mod._soluble_raw
+
+    def counting(n, gens):
+        walks.append(n)
+        return real(n, gens)
+
+    monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
+    monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
+    report = run_full_suite(RunConfig(groups=("S:6", "PGL2:11", "PGammaL2:8"), workers=1))
+    assert report.all_passed
+    assert len(walks) <= SUITE_WALKS
 
 
 # ------------------------------------------------------------- nilpotency
@@ -544,18 +605,21 @@ def test_fitting_below_radical_everywhere():
 
 
 def test_group_facts_are_memoized(monkeypatch):
-    # a fresh group: the catalog build of A:6 has already asked is_soluble
+    # a fresh group: the catalog build of A:6 has already asked is_soluble.
+    # is_soluble reads the memoized soluble residual, so the derived series is
+    # walked, one normal closure per term, on the first call only
     G = PermGroup(list(g("A:6").generators))
-    derived_series_runs = []
-    real = analysis_mod._soluble_raw
+    closures = []
+    real = analysis_mod._normal_closure_raws
 
-    def counting(n, gens):
-        derived_series_runs.append(n)
-        return real(n, gens)
+    def counting(n, *args, **kwargs):
+        closures.append(n)
+        return real(n, *args, **kwargs)
 
-    monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
+    monkeypatch.setattr(analysis_mod, "_normal_closure_raws", counting)
     assert not is_soluble(G)
+    walked = len(closures)
     assert not is_soluble(G)
-    assert len(derived_series_runs) == 1
+    assert walked == len(closures) == 1
     assert soluble_radical(G) is soluble_radical(G)
     assert sylow_subgroup(G, 2) is sylow_subgroup(G, 2)

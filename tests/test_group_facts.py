@@ -11,6 +11,9 @@ Z(G), Core_G(H) and the exponent of a Sylow p-subgroup are read off the class
 table; they are checked against the element scan and the orbit walk that
 computed them before, and against sylow_subgroup.
 
+The soluble residual G^(oo) behind is_soluble and pair_soluble is checked to be
+perfect and against the last term of sympy's derived series.
+
 Nilpotency, counted from element orders, is checked against the lower central
 series on every group and on every subgroup Sol_G(x) at a class representative
 of the catalog, the groups the nilpotent-Sol check asks about.
@@ -22,7 +25,9 @@ ones, the soluble products of the benchmark and the suite's two quotients.
 import functools
 
 import pytest
+from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
+from grouplab import analysis
 from grouplab import (
     TABLE1_NAMES,
     build_named_group,
@@ -39,7 +44,7 @@ from grouplab import (
     soluble_radical,
     sylow_subgroup,
 )
-from grouplab.perm import _raw_conj, _raw_inv, _raw_mult, prime_power_base
+from grouplab.perm import _group_from_raws, _raw_conj, _raw_inv, _raw_mult, prime_power_base
 from grouplab.suite import _QUOTIENT_SECTIONS
 from oracles import centralizer, lower_central_series
 
@@ -175,3 +180,18 @@ def test_nilpotency_count_matches_lower_central_series(label):
         subgroups += [sol.subgroup for sol in sols if sol.is_subgroup]
     for H in subgroups:
         assert is_nilpotent(H) == lower_central_series(H).reaches_trivial
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_soluble_residual_is_perfect_and_matches_sympy(label):
+    G = group(label)
+    order, gens = analysis._soluble_residual(G)
+    if gens:
+        D = _group_from_raws(G.degree, gens)
+        assert D.order == order
+        assert derived_subgroup(D).order == order  # perfect
+    else:
+        assert order == 1
+    oracle = PermutationGroup([SPerm([i - 1 for i in p.images]) for p in G.generators])
+    assert order == oracle.derived_series()[-1].order()
+    assert (order == 1) == oracle.is_solvable

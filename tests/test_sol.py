@@ -36,9 +36,17 @@ from grouplab import (
     PermGroup,
     Permutation,
 )
-from grouplab.perm import _raw_conj, _raw_inv, _raw_mult, prime_power_base
+from grouplab.perm import (
+    DEFAULT_CAP,
+    _chain_growers,
+    _raw_conj,
+    _raw_inv,
+    _raw_mult,
+    prime_power_base,
+)
 from grouplab.suite import RunConfig, run_full_suite
 from oracles import centralizer, normalizer
+from test_group_facts import LABELS, group
 
 
 def g(name):
@@ -213,6 +221,16 @@ def test_solubilizer_above_byte_degree():
             )
             assert big.is_subgroup == want.is_subgroup
             assert big.normalizer_order == want.normalizer_order
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_stopped_chain_keeps_the_generators_of_the_full_build(label):
+    # N_G(<x>) is closed, so the chain over its sorted elements stops at its
+    # size; the flood's conjugators must be the generators the full build keeps
+    G = group(label)
+    for x in G.conjugacy_classes().representatives():
+        norm = sorted(sol_mod._normalizer_of_cyclic_raws(G, x._raw, DEFAULT_CAP))
+        assert _chain_growers(G.degree, norm, len(norm)) == _chain_growers(G.degree, norm), x
 
 
 def test_solubilizer_rejects_outside_element():
