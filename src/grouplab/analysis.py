@@ -40,7 +40,6 @@ from .perm import (
     _raw_commutator,
     _raw_conj,
     _raw_identity,
-    _raw_inv,
     _raw_mult,
     _raw_order,
     is_prime,
@@ -80,13 +79,12 @@ def _normal_closure_raws(n: int, ambient_gens: Sequence, seeds: Sequence, stop_a
     for s in seeds:
         if ch.extend(s):
             found.append(s)
-    pairs = [(g, _raw_inv(g, n)) for g in ambient_gens]
     qi = 0
     while qi < len(found):
         a = found[qi]
         qi += 1
-        for g, g_inv in pairs:
-            b = _raw_conj(a, g, g_inv)
+        for g in ambient_gens:
+            b = _raw_conj(a, g)
             if ch.extend(b):
                 found.append(b)
     return ch, found
@@ -330,9 +328,8 @@ def quotient_group(
     n = G.degree
     gen_raws = G._gen_raws()
     for s in gen_raws:
-        s_inv = _raw_inv(s, n)
         for t in N._gen_raws():
-            if not N._chain.contains(_raw_conj(t, s, s_inv)):
+            if not N._chain.contains(_raw_conj(t, s)):
                 raise ValueError("subgroup is not normal")
     if G.order % N.order:
         raise RuntimeError("subgroup order does not divide the group order")

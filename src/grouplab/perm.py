@@ -1,11 +1,13 @@
 """Permutations and the deterministic base/strong-generating-set engine.
 
 A degree-n permutation acts on the points 1..n. Internally it is a 0-based
-image table: for degrees up to 256 a ``bytes`` object of length 256,
-identity-padded past the degree, so that ``a.translate(b)`` composes two
-permutations in a single C call; above 256 a plain tuple. Products apply the
-left factor first: ``(a*b)(p) == b(a(p))``, and ``x.conjugate(g)`` is
-``g^-1 * x * g``.
+image table of length n: a ``bytes`` object for degrees up to 256, a plain
+tuple above. ``bytes.translate`` composes two bytes tables in a single C
+call, but its table argument must have all 256 entries, so the right factor
+of a product is padded with the identity past the degree (``_table``). Hot
+loops build that padded form once per right operand and keep the left
+operands, and every product, at n bytes. Products apply the left factor
+first: ``(a*b)(p) == b(a(p))``, and ``x.conjugate(g)`` is ``g^-1 * x * g``.
 
 All group machinery (order, membership, element enumeration, conjugacy
 classes) sits on a Schreier-Sims stabilizer chain built without any
@@ -30,6 +32,7 @@ DEFAULT_CAP = 20000
 
 _BYTES_DEGREE = 256
 _IDENT = bytes(range(_BYTES_DEGREE))
+_PADS = tuple(_IDENT[k:] for k in range(_BYTES_DEGREE + 1))  # _PADS[k]: the identity past k
 
 
 class ParseError(ValueError):
@@ -49,28 +52,44 @@ class OrderReached(Exception):
 
 
 def _raw_identity(n: int):
-    return _IDENT if n <= _BYTES_DEGREE else tuple(range(n))
+    return _IDENT[:n] if n <= _BYTES_DEGREE else tuple(range(n))
+
+
+def _table(a):
+    """a as the right operand of bytes.translate: a bytes table padded with
+    the identity to 256 entries; a tuple is returned as it is."""
+    return a + _PADS[len(a)] if type(a) is bytes else a
 
 
 def _raw_mult(a, b):
     # apply a, then b
     if type(a) is bytes:
-        return a.translate(b)
+        return a.translate(_table(b))
     return tuple(b[v] for v in a)
 
 
-def _raw_inv(a, n: int):
+def _inv_table(a, n: int):
+    """The inverse of a, padded as _table pads."""
     if type(a) is bytes:
-        return bytes.maketrans(a, _IDENT)  # maps a[i] -> i
+        return bytes.maketrans(a, _IDENT[:n])  # maps a[i] -> i
     out = [0] * n
     for i in range(n):
         out[a[i]] = i
     return tuple(out)
 
 
-def _raw_conj(x, g, g_inv):
-    # g^-1 x g
-    return _raw_mult(_raw_mult(g_inv, x), g)
+def _raw_inv(a, n: int):
+    return _inv_table(a, n)[:n]
+
+
+def _raw_conj(x, g):
+    # g^-1 x g, which sends g[i] to g[x[i]]
+    if type(x) is bytes:
+        return bytes.maketrans(g, x.translate(_table(g)))[: len(x)]
+    out = [0] * len(x)
+    for i, v in enumerate(x):
+        out[g[i]] = g[v]
+    return tuple(out)
 
 
 def _raw_commutator(x, y, n: int):
@@ -184,8 +203,7 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images must be a rearrangement of 1..n")
         zero = [v - 1 for v in images]
-        raw = bytes(zero) + _IDENT[n:] if n <= _BYTES_DEGREE else tuple(zero)
-        self._raw = raw
+        self._raw = bytes(zero) if n <= _BYTES_DEGREE else tuple(zero)
         self._degree = n
 
     @classmethod
@@ -242,8 +260,7 @@ class Permutation:
     def conjugate(self, g: "Permutation") -> "Permutation":
         """self^g = g^-1 * self * g."""
         self._require_same_degree(g)
-        g_inv = _raw_inv(g._raw, self._degree)
-        return Permutation._from_raw(_raw_conj(self._raw, g._raw, g_inv), self._degree)
+        return Permutation._from_raw(_raw_conj(self._raw, g._raw), self._degree)
 
     def commutator(self, other: "Permutation") -> "Permutation":
         self._require_same_degree(other)
@@ -319,7 +336,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         for a, b in zip(points, points[1:]):
             mapping[a - 1] = b - 1
         mapping[points[-1] - 1] = points[0] - 1
-    raw = bytes(mapping) + _IDENT[degree:] if degree <= _BYTES_DEGREE else tuple(mapping)
+    raw = bytes(mapping) if degree <= _BYTES_DEGREE else tuple(mapping)
     return Permutation._from_raw(raw, degree)
 
 
@@ -343,11 +360,13 @@ class _Chain:
         self.n = n
         self.stop = stop
         self.ident = _raw_identity(n)
-        # the composer, picked once: one C call on bytes tables
+        # the composer, picked once: one C call on bytes tables. Its right
+        # operands, the strong generators and the transversal inverses, are
+        # stored padded (_table); everything else is n entries long.
         self.mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
         self.base: list[int] = []
-        self.sgens: list[list] = []  # sgens[i]: strong generators fixing base[:i]
-        self.trans: list[dict] = []  # trans[i]: {point: (t, t_inv)}, base[i]^t = point
+        self.sgens: list[list] = []  # sgens[i]: strong generators fixing base[:i], padded
+        self.trans: list[dict] = []  # trans[i]: {point: (t, padded t_inv)}, base[i]^t = point
         self.orbit: list[list] = []  # orbit[i]: the points of trans[i] in discovery order
         self.done: list[list] = []  # done[i][j]: sgens[i][:done[i][j]] applied to orbit[i][j]
 
@@ -389,9 +408,10 @@ class _Chain:
             pt = min(i for i in range(self.n) if h[i] != i)
             self.base.append(pt)
             self.sgens.append([])
-            self.trans.append({pt: (self.ident, self.ident)})
+            self.trans.append({pt: (self.ident, _table(self.ident))})
             self.orbit.append([pt])
             self.done.append([0])
+        h = _table(h)
         for i in range(depth + 1):
             self.sgens[i].append(h)
 
@@ -404,9 +424,13 @@ class _Chain:
         only grows, so it is never sifted again."""
         mult = self.mult
         ident = self.ident
+        n = self.n
         stop = self.stop
         bp = self.base[i]
         tr = self.trans[i]
+        if stop is not None:
+            # only level i grows during this call
+            others = self.order() // len(tr)
         orbit = self.orbit[i]
         done = self.done[i]
         gens = self.sgens[i]
@@ -422,10 +446,10 @@ class _Chain:
                     b = u[bp]
                     entry = tr.get(b)
                     if entry is None:
-                        tr[b] = (u, _raw_inv(u, self.n))
+                        tr[b] = (u, _inv_table(u, n))
                         orbit.append(b)
                         done.append(0)
-                        if stop is not None and self.order() >= stop:
+                        if stop is not None and len(tr) * others >= stop:
                             raise OrderReached
                         continue
                     sch = mult(u, entry[1])
@@ -458,7 +482,7 @@ class _Chain:
         cur = [self.ident]
         for i in reversed(range(len(self.base))):
             tr = self.trans[i]
-            cur = [mult(h, tr[p][0]) for p in sorted(tr) for h in cur]
+            cur = [mult(h, t) for t in [_table(tr[p][0]) for p in sorted(tr)] for h in cur]
         return cur
 
 
@@ -556,7 +580,7 @@ class PermGroup:
         if self._classes is None:
             elems = self._elements_raw(cap)
             n = self._degree
-            gen_pairs = [(r, _raw_inv(r, n)) for r in self._gen_raws()]
+            gens = self._gen_raws()
             seen: dict = {}  # conjugate -> minimal element of its class
             rows = []
             for e in elems:
@@ -566,8 +590,8 @@ class PermGroup:
                 queue = [e]
                 while queue:
                     a = queue.pop()
-                    for g, g_inv in gen_pairs:
-                        b = _raw_conj(a, g, g_inv)
+                    for g in gens:
+                        b = _raw_conj(a, g)
                         if b not in orbit:
                             orbit.add(b)
                             queue.append(b)
@@ -627,8 +651,8 @@ class ConjugacyClassTable:
     def class_index(self, g: Permutation) -> int:
         """Position in `classes` of the class of g; ValueError if g is not
         in the ambient group."""
-        # raw tables are identity-padded, so equal raws can differ in degree
-        index = self._index.get(g._raw) if g.degree == self.ambient.degree else None
+        # a raw table has one entry per point, so equal raws have equal degrees
+        index = self._index.get(g._raw)
         if index is None:
             raise ValueError(f"{g!r} is not in the group")
         return index
@@ -657,7 +681,7 @@ class ElementSet:
         return len(self._raws)
 
     def __contains__(self, g: Permutation) -> bool:
-        return g.degree == self.ambient.degree and g._raw in self._raws
+        return g._raw in self._raws
 
     def __iter__(self) -> Iterator[Permutation]:
         n = self.ambient.degree
@@ -674,10 +698,8 @@ class ElementSet:
         return hash(self._raws)
 
     def conjugated(self, g: Permutation) -> "ElementSet":
-        n = self.ambient.degree
-        g_inv = _raw_inv(g._raw, n)
         return ElementSet._from_raws(
-            self.ambient, frozenset(_raw_conj(r, g._raw, g_inv) for r in self._raws)
+            self.ambient, frozenset(_raw_conj(r, g._raw) for r in self._raws)
         )
 
     def __repr__(self) -> str:

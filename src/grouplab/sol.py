@@ -27,6 +27,7 @@ from .perm import (
     _raw_identity,
     _raw_inv,
     _raw_mult,
+    _table,
     closure_test,
     is_prime,
     prime_power_base,
@@ -87,9 +88,10 @@ def _cyclic_raws(xraw, n: int) -> frozenset:
     ident = _raw_identity(n)
     out = {ident}
     cur = xraw
+    table = _table(xraw)
     while cur != ident:
         out.add(cur)
-        cur = _raw_mult(cur, xraw)
+        cur = _raw_mult(cur, table)
     return frozenset(out)
 
 
@@ -97,15 +99,8 @@ def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
     """{g : <x>^g = <x>} as raw tables; memoized per (group, element)."""
 
     def compute() -> frozenset:
-        n = G.degree
-        powers = _cyclic_raws(xraw, n)
-        elements = G._elements_raw(cap)
-        if n <= _BYTES_DEGREE:
-            # x^g sends g[i] to g[x[i]]: one table build and no inverse
-            return frozenset(
-                g for g in elements if bytes.maketrans(g, xraw.translate(g)) in powers
-            )
-        return frozenset(g for g in elements if _raw_conj(xraw, g, _raw_inv(g, n)) in powers)
+        powers = _cyclic_raws(xraw, G.degree)
+        return frozenset(g for g in G._elements_raw(cap) if _raw_conj(xraw, g) in powers)
 
     return G._memo(("ncyc", xraw), compute)
 
@@ -113,8 +108,9 @@ def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
 def _coprime_powers(y, ident, mult) -> list:
     """The y^m with gcd(m, |y|) = 1, that is the generators of <y>."""
     powers = [y]
+    table = _table(y)
     while powers[-1] != ident:
-        powers.append(mult(powers[-1], y))
+        powers.append(mult(powers[-1], table))
     order = len(powers)  # powers[k - 1] = y^k, the last one the identity
     return [powers[k - 1] for k in range(1, order + 1) if gcd(k, order) == 1]
 
@@ -145,7 +141,8 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, soluble: bool) -> dict:
     ident = _raw_identity(n)
     powers = _cyclic_raws(xraw, n)
     norm = _normalizer_of_cyclic_raws(G, xraw, cap)
-    conj = [(g, _raw_inv(g, n)) for g in _chain_growers(n, sorted(norm), len(norm))]
+    # b^g = g^-1 * b * g, with g padded as a right operand
+    conj = [(_raw_inv(g, n), _table(g)) for g in _chain_growers(n, sorted(norm), len(norm))]
     verdict: dict = {}
     for y in elements:
         if y in verdict:
@@ -156,8 +153,9 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, soluble: bool) -> dict:
             b = stack.pop()
             if b in verdict:
                 continue
-            verdict.update(dict.fromkeys([mult(p, b) for p in powers], answer))
-            stack += [mult(mult(g_inv, b), g) for g, g_inv in conj]
+            table = _table(b)  # one padded table per coset representative
+            verdict.update(dict.fromkeys([mult(p, table) for p in powers], answer))
+            stack += [mult(mult(g_inv, table), g) for g_inv, g in conj]
     return verdict
 
 
@@ -480,11 +478,10 @@ def lemma_checks_for_rep(
     equi_ok = True
     equi_witness = None
     for g in sample[: len(G.generators) + 2]:
-        g_inv = _raw_inv(g, n)
-        xg = _raw_conj(xraw, g, g_inv)
+        xg = _raw_conj(xraw, g)
         for y in sample:
             lhs = y in sol_set
-            rhs = analysis.pair_soluble(G, xg, _raw_conj(y, g, g_inv))
+            rhs = analysis.pair_soluble(G, xg, _raw_conj(y, g))
             if lhs != rhs:
                 equi_ok = False
                 equi_witness = {"g": Permutation._from_raw(g, n).cycle_string()}
@@ -494,10 +491,9 @@ def lemma_checks_for_rep(
     if equi_ok and full_equivariance and x_order > 1:
         g = next((s for s in sample if s != ident and s not in cyc), None)
         if g is not None:
-            g_inv = _raw_inv(g, n)
-            xg = Permutation._from_raw(_raw_conj(xraw, g, g_inv), n)
+            xg = Permutation._from_raw(_raw_conj(xraw, g), n)
             direct = solubilizer(G, xg, cap).members._raws
-            conjugated = frozenset(_raw_conj(y, g, g_inv) for y in sol_set)
+            conjugated = frozenset(_raw_conj(y, g) for y in sol_set)
             if direct != conjugated:
                 equi_ok = False
                 equi_witness = {"g": Permutation._from_raw(g, n).cycle_string(), "full": True}
@@ -642,9 +638,8 @@ def sol_core_check(
     witness = None
     ok = True
     for g in _sampled_elements(G, f"core:{x.cycle_string()}", seed, cap):
-        g_inv = _raw_inv(g, n)
         companion += 1
-        if not analysis.pair_soluble(G, xraw, _raw_conj(xraw, g, g_inv)):
+        if not analysis.pair_soluble(G, xraw, _raw_conj(xraw, g)):
             ok = False
             witness = {"g": Permutation._from_raw(g, n).cycle_string(), "companion": True}
             break

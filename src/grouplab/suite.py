@@ -10,9 +10,12 @@ else.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -34,10 +37,19 @@ def available_workers() -> int:
         return os.cpu_count() or 1
 
 
+if sys.platform == "linux":
+    # fork: each worker inherits the groups this process has built, where
+    # spawn and forkserver (the Linux default from Python 3.14) rebuild them
+    ProcessPoolExecutor = functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+    )
+
+
 def pool_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], in input order, on min(workers, len(items))
     worker processes; in this process when workers <= 1 or there is at most
-    one item. fn must be a module-level function so that it can be pickled."""
+    one item. fn must be a module-level function so that it can be pickled.
+    On Linux the workers are forked (see ProcessPoolExecutor above)."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:

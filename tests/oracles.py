@@ -18,7 +18,6 @@ from grouplab.perm import (
     Permutation,
     _group_from_raws,
     _raw_commutator,
-    _raw_conj,
     _raw_inv,
     _raw_mult,
 )
@@ -77,6 +76,6 @@ def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     keep = []
     for g in G._elements_raw(cap):
         g_inv = _raw_inv(g, n)
-        if all(H._chain.contains(_raw_conj(h, g, g_inv)) for h in h_gens):
+        if all(H._chain.contains(_raw_mult(_raw_mult(g_inv, h), g)) for h in h_gens):
             keep.append(g)
     return _group_from_raws(n, keep)

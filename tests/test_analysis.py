@@ -35,7 +35,6 @@ from grouplab.perm import (
     Permutation,
     _Chain,
     _raw_commutator,
-    _raw_conj,
     _raw_identity,
     _raw_inv,
     _raw_mult,
@@ -130,7 +129,7 @@ def frozen_walk(n, gens):
             a = found[qi]
             qi += 1
             for g, g_inv in pairs:
-                b = _raw_conj(a, g, g_inv)
+                b = _raw_mult(_raw_mult(g_inv, a), g)
                 if ch.extend(b):
                     found.append(b)
                     if prev is not None and ch.order() >= prev:

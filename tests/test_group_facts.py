@@ -44,7 +44,7 @@ from grouplab import (
     soluble_radical,
     sylow_subgroup,
 )
-from grouplab.perm import _group_from_raws, _raw_conj, _raw_inv, _raw_mult, prime_power_base
+from grouplab.perm import _group_from_raws, _raw_inv, _raw_mult, prime_power_base
 from grouplab.suite import _QUOTIENT_SECTIONS
 from oracles import centralizer, lower_central_series
 
@@ -132,7 +132,7 @@ def orbit_walk_core(G, H):
         while queue and not escaped:
             a = queue.pop()
             for g, g_inv in gen_pairs:
-                b = _raw_conj(a, g, g_inv)
+                b = _raw_mult(_raw_mult(g_inv, a), g)
                 if b not in h_set:
                     escaped = True
                     break

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from grouplab import (
     parse_permutation,
 )
 from grouplab.perm import OrderReached, _Chain, _chain_from_raws
+from test_group_facts import LABELS, group
 
 perms = st.integers(3, 8).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(lambda im: Permutation(list(im)))
@@ -327,9 +329,8 @@ def test_chain_stop_order_fires_exactly_at_the_sympy_order(data):
 
 def test_chain_above_byte_degree_uses_tuples():
     n = 300
-    rotation = Permutation([i % n + 1 for i in range(1, n + 1)])
-    reflection = Permutation([(-i) % n + 1 for i in range(n)])
-    D = PermGroup([rotation, reflection])
+    D = dihedral_300()
+    rotation, reflection = D.generators
     assert type(rotation._raw) is tuple
     assert D.order == 2 * n
     assert set(D.elements()) == brute_closure([rotation, reflection])
@@ -338,7 +339,13 @@ def test_chain_above_byte_degree_uses_tuples():
 
 
 def chain_digest(ch) -> str:
-    blob = repr((ch.base, ch.sgens, [list(t.items()) for t in ch.trans]))
+    # raw tables padded to 256 bytes, as they were stored when the digests
+    # were pinned
+    def pad(r):
+        return r + bytes(range(len(r), 256))
+
+    trans = [[(p, (pad(t), pad(t_inv))) for p, (t, t_inv) in tr.items()] for tr in ch.trans]
+    blob = repr((ch.base, [[pad(s) for s in level] for level in ch.sgens], trans))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -391,3 +398,73 @@ def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch, name, sourc
     ch, sifted = counted_chain_build(monkeypatch, n, [p._raw for p in gens])
     assert ch.order() == PermutationGroup([to_sympy(p) for p in gens]).order()
     assert 0 < sifted <= sum(len(t) * len(s) for t, s in zip(ch.trans, ch.sgens))
+
+
+# ------------------------------------------------------------ representation
+
+
+def image_product(a, b):
+    """The images of a*b, left factor first, from image lists."""
+    return tuple(b[p - 1] for p in a)
+
+
+def image_inverse(a):
+    out = [0] * len(a)
+    for i, p in enumerate(a, 1):
+        out[p - 1] = i
+    return tuple(out)
+
+
+def image_power(a, k):
+    base = a if k >= 0 else image_inverse(a)
+    out = tuple(range(1, len(a) + 1))
+    for _ in range(abs(k)):
+        out = image_product(out, base)
+    return out
+
+
+def dihedral_300():
+    n = 300
+    rotation = Permutation([i % n + 1 for i in range(1, n + 1)])
+    reflection = Permutation([(-i) % n + 1 for i in range(n)])
+    return PermGroup([rotation, reflection])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 48, 255, 256, 257, 300])
+def test_raw_table_has_one_entry_per_point(degree):
+    perms = [Permutation.identity(degree), Permutation(list(range(degree, 0, -1)))]
+    if degree > 1:
+        perms.append(parse_permutation(f"(1,{degree})", degree))
+    for p in perms + [q * q.inverse() for q in perms]:
+        assert type(p._raw) is (bytes if degree <= 256 else tuple)
+        assert len(p._raw) == p.degree == degree
+
+
+@pytest.mark.parametrize("label", LABELS + ("D:300",))
+def test_arithmetic_matches_image_lists(label):
+    # the generators and four seeded words in them, multiplied out as image
+    # lists, against every operator of Permutation
+    G = dihedral_300() if label == "D:300" else group(label)
+    n = G.degree
+    rng = random.Random(label)
+    images = [p.images for p in G.generators]
+    for _ in range(4):
+        word = images[rng.randrange(len(G.generators))]
+        for _ in range(5):
+            word = image_product(word, images[rng.randrange(len(G.generators))])
+        images.append(word)
+    elems = [Permutation(im) for im in images]
+    assert {len(r) for r in G._elements_raw()} == {n}
+    for x, xi in zip(elems, images):
+        assert len(x._raw) == n
+        assert x.inverse().images == image_inverse(xi)
+        for k in (-2, 0, 1, 3):
+            assert (x**k).images == image_power(xi, k)
+        for g, gi in zip(elems, images):
+            prod, conj, comm = x * g, x.conjugate(g), x.commutator(g)
+            assert prod.images == image_product(xi, gi)
+            assert conj == g.inverse() * x * g
+            assert conj.images == image_product(image_product(image_inverse(gi), xi), gi)
+            xg, gx = image_product(xi, gi), image_product(gi, xi)
+            assert comm.images == image_product(image_inverse(gx), xg)
+            assert {len(r._raw) for r in (prod, conj, comm)} == {n}

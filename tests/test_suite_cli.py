@@ -5,11 +5,12 @@ import functools
 import io
 import json
 import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from grouplab import FactoredInteger, build_named_group
+from grouplab import FactoredInteger, build_named_group, catalog
 from grouplab import suite as suite_mod
 from grouplab.cli import main
 from grouplab.suite import (
@@ -152,6 +153,21 @@ def test_full_suite_does_not_depend_on_the_start_method(monkeypatch, method):
     )
     monkeypatch.setattr(suite_mod, "ProcessPoolExecutor", pool)
     assert _without_meta(run_full_suite(config)) == expected
+
+
+def _built_before_the_pool(name):
+    return name in catalog._BUILD_CACHE
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+def test_suite_pool_forks_on_linux(monkeypatch):
+    # whatever the platform default, a worker is forked, so it inherits the
+    # groups built here; under spawn or forkserver its cache starts empty
+    context = suite_mod.ProcessPoolExecutor.keywords["mp_context"]
+    assert context.get_start_method() == "fork"
+    monkeypatch.setattr(catalog, "_BUILD_CACHE", {})
+    build_named_group("A:5")
+    assert suite_mod.pool_map(_built_before_the_pool, ["A:5", "PSL2:7"], 2) == [True, False]
 
 
 def test_scan_records_are_deterministic():
