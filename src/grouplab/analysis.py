@@ -8,8 +8,12 @@ closure at a time, and stops each closure as soon as it fills the previous
 term. The same walk on G, memoized, gives the soluble residual D = G^(oo), the
 last term of the series; is_soluble(G) asks whether D is trivial. Callers that
 know the ambient group G use pair_soluble, which first builds one stabilizer
-chain for <x, y>, stopped at |G|, and settles most pairs from its order, or
-from D sifting into it, before any walk.
+chain for H = <x, y>, stopped at |G|/5, and settles most pairs from its order,
+or from D sifting into it, before any walk. The stop rests on an index lemma:
+a non-trivial perfect group has no proper subgroup of index k <= 4, since its
+action on the cosets maps it onto a perfect subgroup of the soluble S_k, which
+is trivial. So |G : H| <= 4 forces |D : H n D| <= |G : H| <= 4, hence H >= D
+and H is insoluble.
 
 R(G), Fit(G) and simplicity come from one memoized pass that builds the normal
 closure <x^G> of each class representative, stopped at |G|: x lies in R(G)
@@ -105,6 +109,9 @@ def _residual_raw(n: int, gens: Sequence, order: int | None = None) -> tuple[int
         except OrderReached:
             # the derived subgroup filled the whole term: a perfect group
             return order, tuple(cur)
+        if ch.order() == order:
+            # the same, from a chain that missed its stop: never loop on it
+            return order, tuple(cur)
         order = ch.order()
         if order == 1:
             return 1, ()
@@ -126,31 +133,48 @@ def _soluble_residual(G: PermGroup) -> tuple[int, tuple]:
 def pair_soluble(G: PermGroup, x, y) -> bool:
     """Is <x, y> soluble, for raw tables x and y of elements of G?
 
-    For an insoluble G, one chain of H = <x, y> stopped at |G| settles most
-    pairs: reaching |G| means H = G, so H is insoluble; otherwise |H| is known,
-    and H is soluble when |H| has at most two prime divisors (Burnside's
-    p^a q^b theorem) or is odd (Feit-Thompson). Then H is insoluble when it
-    contains the soluble residual D = G^(oo), which is perfect and non-trivial:
-    |D| divides |H| and every generator of D sifts into H's chain. Only the
-    remaining pairs run the derived-series walk. For a soluble G every pair
-    runs the walk, so checks on soluble groups keep a test independent of G.
+    For an insoluble G, with soluble residual D = G^(oo), one chain of
+    H = <x, y> stopped at |G|/5 settles most pairs:
+
+    - Reaching the stop means H is insoluble. The chain never overstates |H|,
+      so |H| > |G|/5 and |G : H| <= 4. Since |H n D| >= |H||D|/|G|,
+      |D : H n D| <= |G : H| <= 4. D is perfect and non-trivial, and its action
+      on the cosets of H n D maps it onto a perfect subgroup of the soluble
+      S_4, so that image is trivial: H n D = D, and H >= D is insoluble.
+    - Otherwise |H| is known, and H is soluble when |H| < 60 (the order of the
+      smallest insoluble group), when 4 does not divide |H| (a cyclic Sylow
+      2-subgroup gives a normal 2-complement by Burnside, of odd order, so
+      soluble by Feit-Thompson), or when |H| has at most two prime divisors
+      (Burnside's p^a q^b theorem).
+    - Then H is insoluble when it contains D: |D| divides |H| and every
+      generator of D sifts into H's chain.
+
+    Only the remaining pairs run the derived-series walk. For a soluble G
+    every pair runs the walk, so checks on soluble groups keep a test
+    independent of G.
     """
+    return _pair_verdict(G, x, y)[0]
+
+
+def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
+    """pair_soluble's answer and the branch that settled it: "soluble G",
+    "index below 5", "order", "contains residual" or "walk"."""
     n = G.degree
     residual_order, residual = _soluble_residual(G)
     if residual_order == 1:
-        return _soluble_raw(n, (x, y))
-    ch = _Chain(n, G.order)
+        return _soluble_raw(n, (x, y)), "soluble G"
+    ch = _Chain(n, G.order // 5 + 1)
     try:
         ch.extend(x)
         ch.extend(y)
     except OrderReached:
-        return False
+        return False, "index below 5"
     h = ch.order()
-    if h % 2 or sum(1 for p, _ in G.order_factored.factor_pairs if h % p == 0) <= 2:
-        return True
+    if h < 60 or h % 4 or sum(1 for p, _ in G.order_factored.factor_pairs if h % p == 0) <= 2:
+        return True, "order"
     if h % residual_order == 0 and all(ch.contains(d) for d in residual):
-        return False
-    return _soluble_raw(n, (x, y))
+        return False, "contains residual"
+    return _soluble_raw(n, (x, y)), "walk"
 
 
 def is_soluble(G: PermGroup) -> bool:

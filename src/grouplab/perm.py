@@ -720,11 +720,17 @@ def _set_raws(S) -> tuple[int, frozenset]:
 
 
 def closure_test(S) -> bool:
-    """True iff S is literally a subgroup: nonempty and |<S>| == |S|."""
+    """True iff S is literally a subgroup: nonempty and |<S>| == |S|. The chain
+    of <S> stops at |S| + 1: reaching it means <S> is larger than S."""
     n, raws = _set_raws(S)
     if not raws:
         return False
-    ch = _chain_from_raws(n, sorted(raws))
+    ch = _Chain(n, len(raws) + 1)
+    try:
+        for r in sorted(raws):
+            ch.extend(r)
+    except OrderReached:
+        return False
     return ch.order() == len(raws)
 
 

@@ -32,8 +32,10 @@ from grouplab import (
     sylow_subgroup,
 )
 from grouplab.perm import (
+    OrderReached,
     Permutation,
     _Chain,
+    _group_from_raws,
     _raw_commutator,
     _raw_identity,
     _raw_inv,
@@ -182,14 +184,19 @@ def expected_branch(name, H):
     if is_soluble(G):
         return "soluble G"
     h_order = H.order()
-    if h_order == G.order:
-        return "generates G"
+    if 5 * h_order > G.order:
+        return "index below 5"
     primes = [p for p, _ in G.order_factored.factor_pairs if h_order % p == 0]
-    if h_order % 2 or len(primes) <= 2:
+    if h_order < 60 or h_order % 4 or len(primes) <= 2:
         return "order"
     if all(H.contains(d) for d in sympy_residual(name).generators):
         return "contains residual"
     return "walk"
+
+
+def residual_elements(name):
+    G = g(name)
+    return tuple(sorted(_group_from_raws(G.degree, analysis_mod._soluble_residual(G)[1]).elements()))
 
 
 def test_pair_soluble_takes_every_branch(monkeypatch):
@@ -200,24 +207,75 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
         walks.append(n)
         return real(n, gens)
 
-    rng = random.Random(20261018)
-    seen = set()
+    # in every insoluble group of SCREENED a subgroup containing D has index
+    # at most 4, so only C4 x PGL(2,7), where |G : D| = 8, can show the
+    # residual branch: its pairs are drawn from G and from D
     for name in SCREENED:
         G = g(name)
+        assert is_soluble(G) or G.order <= 4 * analysis_mod._soluble_residual(G)[0], name
+    wide = "C:4 x PGL2:7"
+    assert g(wide).order == 8 * analysis_mod._soluble_residual(g(wide))[0]
+    pools = [(name, sorted_elements(name)) for name in SCREENED]
+    pools += [(wide, sorted_elements(wide)), (wide, residual_elements(wide))]
+    rng = random.Random(20261018)
+    seen = set()
+    for name, elements in pools:
+        G = g(name)
         is_soluble(G)
-        elements = sorted_elements(name)
         for _ in range(25):
             x, y = rng.choice(elements), rng.choice(elements)
             oracle = sympy_pair(x, y)
-            branch = expected_branch(name, oracle)
             del walks[:]
             monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
-            verdict = analysis_mod.pair_soluble(G, x._raw, y._raw)
+            verdict, branch = analysis_mod._pair_verdict(G, x._raw, y._raw)
             monkeypatch.undo()
             assert verdict == oracle.is_solvable, (name, x, y)
+            assert branch == expected_branch(name, oracle), (name, x, y)
             assert bool(walks) == (branch in ("walk", "soluble G")), (name, x, y, branch)
             seen.add(branch)
-    assert seen == {"generates G", "order", "contains residual", "walk", "soluble G"}
+    assert seen == {"index below 5", "order", "contains residual", "walk", "soluble G"}
+
+
+@pytest.mark.parametrize(
+    "name, gens",
+    [("A:5", ["(1,2,3)", "(1,2)(3,4)"]), ("S:5", ["(1,2,3,4)", "(1,2)"])],
+)
+def test_pairs_at_index_five_are_soluble(name, gens):
+    # A4 < A5 and S4 < S5 have index exactly 5 and are soluble, so the stop at
+    # |G|/5 must not be reached by any pair inside them
+    G = g(name)
+    point_stabilizer = G.subgroup([perm(t, G.degree) for t in gens])
+    assert 5 * point_stabilizer.order == G.order
+    elements = sorted(point_stabilizer.elements())
+    generating = 0
+    for x in elements:
+        for y in elements:
+            assert analysis_mod.pair_soluble(G, x._raw, y._raw), (x, y)
+            generating += G.subgroup([x, y]).order == point_stabilizer.order
+    assert generating
+
+
+def test_chain_past_a_fifth_of_g_means_insoluble():
+    # the stop is a certificate: a pair whose chain reaches |G|/5 + 1 is
+    # insoluble, by sympy, in every insoluble group of the fact tables
+    rng = random.Random(20261018)
+    for label in LABELS:
+        G = group(label)
+        if is_soluble(G):
+            continue
+        elements = sorted(G.elements())
+        reached = 0
+        for _ in range(30):
+            x, y = rng.choice(elements), rng.choice(elements)
+            ch = _Chain(G.degree, G.order // 5 + 1)
+            try:
+                ch.extend(x._raw)
+                ch.extend(y._raw)
+            except OrderReached:
+                reached += 1
+                assert not sympy_pair(x, y).is_solvable, (label, x, y)
+                assert not analysis_mod.pair_soluble(G, x._raw, y._raw), (label, x, y)
+        assert reached, label
 
 
 def test_residual_screen_sifts_every_generator():
@@ -246,9 +304,28 @@ def test_residual_screen_sifts_every_generator():
     assert seen == set(range(len(gens) + 1))
 
 
-# derived-series walks in the suite below with the residual screen in place;
-# with it removed the suite makes 635
-SUITE_WALKS = 321
+def test_residual_walk_ends_when_a_chain_misses_its_stop(monkeypatch):
+    # a chain that ignores its stop order never raises OrderReached, so the
+    # walk must see the perfect term from its order instead of looping on it
+    stops = []
+
+    def unstopped(n, stop=None):
+        stops.append(stop)
+        assert len(stops) < 20, "the derived-series walk does not end"
+        return _Chain(n)
+
+    G = g("S:7")
+    monkeypatch.setattr(analysis_mod, "_Chain", unstopped)
+    order, gens = analysis_mod._residual_raw(G.degree, G._gen_raws(), G.order)
+    monkeypatch.undo()
+    assert order == 2520
+    assert _group_from_raws(G.degree, gens).order == 2520
+    assert 2520 in stops  # the stop that was missed
+
+
+# derived-series walks in the suite below with every screen in place; without
+# the order rules |H| < 60 and 4 not dividing |H| the suite makes 321
+SUITE_WALKS = 234
 
 
 def test_suite_walk_count_stays_screened(monkeypatch):

@@ -38,6 +38,7 @@ from grouplab import (
 )
 from grouplab.perm import (
     DEFAULT_CAP,
+    _chain_from_raws,
     _chain_growers,
     _raw_inv,
     _raw_mult,
@@ -230,6 +231,17 @@ def test_stopped_chain_keeps_the_generators_of_the_full_build(label):
     for x in G.conjugacy_classes().representatives():
         norm = sorted(sol_mod._normalizer_of_cyclic_raws(G, x._raw, DEFAULT_CAP))
         assert _chain_growers(G.degree, norm, len(norm)) == _chain_growers(G.degree, norm), x
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_stopped_closure_test_matches_the_full_build(label):
+    # closure_test stops its chain at |S| + 1; building the whole chain of <S>
+    # must give the same answer on every Sol_G(x) at a class representative
+    G = group(label)
+    for x in G.conjugacy_classes().representatives():
+        members = solubilizer(G, x).members
+        raws = sorted(members._raws)
+        assert closure_test(members) == (_chain_from_raws(G.degree, raws).order() == len(raws)), x
 
 
 def test_solubilizer_rejects_outside_element():
