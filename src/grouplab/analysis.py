@@ -3,9 +3,14 @@ centre, cores, Sylow subgroups, the Fitting subgroup, the soluble radical,
 and quotient groups.
 
 Everything here is a pure function of immutable inputs. The solubility test
-walks the derived series of the generated subgroup directly, one normal
+walks the derived series of the generated subgroup H directly, one normal
 closure at a time, and stops each closure as soon as it fills the previous
-term. The same walk on G, memoized, gives the soluble residual D = G^(oo), the
+term. It walks one orbit of H at a time: H embeds in the product of its
+restrictions to its orbits (its transitive constituents), so it is soluble iff
+each restriction is, and a restriction to at most 4 points lies in the soluble
+S_4 and is not walked (A_5 on 5 points shows 4 is tight). Each wider orbit is
+relabelled 0..m-1 and walked at degree m; a transitive H walks unchanged. The
+same walk on G, memoized and unsplit, gives the soluble residual D = G^(oo), the
 last term of the series; is_soluble(G) asks whether D is trivial. Callers that
 know the ambient group G use pair_soluble, which first builds one stabilizer
 chain for H = <x, y>, stopped at |G|/5, and settles most pairs from its order,
@@ -118,9 +123,43 @@ def _residual_raw(n: int, gens: Sequence, order: int | None = None) -> tuple[int
         cur = found
 
 
+def _wide_constituents(n: int, gens: Sequence) -> list:
+    """(m, generators) for each orbit of <gens> of more than 4 points, found
+    in one pass in point order: the generators restricted to the orbit and
+    relabelled 0..m-1 in point order. An orbit of all n points returns the
+    generators unchanged."""
+    seen = bytearray(n)
+    out = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        orbit = [s]
+        for p in orbit:
+            for g in gens:
+                q = g[p]
+                if not seen[q]:
+                    seen[q] = 1
+                    orbit.append(q)
+        m = len(orbit)
+        if m == n:
+            return [(n, gens)]
+        if m > 4:
+            orbit.sort()
+            label = dict(zip(orbit, range(m)))
+            raw = bytes if m <= 256 else tuple
+            out.append((m, [raw([label[g[p]] for p in orbit]) for g in gens]))
+    return out
+
+
 def _soluble_raw(n: int, gens: Sequence) -> bool:
-    """Derived-series termination test for <gens>."""
-    return _residual_raw(n, gens)[0] == 1
+    """Is <gens> soluble? It embeds in the product of its restrictions to its
+    orbits, so it is soluble iff each restriction is; one to at most 4 points
+    lies in the soluble S_4, so only the wider ones walk the derived series."""
+    for m, restricted in _wide_constituents(n, gens):
+        if _residual_raw(m, restricted)[0] != 1:
+            return False
+    return True
 
 
 def _soluble_residual(G: PermGroup) -> tuple[int, tuple]:
@@ -150,8 +189,10 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
       generator of D sifts into H's chain.
 
     Only the remaining pairs run the derived-series walk. For a soluble G
-    every pair runs the walk, so checks on soluble groups keep a test
-    independent of G.
+    every pair runs the walk, so checks on soluble groups keep a test that
+    leans on x and y alone. The walk goes one orbit of H at a time and skips
+    the orbits of at most 4 points (see _soluble_raw): in a product such as
+    S_4 x S_4 no pair walks at all.
     """
     return _pair_verdict(G, x, y)[0]
 

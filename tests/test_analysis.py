@@ -5,6 +5,7 @@ Frozen values were derived independently before implementation: by hand
 set computations spelled out in the test bodies themselves.
 """
 
+import collections
 import functools
 import random
 
@@ -44,6 +45,7 @@ from grouplab.perm import (
 from grouplab.suite import _QUOTIENT_SECTIONS, RunConfig, run_full_suite
 from oracles import centralizer, lower_central_series, normalizer
 from test_group_facts import LABELS, group
+from test_perm import dihedral_300
 
 
 def g(name):
@@ -343,6 +345,105 @@ def test_suite_walk_count_stays_screened(monkeypatch):
     report = run_full_suite(RunConfig(groups=("S:6", "PGL2:11", "PGammaL2:8"), workers=1))
     assert report.all_passed
     assert len(walks) <= SUITE_WALKS
+
+
+# ------------------------------------------------- one orbit at a time
+
+INTRANSITIVE = [
+    # the soluble products of the benchmark
+    "S:4 x S:4",
+    "C7:C3 x S:4",
+    "D:20 x S:4",
+    # the 5-point orbit carries A5, so 4 is the widest orbit left unwalked
+    "C:2 x A:5",
+    "C:4 x PGL2:7",
+    # two wide orbits of opposite solubility, in both orders, so a walk that
+    # stops after the first wide orbit gives a wrong verdict in one of them
+    "A:5 x C7:C3",
+    "C7:C3 x A:5",
+]
+
+
+@pytest.mark.parametrize("name", INTRANSITIVE)
+def test_constituent_walk_matches_frozen_walk_and_sympy(name):
+    # _soluble_raw walks each orbit of more than 4 points apart; the frozen
+    # walk of the whole of <x, y> and sympy are the oracles
+    G = g(name)
+    elements = sorted_elements(name)
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(40):
+        x, y = rng.choice(elements), rng.choice(elements)
+        for m, restricted in analysis_mod._wide_constituents(G.degree, (x._raw, y._raw)):
+            assert all(sorted(r) == list(range(m)) for r in restricted), (name, x, y)
+        verdict = analysis_mod._soluble_raw(G.degree, (x._raw, y._raw))
+        assert verdict == frozen_walk(G.degree, (x._raw, y._raw)), (name, x, y)
+        assert verdict == sympy_pair(x, y).is_solvable, (name, x, y)
+        verdicts.add(verdict)
+    assert verdicts == ({True} if is_soluble(G) else {True, False}), name
+
+
+def test_constituents_of_degree_300_pairs():
+    # D_295 on the first 295 points beside a group on the last 5: the wide
+    # orbit keeps the tuple form, the 5-point one is relabelled into bytes
+    n, m = 300, 295
+    rotation = [(i + 1) % m for i in range(m)]
+    reflection = [(-i) % m for i in range(m)]
+
+    def on_300(head, tail):
+        return Permutation([p + 1 for p in head + [m + t for t in tail]])
+
+    five_cycle, three_cycle, reflection_5 = [1, 2, 3, 4, 0], [1, 2, 0, 3, 4], [0, 4, 3, 2, 1]
+    for tail_y, soluble in ((three_cycle, False), (reflection_5, True)):
+        x, y = on_300(rotation, five_cycle), on_300(reflection, tail_y)
+        assert type(x._raw) is tuple
+        wide, small = analysis_mod._wide_constituents(n, (x._raw, y._raw))
+        assert wide == (m, [tuple(rotation), tuple(reflection)])
+        assert small == (5, [bytes(five_cycle), bytes(tail_y)])
+        verdict = analysis_mod._soluble_raw(n, (x._raw, y._raw))
+        assert verdict == soluble == sympy_pair(x, y).is_solvable
+        assert verdict == frozen_walk(n, (x._raw, y._raw))
+    # a pair that moves only the last five points walks them alone, as bytes;
+    # the 295 fixed points are orbits of one point each
+    x, y = on_300(list(range(m)), five_cycle), on_300(list(range(m)), three_cycle)
+    only = analysis_mod._wide_constituents(n, (x._raw, y._raw))
+    assert only == [(5, [bytes(five_cycle), bytes(three_cycle)])]
+    assert not analysis_mod._soluble_raw(n, (x._raw, y._raw))
+    # on four points nothing walks; a transitive pair walks unchanged
+    x, y = on_300(list(range(m)), [1, 2, 3, 0, 4]), on_300(list(range(m)), [1, 0, 2, 3, 4])
+    assert analysis_mod._wide_constituents(n, (x._raw, y._raw)) == []
+    assert analysis_mod._soluble_raw(n, (x._raw, y._raw))
+    gens = tuple(p._raw for p in dihedral_300().generators)
+    assert analysis_mod._wide_constituents(n, gens) == [(n, gens)]
+
+
+# derived-series walks by degree in a single-group suite, with cold groups:
+# one residual for the product and one for each factor, and in a pair test
+# only the orbits of more than 4 points, relabelled; S:4 x S:4 walks no pair
+SOLUBLE_SUITE_WALKS = {
+    "S:4 x S:4": {8: 1, 4: 1},
+    "C7:C3 x S:4": {11: 1, 7: 1544, 4: 1},
+    "D:20 x S:4": {14: 1, 10: 1951, 5: 1410, 4: 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLUBLE_SUITE_WALKS))
+def test_soluble_suite_walks_only_wide_orbits(monkeypatch, name):
+    # a gate on work done, like SUITE_WALKS: a lost decomposition walks pairs
+    # at the full degree, or walks orbits of at most 4 points
+    degrees = collections.Counter()
+    real = analysis_mod._residual_raw
+
+    def counting(n, gens, order=None):
+        degrees[n] += 1
+        return real(n, gens, order)
+
+    monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
+    monkeypatch.setattr(analysis_mod, "_residual_raw", counting)
+    report = run_full_suite(RunConfig(groups=(name,), workers=1))
+    assert report.all_passed
+    bounds = SOLUBLE_SUITE_WALKS[name]
+    assert all(degrees[d] <= bounds.get(d, 0) for d in degrees), dict(degrees)
 
 
 # ------------------------------------------------------------- nilpotency
