@@ -18,7 +18,10 @@ or from D sifting into it, before any walk. The stop rests on an index lemma:
 a non-trivial perfect group has no proper subgroup of index k <= 4, since its
 action on the cosets maps it onto a perfect subgroup of the soluble S_k, which
 is trivial. So |G : H| <= 4 forces |D : H n D| <= |G : H| <= 4, hence H >= D
-and H is insoluble.
+and H is insoluble. The pair tests come in runs that share x, so the chain of
+<x> alone is built once and each partner y extends a copy of it. In an
+insoluble G, <x> alone never reaches the stop: an index of at most 4 would put
+the non-trivial perfect D inside the cyclic <x>.
 
 R(G), Fit(G) and simplicity come from one memoized pass that builds the normal
 closure <x^G> of each class representative, stopped at |G|: x lies in R(G)
@@ -188,6 +191,10 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     - Then H is insoluble when it contains D: |D| divides |H| and every
       generator of D sifts into H's chain.
 
+    The chain of <x> is built once for a run of pairs that share x and G (see
+    _prefix_chain), and each y extends a copy of it: the same chain as a new
+    one extended by x and then by y.
+
     Only the remaining pairs run the derived-series walk. For a soluble G
     every pair runs the walk, so checks on soluble groups keep a test that
     leans on x and y alone. The walk goes one orbit of H at a time and skips
@@ -204,9 +211,11 @@ def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
     residual_order, residual = _soluble_residual(G)
     if residual_order == 1:
         return _soluble_raw(n, (x, y)), "soluble G"
-    ch = _Chain(n, G.order // 5 + 1)
+    prefix = _prefix_chain(G, x)
+    if prefix is None:
+        return False, "index below 5"
+    ch = prefix.copy()
     try:
-        ch.extend(x)
         ch.extend(y)
     except OrderReached:
         return False, "index below 5"
@@ -216,6 +225,25 @@ def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
     if h % residual_order == 0 and all(ch.contains(d) for d in residual):
         return False, "contains residual"
     return _soluble_raw(n, (x, y)), "walk"
+
+
+def _prefix_chain(G: PermGroup, x) -> _Chain | None:
+    """The chain of <x> stopped at |G| // 5 + 1, kept on G for the last x it
+    was asked for and replaced by the next. Pair tests come in runs that share
+    (G, x): a solubilizer's blocks, the containment spot check, each
+    conjugator of the equivariance check. None when <x> alone reaches the
+    stop, which cannot happen in an insoluble G (see the module docstring)
+    but is still read as index below 5; nothing is kept then."""
+    slot = G._prefix
+    if slot is not None and slot[0] == x:
+        return slot[1]
+    ch = _Chain(G.degree, G.order // 5 + 1)
+    try:
+        ch.extend(x)
+    except OrderReached:
+        return None
+    G._prefix = (x, ch)
+    return ch
 
 
 def is_soluble(G: PermGroup) -> bool:

@@ -8,6 +8,7 @@ that 2 stays reserved for the one outcome CI must never misread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -43,7 +44,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="JSON file with RunConfig fields")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, so
+    repeated main() calls share it."""
     parser = _Parser(prog="grouplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

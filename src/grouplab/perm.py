@@ -15,10 +15,16 @@ randomization; base points are always the smallest moved points, so two
 builds from the same generator list agree bit for bit. The chain is
 incremental (Seress, *Permutation Group Algorithms*, ch. 4): adding a strong
 generator grows each level's orbit in place, a transversal entry never
-changes once set, and each Schreier generator is sifted at most once. Each
-chain picks its composer once, ``bytes.translate`` up to degree 256. Element
-enumeration follows the transversals, so its order is deterministic but not
-fixed across versions of this module.
+changes once set, and each Schreier generator is sifted at most once. Sifts
+that provably give 1 are skipped (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4): the Schreier generator u * t_b^-1 is 1
+exactly when u == t_b; and at the base point itself, a strong generator of
+level i that fixes base[i] lies in <sgens[i+1]>, whose levels are closed
+while level i is being closed, so it sifts to 1. Each chain picks its
+composer once, ``bytes.translate`` up to degree 256, and a chain can be
+copied to extend one prefix in several ways. Element enumeration follows the
+transversals, so its order is deterministic but not fixed across versions of
+this module.
 """
 
 from __future__ import annotations
@@ -393,6 +399,18 @@ class _Chain:
     def contains(self, g) -> bool:
         return self.sift(g) == self.ident
 
+    def copy(self) -> "_Chain":
+        """An independent chain equal to this one; extending either leaves the
+        other as it was. The tables themselves are immutable and shared."""
+        ch = object.__new__(_Chain)
+        ch.n, ch.stop, ch.ident, ch.mult = self.n, self.stop, self.ident, self.mult
+        ch.base = self.base[:]
+        ch.sgens = [level[:] for level in self.sgens]
+        ch.trans = [tr.copy() for tr in self.trans]
+        ch.orbit = [level[:] for level in self.orbit]
+        ch.done = [level[:] for level in self.done]
+        return ch
+
     def extend(self, g) -> bool:
         """Adjoin g; True iff the generated group grew. Raises OrderReached
         once the order reaches the chain's stop order."""
@@ -405,7 +423,17 @@ class _Chain:
 
     def _insert(self, h, depth: int):
         if depth == len(self.base):
-            pt = min(i for i in range(self.n) if h[i] != i)
+            if depth >= self.n:
+                # a residue fixes every base point and moves another, so a
+                # chain on n points has fewer than n levels
+                raise RuntimeError(f"a chain of more than {self.n} levels: "
+                                   f"a generator does not permute 0..{self.n - 1}")
+            if type(h) is bytes:
+                # the lowest set bit of h XOR the identity is in h's first moved point
+                diff = int.from_bytes(h, "little") ^ int.from_bytes(self.ident, "little")
+                pt = ((diff & -diff).bit_length() - 1) // 8
+            else:
+                pt = min(i for i in range(self.n) if h[i] != i)
             self.base.append(pt)
             self.sgens.append([])
             self.trans.append({pt: (self.ident, _table(self.ident))})
@@ -421,7 +449,19 @@ class _Chain:
         generator to sift. Returns the residue and depth of the first that
         fails to sift, or None when level i is closed. A Schreier generator
         that sifted, or whose residue was inserted, lies in <sgens[i+1]>, which
-        only grows, so it is never sifted again."""
+        only grows, so it is never sifted again.
+
+        Two kinds of Schreier generator are known to be 1 without a sift. With
+        u = t * g for the transversal t of an orbit point and b = u(base[i]),
+        u * t_b^-1 is 1 exactly when u == t_b. At the base point itself (j = 0,
+        t = 1) a generator g that fixes base[i] was inserted below level i, so
+        it lies in <sgens[i+1]>; every level below i is closed whenever this
+        runs (_fixup closes the deepest changed level first, and this returns
+        at the first residue), so g sifts to 1 there.
+
+        An orbit of more than n points means a generator does not permute
+        0..n-1; that raises RuntimeError instead of growing without end, as
+        does a chain of more than n levels (_insert)."""
         mult = self.mult
         ident = self.ident
         n = self.n
@@ -449,13 +489,15 @@ class _Chain:
                         tr[b] = (u, _inv_table(u, n))
                         orbit.append(b)
                         done.append(0)
+                        if len(orbit) > n:
+                            raise RuntimeError(f"an orbit of more than {n} points: "
+                                               f"a generator does not permute 0..{n - 1}")
                         if stop is not None and len(tr) * others >= stop:
                             raise OrderReached
                         continue
-                    sch = mult(u, entry[1])
-                    if sch == ident:
+                    if u == entry[0] or (not j and b == bp):
                         continue
-                    res, d = self._strip(sch, i + 1)
+                    res, d = self._strip(mult(u, entry[1]), i + 1)
                     if res != ident:
                         done[j] = k
                         return res, d
@@ -504,6 +546,7 @@ class PermGroup:
         "_elements",
         "_classes",
         "_cache",
+        "_prefix",
     )
 
     def __init__(self, generators: Sequence[Permutation]):
@@ -521,6 +564,7 @@ class PermGroup:
         self._elements = None
         self._classes = None
         self._cache = {}  # group facts, filled through _memo only
+        self._prefix = None  # (x, chain of <x>) of the last pair test; see analysis._prefix_chain
 
     @property
     def degree(self) -> int:

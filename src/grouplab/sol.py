@@ -115,17 +115,18 @@ def _coprime_powers(y, ident, mult) -> list:
     return [powers[k - 1] for k in range(1, order + 1) if gcd(k, order) == 1]
 
 
-def _sol_verdicts(G: PermGroup, xraw, cap: int, soluble: bool) -> dict:
+def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
     """{y: <x, y> is soluble} for every element y, one pair test per block.
 
-    A soluble G is one block: every subgroup of G is soluble, so the first
-    element's pair test, which is still run, gives every verdict. Otherwise,
-    with N = N_G(<x>), the verdict of y holds on the block <x>*Y, where Y is
-    the closure under N-conjugation of the powers y^m with gcd(m, |y|) = 1:
-    <x, p*b> = <x, b> for p in <x>, <x, b^g> = <x, b>^g because x^g
-    generates <x>, and <x, y^m> = <x, y>. Since x lies in N and N normalizes
-    <x>, a block is a union of orbits of y -> x*y, y -> y^-1 and y -> y^g
-    (g in N), so no two elements of one such orbit are tested.
+    one_block: every <x, y> is soluble, because G is soluble or x lies in
+    R(G), where <x, y> <= R(G)<y>, which is soluble. Then G is one block, and
+    the first element's pair test, which is still run, gives every verdict.
+    Otherwise, with N = N_G(<x>), the verdict of y holds on the block <x>*Y,
+    where Y is the closure under N-conjugation of the powers y^m with
+    gcd(m, |y|) = 1: <x, p*b> = <x, b> for p in <x>, <x, b^g> = <x, b>^g
+    because x^g generates <x>, and <x, y^m> = <x, y>. Since x lies in N and N
+    normalizes <x>, a block is a union of orbits of y -> x*y, y -> y^-1 and
+    y -> y^g (g in N), so no two elements of one such orbit are tested.
 
     Elements are visited in enumeration order, and each one without a verdict
     is tested. Its block is listed coset by coset: N permutes the cosets
@@ -133,7 +134,7 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, soluble: bool) -> dict:
     at any b that already has a verdict, as its whole coset does.
     """
     elements = G._elements_raw(cap)
-    if soluble:
+    if one_block:
         return dict.fromkeys(elements, analysis.pair_soluble(G, xraw, elements[0]))
     n = G.degree
     # the composer, picked once, as _Chain does
@@ -174,7 +175,8 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
     n = G.degree
     xraw = x._raw
     soluble = analysis.is_soluble(G)
-    verdict = _sol_verdicts(G, xraw, cap, soluble)
+    radical = analysis.soluble_radical(G, cap).radical
+    verdict = _sol_verdicts(G, xraw, cap, soluble or radical.contains(x))
     if len(verdict) != G.order:
         raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
     member_set = frozenset(y for y in G._elements_raw(cap) if verdict[y])
@@ -194,7 +196,6 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
     norm_set = _normalizer_of_cyclic_raws(G, xraw, cap)
     classes = G.conjugacy_classes(cap)
     cent_order = G.order // classes.classes[classes.class_index(x)].size  # |G| / |x^G|
-    radical = analysis.soluble_radical(G, cap).radical
 
     # containment and divisibility invariants
     if not _cyclic_raws(xraw, n) <= member_set:

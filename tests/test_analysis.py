@@ -330,9 +330,16 @@ def test_residual_walk_ends_when_a_chain_misses_its_stop(monkeypatch):
 SUITE_WALKS = 234
 
 
+def run_screened_suite(monkeypatch):
+    """The suite on three insoluble groups with cold groups and one worker,
+    so that every count of work done in it repeats exactly."""
+    monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
+    report = run_full_suite(RunConfig(groups=("S:6", "PGL2:11", "PGammaL2:8"), workers=1))
+    assert report.all_passed
+
+
 def test_suite_walk_count_stays_screened(monkeypatch):
-    # a gate on work done: with cold groups and one worker the count repeats
-    # exactly, so a lost or weakened screen in pair_soluble raises it
+    # a gate on work done: a lost or weakened screen in pair_soluble raises it
     walks = []
     real = analysis_mod._soluble_raw
 
@@ -340,11 +347,120 @@ def test_suite_walk_count_stays_screened(monkeypatch):
         walks.append(n)
         return real(n, gens)
 
-    monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
     monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
-    report = run_full_suite(RunConfig(groups=("S:6", "PGL2:11", "PGammaL2:8"), workers=1))
-    assert report.all_passed
+    run_screened_suite(monkeypatch)
     assert len(walks) <= SUITE_WALKS
+
+
+# ------------------------------------------------- the shared chain of <x>
+
+
+def fresh_verdict(G, x, y):
+    """pair_soluble's verdict and branch from a new chain of <x, y> for every
+    pair: the oracle for the chain of <x> that G keeps across pairs."""
+    n = G.degree
+    residual_order, residual = analysis_mod._soluble_residual(G)
+    if residual_order == 1:
+        return analysis_mod._soluble_raw(n, (x, y)), "soluble G"
+    ch = _Chain(n, G.order // 5 + 1)
+    try:
+        ch.extend(x)
+        ch.extend(y)
+    except OrderReached:
+        return False, "index below 5"
+    h = ch.order()
+    primes = [p for p, _ in G.order_factored.factor_pairs if h % p == 0]
+    if h < 60 or h % 4 or len(primes) <= 2:
+        return True, "order"
+    if h % residual_order == 0 and all(ch.contains(d) for d in residual):
+        return False, "contains residual"
+    return analysis_mod._soluble_raw(n, (x, y)), "walk"
+
+
+def test_shared_prefix_matches_fresh_chains_in_the_suite(monkeypatch):
+    # every pair test of the suite, replayed with a new chain per pair, and
+    # one in 40 against sympy
+    calls = []
+    real = analysis_mod._pair_verdict
+
+    def recording(G, x, y):
+        out = real(G, x, y)
+        calls.append((G, x, y, out))
+        return out
+
+    monkeypatch.setattr(analysis_mod, "_pair_verdict", recording)
+    run_screened_suite(monkeypatch)
+    monkeypatch.undo()
+    assert len(calls) > 2000
+    assert {branch for *_, (_, branch) in calls} == {"index below 5", "order", "walk"}
+    for G, x, y, out in calls:
+        assert out == fresh_verdict(G, x, y), (G, x, y)
+    for G, x, y, (verdict, _) in calls[::40]:
+        n = G.degree
+        pair = (Permutation._from_raw(x, n), Permutation._from_raw(y, n))
+        assert verdict == sympy_pair(*pair).is_solvable, pair
+
+
+def test_shared_prefix_is_kept_per_group():
+    # A:6 and S:6 act on the same 6 points and share x = (1,2,3,4,5), but stop
+    # at 73 and 145: <x, (1,2)> = S5 of order 120 passes only A:6's stop, so a
+    # chain kept for x alone would settle it in S:6 at "index below 5". Pairs
+    # on the two groups and on rebuilt copies of them are interleaved.
+    A6, S6 = g("A:6"), g("S:6")
+    groups = [A6, S6, PermGroup(list(A6.generators)), PermGroup(list(S6.generators))]
+    x = perm("(1,2,3,4,5)", 6)._raw
+    pairs = [(A6, perm("(1,2,3)", 6)._raw), (S6, perm("(1,2)", 6)._raw)]
+    rng = random.Random(20261019)
+    for k in range(200):
+        G = groups[k % len(groups)]
+        pairs.append((G, rng.choice(G._elements_raw())))
+    for G, y in pairs:
+        assert analysis_mod._pair_verdict(G, x, y) == fresh_verdict(G, x, y), (G, y)
+    assert analysis_mod._pair_verdict(S6, x, pairs[1][1]) == (False, "walk")
+    for G in groups:
+        kept, ch = G._prefix
+        assert kept == x and ch.stop == G.order // 5 + 1
+        # the kept chain is the chain of <x> alone: no partner grew it
+        assert ch.order() == 5
+        assert analysis_mod._prefix_chain(G, x) is ch
+
+
+def test_prefix_that_reaches_the_stop_is_not_kept():
+    # only a soluble G can have |G : <x>| <= 4; the chain is then not kept
+    G = PermGroup(list(g("C:6").generators))
+    x = G.generators[0]._raw
+    assert G.order // 5 + 1 <= 6
+    assert analysis_mod._prefix_chain(G, x) is None
+    assert G._prefix is None
+
+
+# extends and sifts below level 0 in the suite above. Building a new chain of
+# <x, y> for every pair test makes 12,121 extends, and sifting the strong
+# generators that fix a level's base point at that point makes 32,011 sifts
+SUITE_EXTENDS = 8865
+SUITE_SIFTS = 25200
+
+
+def test_suite_chain_work_stays_shared(monkeypatch):
+    # a gate on work done, like SUITE_WALKS: a lost reuse of the chain of <x>
+    # raises the extends, and a lost skip of a sift that gives 1 the sifts
+    extends, sifts = [], []
+    real_extend, real_strip = _Chain.extend, _Chain._strip
+
+    def extend(self, g):
+        extends.append(g)
+        return real_extend(self, g)
+
+    def strip(self, g, start):
+        if start > 0:
+            sifts.append(start)
+        return real_strip(self, g, start)
+
+    monkeypatch.setattr(_Chain, "extend", extend)
+    monkeypatch.setattr(_Chain, "_strip", strip)
+    run_screened_suite(monkeypatch)
+    assert len(extends) <= SUITE_EXTENDS
+    assert len(sifts) <= SUITE_SIFTS
 
 
 # ------------------------------------------------- one orbit at a time

@@ -400,6 +400,39 @@ def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch, name, sourc
     assert 0 < sifted <= sum(len(t) * len(s) for t, s in zip(ch.trans, ch.sgens))
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        # the n-cycle with its last image moved past the points: the orbit of
+        # 0 runs through n + 1 points, which no permutation of 0..n-1 gives
+        bytes([1, 2]),
+        bytes([1, 2, 3, 4, 5]),
+        bytes(range(1, 256)),
+        # a 10-cycle squared, restricted to the points 0, 2, 4, 6, 8 without
+        # relabelling them 0..4: every orbit is short, and the levels pile up
+        bytes([2, 4, 6, 8, 0]),
+    ],
+    ids=["2", "5", "255", "unrelabelled"],
+)
+def test_table_outside_the_points_raises(table):
+    with pytest.raises(RuntimeError, match="does not permute"):
+        _Chain(len(table)).extend(table)
+
+
+def test_chain_copy_is_independent():
+    # a copy extends as a new chain does, and leaves the original as it was
+    G = build_named_group("PGammaL2:8")
+    x, *rest = (p._raw for p in G.generators)
+    prefix = _Chain(G.degree)
+    prefix.extend(x)
+    before = chain_digest(prefix)
+    copy = prefix.copy()
+    for y in rest:
+        copy.extend(y)
+    assert chain_digest(copy) == chain_digest(G._chain) and copy.order() == G.order
+    assert chain_digest(prefix) == before and prefix.order() == G.generators[0].order()
+
+
 # ------------------------------------------------------------ representation
 
 

@@ -204,6 +204,34 @@ def test_soluble_ambient_is_one_block(monkeypatch, name):
         assert r.order.value == G.order and r.is_subgroup and r.subgroup is G
 
 
+@pytest.mark.parametrize("name,in_radical", [("A:5", 1), ("PGL2:7", 1), ("C:2 x A:5", 2)])
+def test_radical_element_is_one_block(monkeypatch, name, in_radical):
+    # for x in R(G), <x, y> <= R(G)<y> is soluble, so Sol(x) = G with one pair
+    # test: the identity of an insoluble group, and the central involution of
+    # C2 x A5; every other representative runs the blocks
+    G = PermGroup(list(g(name).generators))
+    radical = analysis.soluble_radical(G).radical
+    tests = []
+    real_pair = analysis.pair_soluble
+
+    def counting_pair(G, x, y):
+        tests.append(y)
+        return real_pair(G, x, y)
+
+    monkeypatch.setattr(analysis, "pair_soluble", counting_pair)
+    one_block = 0
+    for x in G.conjugacy_classes().representatives():
+        tests.clear()
+        r = solubilizer(G, x)
+        if radical.contains(x):
+            one_block += 1
+            assert len(tests) == 1, (name, x)
+            assert r.order.value == G.order and r.is_subgroup and r.subgroup is G
+        else:
+            assert len(tests) > 1, (name, x)
+    assert one_block == in_radical
+
+
 def test_solubilizer_above_byte_degree():
     # tuple tables past degree 256: the same Sol as on the small degree, for
     # an insoluble G (blocks) and a soluble one (one block)

@@ -5,14 +5,18 @@ import functools
 import io
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import grouplab
 from grouplab import FactoredInteger, build_named_group, catalog
 from grouplab import suite as suite_mod
-from grouplab.cli import main
+from grouplab.cli import build_parser, main
 from grouplab.suite import (
     ConjectureScanRecord,
     ConjectureScanReport,
@@ -296,6 +300,45 @@ def test_cli_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
     capsys.readouterr()
+
+
+# subcommands with usage errors in between, each run both in one process and
+# in a fresh one
+CLI_SEQUENCE = [
+    ["sol", "--group", "A:5", "--order", "5", "--format", "json"],
+    ["sol", "--group", "A:5"],
+    ["catalog", "--format", "csv"],
+    ["frobnicate"],
+    ["sol", "--group", "S:5", "--element", "(1,2,3)(4,5)", "--format", "json"],
+    ["suite", "--groups", "A:5", "--orders", "2,x"],
+    ["suite", "--groups", "A:5", "--workers", "1", "--format", "json"],
+]
+
+
+def without_meta(out: str) -> str:
+    if not out.startswith("{"):
+        return out
+    doc = json.loads(out)
+    doc.pop("meta", None)
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    # main() shares one parser within a process; a run of calls through it
+    # must print and exit as each call does alone in a new process
+    assert build_parser() is build_parser()
+    env = dict(os.environ)
+    src = str(Path(grouplab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from grouplab.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in CLI_SEQUENCE:
+        code = main(argv)
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert code == alone.returncode, argv
+        assert without_meta(captured.out) == without_meta(alone.stdout), argv
+        assert captured.err == alone.stderr, argv
 
 
 def test_cli_help_exits_zero(capsys):
