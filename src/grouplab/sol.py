@@ -4,12 +4,29 @@ Sol_G(x) = { y in G : <x, y> is soluble }. It contains <x>, the normalizer
 of <x>, and the soluble radical, and its size is divisible by |x|, |C_G(x)|,
 and |R(G)|; but it is a subgroup only in special situations, which is what
 most of the checks in this module probe.
+
+The per-element layer conjugates x by no more of G than it must:
+
+* N = N_G(<x>) is found from its order. N acts on the generators of <x> by
+  conjugation with kernel C_G(x), and an element x^m of <x> is an image x^g
+  exactly when it lies in x's class, so |N| = |C_G(x)| * |x^G meet <x>|, with
+  |C_G(x)| = |G| / |x^G|; the class table gives both factors. A scan of G in
+  enumeration order keeps each g outside the closure found so far with
+  x^g in <x>, and stops once the closure holds |N| elements
+  (_normalizer_scan).
+* Sol(x) is listed in blocks of double cosets <x> b <x>, one pair test per
+  block: <x, p b q> = <x, b> for p, q in <x>. A double coset is the union of
+  the cosets <x> b x^j, and each coset is one product: the elements of
+  <x> b, laid end to end, times x^j (_sol_verdicts).
+* For |x| prime, ell = |x| whenever it is defined: <x> meet <z> is 1 or <x>
+  (ell_invariant).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 
 from . import analysis, catalog
@@ -20,7 +37,6 @@ from .perm import (
     FactoredInteger,
     PermGroup,
     Permutation,
-    _chain_growers,
     _group_from_raws,
     _order_histogram,
     _raw_conj,
@@ -84,25 +100,102 @@ class SolResult:
         }
 
 
-def _cyclic_raws(xraw, n: int) -> frozenset:
+def _power_list(xraw, n: int) -> list:
+    """[1, x, x^2, ..., x^(|x| - 1)] as raw tables."""
     ident = _raw_identity(n)
-    out = {ident}
+    out = [ident]
     cur = xraw
     table = _table(xraw)
     while cur != ident:
-        out.add(cur)
+        out.append(cur)
         cur = _raw_mult(cur, table)
-    return frozenset(out)
+    return out
+
+
+def _cyclic_raws(xraw, n: int) -> frozenset:
+    return frozenset(_power_list(xraw, n))
+
+
+def _joined(raws: list):
+    """The tables of raws end to end, as one table of their type. One product
+    joined * r, by bytes.translate or _raw_mult alike, gives every p * r, and
+    _cut splits it again."""
+    return type(raws[0])(chain.from_iterable(raws))
+
+
+def _cut(joined, n: int) -> list:
+    return [joined[i : i + n] for i in range(0, len(joined), n)]
+
+
+def _normalizer_scan(G: PermGroup, xraw, cap: int) -> tuple[frozenset, list]:
+    """(N_G(<x>) as G's own raw tables, the elements g the scan kept);
+    memoized per (group, element). The kept elements and x generate N.
+
+    The order is known first: |N| = |C_G(x)| * |x^G meet <x>|. For g in N,
+    x^g generates <x^g> = <x>, so g -> x^g maps N onto the generators of <x>
+    that are conjugates of x, that is onto x^G meet <x> (a conjugate of x in
+    <x> has the order of x, so it generates <x>). Conversely x^g in <x> with
+    the order of x gives <x>^g = <x>, so N = {g : x^g in <x>}. Two elements
+    have the same image exactly when they lie in one coset of C_G(x), and
+    |C_G(x)| = |G| / |x^G|. Both factors come from the class table.
+
+    The scan walks G in enumeration order and skips the elements already in
+    the closure K = <x, kept>. Each other g with x^g in <x> lies in N and
+    outside K, so it is kept, and K grows to <K, g> by Dimino's method
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 4):
+    <K, g> is the union of the cosets K*r over the r reached from 1 by right
+    multiplication with the generators, and each new coset K*r is one product
+    of K's elements, laid end to end, with r. K stays inside N, and it is N
+    once it holds |N| elements, where the scan stops. Running out of G first
+    means the order or the scan is wrong, which raises RuntimeError.
+    """
+
+    def compute() -> tuple[frozenset, list]:
+        n = G.degree
+        mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+        ident = _raw_identity(n)
+        powers = _power_list(xraw, n)
+        cyclic = frozenset(powers)
+        classes = G.conjugacy_classes(cap)
+        index = classes._index
+        k = index[xraw]
+        order = G.order // classes.classes[k].size * sum(index[p] == k for p in powers)
+        closure = set(powers)
+        members = powers[:]  # the closure K, coset by coset
+        gens = [_table(xraw)]  # K's generators, padded as right operands
+        kept = []
+        for g in G._elements_raw(cap):
+            if len(closure) == order:
+                break
+            if g in closure or _raw_conj(xraw, g) not in cyclic:
+                continue
+            kept.append(g)
+            gens.append(_table(g))
+            joined = _joined(members)  # the old K, one coset K*r per product
+            reps = [ident]
+            for r in reps:
+                for s in gens:
+                    e = mult(r, s)
+                    if e not in closure:
+                        coset = _cut(mult(joined, _table(e)), n)
+                        closure.update(coset)
+                        members += coset
+                        reps.append(e)
+        if len(closure) != order:
+            raise RuntimeError(
+                f"normalizer scan closed {len(closure)} elements, not |N_G(<x>)| = {order}"
+            )
+        # G's own tables, so that the closure's copies are not kept
+        return frozenset(filter(closure.__contains__, G._elements_raw(cap))), kept
+
+    return G._memo(("ncyc", xraw), compute)
 
 
 def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
-    """{g : <x>^g = <x>} as raw tables; memoized per (group, element)."""
-
-    def compute() -> frozenset:
-        powers = _cyclic_raws(xraw, G.degree)
-        return frozenset(g for g in G._elements_raw(cap) if _raw_conj(xraw, g) in powers)
-
-    return G._memo(("ncyc", xraw), compute)
+    """N_G(<x>) = {g : <x>^g = <x>} as raw tables, found from its order
+    |C_G(x)| * |x^G meet <x>| by _normalizer_scan, which conjugates x only by
+    the elements it reads before the closure reaches that order."""
+    return _normalizer_scan(G, xraw, cap)[0]
 
 
 def _coprime_powers(y, ident, mult) -> list:
@@ -121,17 +214,24 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
     one_block: every <x, y> is soluble, because G is soluble or x lies in
     R(G), where <x, y> <= R(G)<y>, which is soluble. Then G is one block, and
     the first element's pair test, which is still run, gives every verdict.
-    Otherwise, with N = N_G(<x>), the verdict of y holds on the block <x>*Y,
-    where Y is the closure under N-conjugation of the powers y^m with
-    gcd(m, |y|) = 1: <x, p*b> = <x, b> for p in <x>, <x, b^g> = <x, b>^g
-    because x^g generates <x>, and <x, y^m> = <x, y>. Since x lies in N and N
-    normalizes <x>, a block is a union of orbits of y -> x*y, y -> y^-1 and
-    y -> y^g (g in N), so no two elements of one such orbit are tested.
+    Otherwise, with N = N_G(<x>), the verdict of y holds on the block made of
+    the double cosets <x> b <x>, b in Y, where Y is the closure under
+    N-conjugation of the powers y^m with gcd(m, |y|) = 1: <x, p*b*q> = <x, b>
+    for p, q in <x>, <x, b^g> = <x, b>^g because x^g generates <x>, and
+    <x, y^m> = <x, y>. So no two elements of one orbit of y -> x*y, y -> y^-1
+    and y -> y^g (g in N) are tested.
 
     Elements are visited in enumeration order, and each one without a verdict
-    is tested. Its block is listed coset by coset: N permutes the cosets
-    <x>*b, so a flood under N's generators lists each coset once and stops
-    at any b that already has a verdict, as its whole coset does.
+    is tested. Its block is listed one double coset at a time. The double
+    coset <x> b <x> is the union of the cosets <x> b x^j. The elements of
+    <x>, laid end to end, times b give <x> b in one product, one more product
+    per j gives <x> b x^j, and each is cut into n-entry tables. Cosets that
+    coincide, as when b normalizes <x>, are listed again with the same
+    verdict, which is cheaper than testing for them. N permutes the double
+    cosets, (<x> b <x>)^g = <x> b^g <x>, so a flood over the conjugators that
+    _normalizer_scan kept lists each one once and stops at any b that already
+    has a verdict, as its whole double coset does. x, the remaining generator
+    of N, maps every double coset to itself and is not needed.
     """
     elements = G._elements_raw(cap)
     if one_block:
@@ -140,10 +240,12 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
     # the composer, picked once, as _Chain does
     mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
     ident = _raw_identity(n)
-    powers = _cyclic_raws(xraw, n)
-    norm = _normalizer_of_cyclic_raws(G, xraw, cap)
+    powers = _power_list(xraw, n)
+    joined = _joined(powers)
+    cuts = range(0, len(joined), n)
+    rights = [_table(p) for p in powers]  # b -> b x^j
     # b^g = g^-1 * b * g, with g padded as a right operand
-    conj = [(_raw_inv(g, n), _table(g)) for g in _chain_growers(n, sorted(norm), len(norm))]
+    conj = [(_raw_inv(g, n), _table(g)) for g in _normalizer_scan(G, xraw, cap)[1]]
     verdict: dict = {}
     for y in elements:
         if y in verdict:
@@ -154,8 +256,10 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
             b = stack.pop()
             if b in verdict:
                 continue
-            table = _table(b)  # one padded table per coset representative
-            verdict.update(dict.fromkeys([mult(p, table) for p in powers], answer))
+            table = _table(b)
+            left = mult(joined, table)  # <x> b, end to end
+            cosets = [mult(left, t) for t in rights]  # the <x> b x^j, which may repeat
+            verdict.update(dict.fromkeys([c[i : i + n] for c in cosets for i in cuts], answer))
             stack += [mult(mult(g_inv, table), g) for g_inv, g in conj]
     return verdict
 
@@ -179,7 +283,7 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
     verdict = _sol_verdicts(G, xraw, cap, soluble or radical.contains(x))
     if len(verdict) != G.order:
         raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
-    member_set = frozenset(y for y in G._elements_raw(cap) if verdict[y])
+    member_set = frozenset(filter(verdict.__getitem__, G._elements_raw(cap)))
     members = ElementSet._from_raws(G, member_set)
     order = FactoredInteger.from_int(len(member_set))
 
@@ -231,12 +335,18 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
 
 
 def _fingerprint(H: PermGroup, cap: int = DEFAULT_CAP) -> tuple:
-    hist = _order_histogram(H, cap)
-    exponent = lcm(*(o for o, _ in hist))
-    center_order = analysis.center(H, cap).order
-    derived_order = analysis.derived_subgroup(H).order
-    abelian = derived_order == 1
-    return (H.order, abelian, exponent, hist, center_order, derived_order)
+    """Memoized per group: identify_small_group compares against the same
+    cached reference groups on every call."""
+
+    def compute() -> tuple:
+        hist = _order_histogram(H, cap)
+        exponent = lcm(*(o for o, _ in hist))
+        center_order = analysis.center(H, cap).order
+        derived_order = analysis.derived_subgroup(H).order
+        abelian = derived_order == 1
+        return (H.order, abelian, exponent, hist, center_order, derived_order)
+
+    return H._memo("fingerprint", compute)
 
 
 def _abelian_invariants(order: int, hist: tuple) -> list[int]:
@@ -340,7 +450,15 @@ def ell_invariant(
     G: PermGroup, x: Permutation, sol: SolResult | None = None, cap: int = DEFAULT_CAP
 ) -> EllReport:
     """ell = min over y outside N_G(<x>) of the index |<x> : <x> meet <x^y>|,
-    and which arm of the dichotomy (N = Sol, or |Sol| > ell*|x|) holds."""
+    and which arm of the dichotomy (N = Sol, or |Sol| > ell*|x|) holds.
+
+    <x> meet <x^y> depends only on z = x^y, and y lies outside N_G(<x>)
+    exactly when z is not in <x>, so the class x^G holds every index needed.
+    For |x| prime no class is walked: ell = |x|. With N_G(<x>) != G some such
+    z exists, and <x> meet <z> is a subgroup of the group <x> of prime order,
+    so 1 or <x>; it is not <x>, since <x> <= <z> with |z| = |x| would give
+    <z> = <x> and z in <x>. So every index is |x|.
+    """
     if sol is None:
         sol = solubilizer(G, x, cap)
     n = G.degree
@@ -348,15 +466,16 @@ def ell_invariant(
     norm_set = _normalizer_of_cyclic_raws(G, xraw, cap)
     if len(norm_set) == G.order:
         return EllReport(x.order(), None, "undefined", sol.order.value, len(norm_set))
-    powers = _cyclic_raws(xraw, n)
-    x_order = len(powers)
-    # <x> meet <x^y> depends only on z = x^y, and y lies outside N_G(<x>)
-    # exactly when z is not in <x>: the class x^G holds every index needed
-    ell = min(
-        x_order // len(powers & _cyclic_raws(z, n))
-        for z in G.conjugacy_classes(cap).class_members(x)._raws
-        if z not in powers
-    )
+    x_order = x.order()
+    if is_prime(x_order):
+        ell = x_order
+    else:
+        powers = _cyclic_raws(xraw, n)
+        ell = min(
+            x_order // len(powers & _cyclic_raws(z, n))
+            for z in G.conjugacy_classes(cap).class_members(x)._raws
+            if z not in powers
+        )
     if sol.members._raws == norm_set:
         status = "normalizer_equals_sol"
     elif sol.order.value > ell * x_order:

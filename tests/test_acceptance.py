@@ -8,6 +8,7 @@ the computed value and are marked xfail(strict=True) so the disagreement is
 loud, permanent, and cannot silently rot into a skipped test.
 """
 
+import collections
 import random
 import time
 
@@ -175,6 +176,27 @@ def test_criterion_09_products_with_pgl27(announce):
     announce(9, True, "C2 x PGL(2,7): 32, C4 x PGL(2,7): 64, factor-by-factor sets match")
 
 
+# triggered records per check item on the default suite, whatever the worker
+# count: a check that silently stops firing, say one fed by N_G(<x>) or ell,
+# changes them
+ALWAYS_TRIGGERED = (
+    "order_divides", "centralizer_divides", "containment", "radical_divides",
+    "cyclic_proper", "order_not_prime", "conjugation_equivariance",
+    "normalizer_dichotomy", "order_not_prime_square",
+)
+TRIGGER_COUNTS = {
+    **dict.fromkeys(ALWAYS_TRIGGERED, 127),
+    "no_self_normalizing_prime_cyclic": 69,
+    "exponent_dichotomy": 68,
+    "sol_pq": 11,
+    "sol_2p": 7,
+    "sylow2_of_sol_nonabelian_ge16": 5,
+    "sol_2group": 5,
+    "sol_16": 4,
+    "involution_class_in_core": 0,
+}
+
+
 def test_criterion_10_default_suite_gate(announce):
     gate = {
         "order_divides",
@@ -205,6 +227,11 @@ def test_criterion_10_default_suite_gate(announce):
     assert not gate_failures, gate_failures
     assert report.all_passed
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
+    triggered = collections.Counter()
+    for g in report.groups:
+        for c in g["lemma_checks"] + g["theorem_checks"]:
+            triggered[c["item"]] += c["triggered"]
+    assert dict(triggered) == TRIGGER_COUNTS
 
 
 def test_criterion_11_sl27_center_quotient(announce):

@@ -6,7 +6,10 @@ frozen values were produced the same way or by exhaustive runs of two
 independent implementations before being pinned here.
 """
 
+import collections
+import dataclasses
 import functools
+import itertools
 import random
 from math import gcd
 
@@ -40,6 +43,7 @@ from grouplab.perm import (
     DEFAULT_CAP,
     _chain_from_raws,
     _chain_growers,
+    _group_from_raws,
     _raw_inv,
     _raw_mult,
     prime_power_base,
@@ -249,6 +253,76 @@ def test_solubilizer_above_byte_degree():
             )
             assert big.is_subgroup == want.is_subgroup
             assert big.normalizer_order == want.normalizer_order
+
+
+@functools.lru_cache(maxsize=None)
+def above_byte_degree(name):
+    """The catalog group with its generators extended by fixed points to
+    degree 300, where raw tables are tuples."""
+    small = g(name)
+    fixed = list(range(small.degree + 1, 301))
+    return PermGroup([Permutation(list(p.images) + fixed) for p in small.generators])
+
+
+NORMALIZER_LABELS = list(TABLE1_NAMES) + [
+    "SL2:7", "S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4", "A:5 @ 300", "S:4 @ 300",
+]
+
+
+@pytest.mark.parametrize("label", NORMALIZER_LABELS)
+def test_normalizer_from_its_order_matches_the_full_scan(label):
+    # N_G(<x>), found by a scan that stops at |C_G(x)| * |x^G meet <x>|,
+    # against the oracle's test of every element of G, at every class
+    # representative; the elements the scan kept, with x, generate N
+    name, _, degree = label.partition(" @ ")
+    G = above_byte_degree(name) if degree else g(name)
+    classes = G.conjugacy_classes()
+    for cls in classes:
+        x = cls.representative
+        norm, kept = sol_mod._normalizer_scan(G, x._raw, DEFAULT_CAP)
+        assert norm == frozenset(normalizer(G, G.subgroup([x]))._elements_raw()), (label, x)
+        assert norm == sol_mod._normalizer_of_cyclic_raws(G, x._raw, DEFAULT_CAP)
+        assert set(kept) <= norm
+        assert _group_from_raws(G.degree, kept + [x._raw]).order == len(norm), (label, x)
+        powers = frozenset((x**k)._raw for k in range(x.order()))
+        conjugate_powers = len(powers & classes.class_members(x)._raws)
+        assert len(norm) == centralizer(G, x).order * conjugate_powers, (label, x)
+
+
+@pytest.mark.parametrize("factor", [2, 0.5])
+def test_normalizer_scan_raises_when_its_order_is_out_of_reach(monkeypatch, factor):
+    # a wrong class size gives a wrong |N_G(<x>)|: 20 or 4 in place of 10 at a
+    # 5-cycle of A5. The scan must run out of G and raise, not return the
+    # closure it reached
+    G = PermGroup(list(g("A:5").generators))
+    classes = G.conjugacy_classes()
+    x = rep_of_order(G, 5)
+    k = classes.class_index(x)
+    wrong = list(classes.classes)
+    wrong[k] = dataclasses.replace(wrong[k], size=int(wrong[k].size / factor))
+    monkeypatch.setattr(classes, "classes", tuple(wrong))
+    with pytest.raises(RuntimeError, match="normalizer scan"):
+        sol_mod._normalizer_scan(G, x._raw, DEFAULT_CAP)
+    with pytest.raises(RuntimeError, match="normalizer scan"):
+        solubilizer(G, x)
+
+
+@pytest.mark.parametrize("name", list(TABLE1_NAMES) + ["S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4"])
+def test_solubilizers_count_the_soluble_pairs_of_two_classes_alike(name):
+    # <x, y> is soluble exactly when <y, x> is, and Sol(x^g) = Sol(x)^g, so
+    # counting the soluble pairs in C_i x C_j from either side gives
+    # |C_i| * |Sol(x_i) meet C_j| = |C_j| * |Sol(x_j) meet C_i|. Each Sol is
+    # listed by its own flood, so the two sides share no block
+    G = g(name)
+    classes = G.conjugacy_classes()
+    index = classes._index
+    sizes = [c.size for c in classes]
+    meets = [
+        collections.Counter(index[y] for y in solubilizer(G, c.representative).members._raws)
+        for c in classes
+    ]
+    for i, j in itertools.combinations(range(len(sizes)), 2):
+        assert sizes[i] * meets[i][j] == sizes[j] * meets[j][i], (name, i, j)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -480,6 +554,26 @@ def test_identify_soundness_set():
     ]
     for name, label in cases:
         assert identify_small_group(g(name)).label == label
+
+
+def test_fingerprint_is_taken_once_per_group(monkeypatch):
+    # identify_small_group compares with the same cached reference groups on
+    # every call; a fingerprint is memoized on its group, so a second group of
+    # the same type takes its own histogram only, and a repeat takes none
+    taken = []
+    real = sol_mod._order_histogram
+
+    def counting(H, cap):
+        taken.append(H)
+        return real(H, cap)
+
+    monkeypatch.setattr(sol_mod, "_order_histogram", counting)
+    first, second = (PermGroup(list(g("SD:16").generators)) for _ in range(2))
+    assert identify_small_group(first).label == "semidihedral 16"
+    before = len(taken)
+    assert identify_small_group(second).label == "semidihedral 16"
+    assert identify_small_group(first).label == "semidihedral 16"
+    assert taken[before:] == [second]
 
 
 def test_identify_abelian_labels():
