@@ -12,9 +12,13 @@ S_4 and is not walked (A_5 on 5 points shows 4 is tight). Each wider orbit is
 relabelled 0..m-1 and walked at degree m; a transitive H walks unchanged. The
 same walk on G, memoized and unsplit, gives the soluble residual D = G^(oo), the
 last term of the series; is_soluble(G) asks whether D is trivial. Callers that
-know the ambient group G use pair_soluble, which first builds one stabilizer
-chain for H = <x, y>, stopped at |G|/5, and settles most pairs from its order,
-or from D sifting into it, before any walk. The stop rests on an index lemma:
+know the ambient group G use pair_soluble. In a soluble G it restricts x and y
+to G's own orbits of more than 4 points, found once per group: each orbit of H
+lies in one of them, and a restriction is listed breadth-first and walked only
+if it reaches 60 elements, the order of A_5, the smallest insoluble group. In an
+insoluble G it first builds one stabilizer chain for H = <x, y>, stopped at
+|G|/5, and settles most pairs from its order, or from D sifting into it, before
+any walk. The stop rests on an index lemma:
 a non-trivial perfect group has no proper subgroup of index k <= 4, since its
 action on the cosets maps it onto a perfect subgroup of the soluble S_k, which
 is trivial. So |G : H| <= 4 forces |D : H n D| <= |G : H| <= 4, hence H >= D
@@ -38,9 +42,11 @@ dict read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .perm import (
+    _BYTES_DEGREE,
     DEFAULT_CAP,
     CapExceededError,
     OrderReached,
@@ -54,6 +60,7 @@ from .perm import (
     _raw_identity,
     _raw_mult,
     _raw_order,
+    _table,
     is_prime,
     prime_power_base,
 )
@@ -126,11 +133,9 @@ def _residual_raw(n: int, gens: Sequence, order: int | None = None) -> tuple[int
         cur = found
 
 
-def _wide_constituents(n: int, gens: Sequence) -> list:
-    """(m, generators) for each orbit of <gens> of more than 4 points, found
-    in one pass in point order: the generators restricted to the orbit and
-    relabelled 0..m-1 in point order. An orbit of all n points returns the
-    generators unchanged."""
+def _wide_orbits(n: int, gens: Sequence) -> list:
+    """The orbits of <gens> of more than 4 points, each sorted, found in one
+    pass in point order."""
     seen = bytearray(n)
     out = []
     for s in range(n):
@@ -144,14 +149,39 @@ def _wide_constituents(n: int, gens: Sequence) -> list:
                 if not seen[q]:
                     seen[q] = 1
                     orbit.append(q)
-        m = len(orbit)
-        if m == n:
-            return [(n, gens)]
-        if m > 4:
+        if len(orbit) > 4:
             orbit.sort()
-            label = dict(zip(orbit, range(m)))
-            raw = bytes if m <= 256 else tuple
-            out.append((m, [raw([label[g[p]] for p in orbit]) for g in gens]))
+            out.append(orbit)
+    return out
+
+
+def _restriction(n: int, orbit: list) -> Callable:
+    """The map from a raw table of degree n that permutes the sorted points of
+    orbit to its restriction there, relabelled 0..m-1 in point order: bytes up
+    to 256 points and a tuple above. Points in one run are read as one slice."""
+    m = len(orbit)
+    lo, hi = orbit[0], orbit[-1] + 1
+    pick = (lambda g: g[lo:hi]) if hi - lo == m else itemgetter(*orbit)
+    if n <= _BYTES_DEGREE:
+        label = bytearray(_BYTES_DEGREE)
+        for i, p in enumerate(orbit):
+            label[p] = i
+        label = bytes(label)
+        return lambda g: bytes(pick(g)).translate(label)
+    label = dict(zip(orbit, range(m)))
+    raw = bytes if m <= _BYTES_DEGREE else tuple
+    return lambda g: raw(map(label.__getitem__, pick(g)))
+
+
+def _wide_constituents(n: int, gens: Sequence) -> list:
+    """(m, generators) for each orbit of <gens> of more than 4 points, in
+    point order: the generators restricted to the orbit by _restriction. An
+    orbit of all n points returns the generators unchanged."""
+    out = []
+    for orbit in _wide_orbits(n, gens):
+        if len(orbit) == n:
+            return [(n, gens)]
+        out.append((len(orbit), list(map(_restriction(n, orbit), gens))))
     return out
 
 
@@ -161,6 +191,52 @@ def _soluble_raw(n: int, gens: Sequence) -> bool:
     lies in the soluble S_4, so only the wider ones walk the derived series."""
     for m, restricted in _wide_constituents(n, gens):
         if _residual_raw(m, restricted)[0] != 1:
+            return False
+    return True
+
+
+def _fewer_than_60(m: int, x, y) -> bool:
+    """Has <x, y>, on m points, fewer than 60 elements? The powers of x are
+    listed first, then the rest breadth-first under right multiplication by y
+    and x; the listing stops at the 60th element."""
+    mult = bytes.translate if m <= _BYTES_DEGREE else _raw_mult
+    tx, ty = _table(x), _table(y)
+    ident = _raw_identity(m)
+    listed = [ident]
+    power = x
+    while power != ident:
+        if len(listed) == 59:
+            return False
+        listed.append(power)
+        power = mult(power, tx)
+    seen = set(listed)
+    for a in listed:
+        b, c = mult(a, ty), mult(a, tx)
+        if b not in seen:
+            seen.add(b)
+            listed.append(b)
+        if c not in seen:
+            seen.add(c)
+            listed.append(c)
+        if len(listed) >= 60:
+            return False
+    return True
+
+
+def _soluble_on_wide_orbits(G: PermGroup, x, y) -> bool:
+    """Is <x, y> soluble, for x and y in G, decided from x and y on G's own
+    orbits of more than 4 points (memoized per group)? Each orbit of <x, y>
+    lies in an orbit of G, so <x, y> embeds in the product of its restrictions
+    to G's orbits; one to at most 4 points lies in the soluble S_4. A
+    restriction with fewer than 60 elements is soluble, since A_5 (order 60)
+    is the smallest insoluble group; only one that reaches 60 walks."""
+    n = G.degree
+    orbits = G._memo(
+        "wide orbits", lambda: [(len(o), _restriction(n, o)) for o in _wide_orbits(n, G._gen_raws())]
+    )
+    for m, restrict in orbits:
+        gens = (restrict(x), restrict(y))
+        if not _fewer_than_60(m, *gens) and not _soluble_raw(m, gens):
             return False
     return True
 
@@ -195,11 +271,15 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     _prefix_chain), and each y extends a copy of it: the same chain as a new
     one extended by x and then by y.
 
-    Only the remaining pairs run the derived-series walk. For a soluble G
-    every pair runs the walk, so checks on soluble groups keep a test that
-    leans on x and y alone. The walk goes one orbit of H at a time and skips
-    the orbits of at most 4 points (see _soluble_raw): in a product such as
-    S_4 x S_4 no pair walks at all.
+    Only the remaining pairs run the derived-series walk, one orbit of H at a
+    time, skipping the orbits of at most 4 points (see _soluble_raw).
+
+    In a soluble G every pair is soluble, but the answer still comes from x
+    and y alone, so that checks on soluble groups keep a test that can fail:
+    _soluble_on_wide_orbits restricts x and y to each of G's orbits of more
+    than 4 points, lists each restriction below 60 elements, and walks only
+    one that reaches 60. In a product such as S_4 x S_4, whose orbits have 4
+    points, a pair costs nothing.
     """
     return _pair_verdict(G, x, y)[0]
 
@@ -210,7 +290,7 @@ def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
     n = G.degree
     residual_order, residual = _soluble_residual(G)
     if residual_order == 1:
-        return _soluble_raw(n, (x, y)), "soluble G"
+        return _soluble_on_wide_orbits(G, x, y), "soluble G"
     prefix = _prefix_chain(G, x)
     if prefix is None:
         return False, "index below 5"

@@ -201,6 +201,19 @@ def residual_elements(name):
     return tuple(sorted(_group_from_raws(G.degree, analysis_mod._soluble_residual(G)[1]).elements()))
 
 
+def wide_restriction_orders(G, x, y):
+    """(m, sympy's order of <x, y> restricted there) for each orbit of G of
+    m > 4 points, in point order."""
+    ambient = PermutationGroup([SPerm([i - 1 for i in p.images]) for p in G.generators])
+    out = []
+    for points in sorted(sorted(orbit) for orbit in ambient.orbits()):
+        if len(points) > 4:
+            label = {p: i for i, p in enumerate(points)}
+            restricted = [SPerm([label[q.images[p] - 1] for p in points]) for q in (x, y)]
+            out.append((len(points), PermutationGroup(restricted).order()))
+    return out
+
+
 def test_pair_soluble_takes_every_branch(monkeypatch):
     walks = []
     real = analysis_mod._soluble_raw
@@ -219,8 +232,13 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
     assert g(wide).order == 8 * analysis_mod._soluble_residual(g(wide))[0]
     pools = [(name, sorted_elements(name)) for name in SCREENED]
     pools += [(wide, sorted_elements(wide)), (wide, residual_elements(wide))]
+    # a soluble G walks a pair only where a restriction to one of G's orbits
+    # of more than 4 points has at least 60 elements: never in S:4 x S:4, and
+    # in D:120 x S:4 on the 60 points of D:120 about half of the time
+    pools.append(("D:120 x S:4", sorted_elements("D:120 x S:4")))
     rng = random.Random(20261018)
     seen = set()
+    soluble_walks = set()
     for name, elements in pools:
         G = g(name)
         is_soluble(G)
@@ -233,9 +251,15 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
             monkeypatch.undo()
             assert verdict == oracle.is_solvable, (name, x, y)
             assert branch == expected_branch(name, oracle), (name, x, y)
-            assert bool(walks) == (branch in ("walk", "soluble G")), (name, x, y, branch)
+            if branch == "soluble G":
+                reaches_60 = any(o >= 60 for _, o in wide_restriction_orders(G, x, y))
+                assert bool(walks) == reaches_60, (name, x, y)
+                soluble_walks.add((name, reaches_60))
+            else:
+                assert bool(walks) == (branch == "walk"), (name, x, y, branch)
             seen.add(branch)
     assert seen == {"index below 5", "order", "contains residual", "walk", "soluble G"}
+    assert soluble_walks == {("S:4 x S:4", False), ("D:120 x S:4", False), ("D:120 x S:4", True)}
 
 
 @pytest.mark.parametrize(
@@ -501,16 +525,22 @@ def test_constituent_walk_matches_frozen_walk_and_sympy(name):
     assert verdicts == ({True} if is_soluble(G) else {True, False}), name
 
 
+# D_295 on the first 295 points of 300, beside a group on the last 5
+ROTATION_295 = [(i + 1) % 295 for i in range(295)]
+REFLECTION_295 = [(-i) % 295 for i in range(295)]
+
+
+def on_300(head, tail):
+    """The permutation of degree 300 that acts as head, 0-based images, on
+    the first 295 points and as tail on the last 5."""
+    return Permutation([p + 1 for p in head + [295 + t for t in tail]])
+
+
 def test_constituents_of_degree_300_pairs():
-    # D_295 on the first 295 points beside a group on the last 5: the wide
-    # orbit keeps the tuple form, the 5-point one is relabelled into bytes
+    # the wide orbit keeps the tuple form, the 5-point one is relabelled into
+    # bytes
     n, m = 300, 295
-    rotation = [(i + 1) % m for i in range(m)]
-    reflection = [(-i) % m for i in range(m)]
-
-    def on_300(head, tail):
-        return Permutation([p + 1 for p in head + [m + t for t in tail]])
-
+    rotation, reflection = ROTATION_295, REFLECTION_295
     five_cycle, three_cycle, reflection_5 = [1, 2, 3, 4, 0], [1, 2, 0, 3, 4], [0, 4, 3, 2, 1]
     for tail_y, soluble in ((three_cycle, False), (reflection_5, True)):
         x, y = on_300(rotation, five_cycle), on_300(reflection, tail_y)
@@ -536,19 +566,23 @@ def test_constituents_of_degree_300_pairs():
 
 
 # derived-series walks by degree in a single-group suite, with cold groups:
-# one residual for the product and one for each factor, and in a pair test
-# only the orbits of more than 4 points, relabelled; S:4 x S:4 walks no pair
+# one residual for the product and one for each factor, and no pair test. A
+# pair walks only a restriction to one of G's orbits of more than 4 points
+# that has at least 60 elements, and every such restriction here is smaller.
+# Walking each orbit of <x, y> of more than 4 points, as before, made 1,544
+# walks at degree 7 in C7:C3 x S:4, and 1,951 at degree 10 and 1,410 at
+# degree 5 in D:20 x S:4
 SOLUBLE_SUITE_WALKS = {
     "S:4 x S:4": {8: 1, 4: 1},
-    "C7:C3 x S:4": {11: 1, 7: 1544, 4: 1},
-    "D:20 x S:4": {14: 1, 10: 1951, 5: 1410, 4: 1},
+    "C7:C3 x S:4": {11: 1, 7: 1, 4: 1},
+    "D:20 x S:4": {14: 1, 10: 1, 4: 1},
 }
 
 
 @pytest.mark.parametrize("name", sorted(SOLUBLE_SUITE_WALKS))
 def test_soluble_suite_walks_only_wide_orbits(monkeypatch, name):
-    # a gate on work done, like SUITE_WALKS: a lost decomposition walks pairs
-    # at the full degree, or walks orbits of at most 4 points
+    # a gate on work done, like SUITE_WALKS: a lost listing below 60 walks
+    # pairs, and a lost decomposition walks them at the full degree
     degrees = collections.Counter()
     real = analysis_mod._residual_raw
 
@@ -562,6 +596,117 @@ def test_soluble_suite_walks_only_wide_orbits(monkeypatch, name):
     assert report.all_passed
     bounds = SOLUBLE_SUITE_WALKS[name]
     assert all(degrees[d] <= bounds.get(d, 0) for d in degrees), dict(degrees)
+
+
+# ------------------------------------------ a soluble G, on G's own orbits
+
+
+def soluble_300():
+    """D_295 x D_10 at degree 300: the 295-point orbit restricts to tuples,
+    the 5-point one to bytes."""
+    fixed, fixed_5 = list(range(295)), list(range(5))
+    return PermGroup(
+        [
+            on_300(ROTATION_295, fixed_5),
+            on_300(REFLECTION_295, fixed_5),
+            on_300(fixed, [1, 2, 3, 4, 0]),
+            on_300(fixed, [0, 4, 3, 2, 1]),
+        ]
+    )
+
+
+def counted_verdict(monkeypatch, G, x, y):
+    """_pair_verdict(G, x, y) and the degrees of the walks it ran."""
+    walks = []
+    real = analysis_mod._soluble_raw
+
+    def counting(n, gens):
+        walks.append(n)
+        return real(n, gens)
+
+    monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
+    out = analysis_mod._pair_verdict(G, x, y)
+    monkeypatch.undo()
+    return out, walks
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [("S:4 x S:4", 40), ("C7:C3 x S:4", 40), ("D:20 x S:4", 40), ("D:295 x D:10", 12)],
+)
+def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, name, pairs):
+    # in a soluble G a pair is decided on G's orbits of more than 4 points and
+    # walks only a restriction of at least 60 elements, by sympy's order; the
+    # whole-degree walk, the frozen walk and sympy are the oracles
+    G = soluble_300() if name == "D:295 x D:10" else g(name)
+    n = G.degree
+    elements = G._elements_raw()
+    rng = random.Random(20261020)
+    drawn = [(rng.choice(elements), rng.choice(elements)) for _ in range(pairs)]
+    if n == 300:
+        # random pairs of D_295 nearly always reach 60 on its orbit; r^59 has
+        # order 5, and with a reflection it generates D_10, which is listed
+        r59 = [(i + 59) % 295 for i in range(295)]
+        x = on_300(r59, [1, 2, 3, 4, 0])._raw
+        drawn += [(x, on_300(REFLECTION_295, [0, 4, 3, 2, 1])._raw), (x, x)]
+    walked = set()
+    for x, y in drawn:
+        (verdict, branch), walks = counted_verdict(monkeypatch, G, x, y)
+        pair = (Permutation._from_raw(x, n), Permutation._from_raw(y, n))
+        orders = wide_restriction_orders(G, *pair)
+        assert branch == "soluble G", (name, pair)
+        assert walks == [m for m, o in orders if o >= 60], (name, pair, orders)
+        assert verdict == analysis_mod._soluble_raw(n, (x, y)) == frozen_walk(n, (x, y)), pair
+        assert verdict == sympy_pair(*pair).is_solvable, (name, pair)
+        walked.add(bool(walks))
+    assert walked == ({False, True} if n == 300 else {False}), name
+    if n == 300:
+        # each orbit restricts to the raw type of its own size
+        (m1, wide), (m2, small) = G._memo("wide orbits", None)
+        x = elements[-1]
+        assert (m1, m2) == (295, 5)
+        assert type(wide(x)) is tuple and sorted(wide(x)) == list(range(295))
+        assert type(small(x)) is bytes and sorted(small(x)) == list(range(5))
+
+
+@pytest.mark.parametrize(
+    "name, soluble",
+    [("C:59", True), ("C:60", True), ("D:60", True), ("A:5", False)],
+)
+def test_listing_stops_at_the_60th_element(monkeypatch, name, soluble):
+    # 60 = |A_5| is the order of the smallest insoluble group: C:59 is listed
+    # in full and not walked; C:60, D:60 and A:5 reach the 60th element and
+    # walk, to soluble, soluble and insoluble. A:5 takes the branch through a
+    # residual forced to order 1
+    G = PermGroup(list(g(name).generators))
+    x, y = G._gen_raws()[0], G._gen_raws()[-1]
+    assert G.order == _group_from_raws(G.degree, [x, y]).order
+    assert analysis_mod._fewer_than_60(G.degree, x, y) == (G.order < 60)
+    monkeypatch.setattr(analysis_mod, "_soluble_residual", lambda H: (1, ()))
+    (verdict, branch), walks = counted_verdict(monkeypatch, G, x, y)
+    assert (verdict, branch) == (soluble, "soluble G")
+    assert walks == ([] if G.order < 60 else [G.degree])
+
+
+@pytest.mark.parametrize("name", ["C:2 x A:5", "A:5 x C7:C3"])
+def test_soluble_g_branch_decides_from_x_and_y(monkeypatch, name):
+    # forced onto an insoluble G by a residual of order 1, the branch must
+    # still give sympy's verdict on every pair: it reads x and y, not G
+    G = PermGroup(list(g(name).generators))
+    n = G.degree
+    elements = G._elements_raw()
+    rng = random.Random(20261020)
+    verdicts = set()
+    for _ in range(40):
+        x, y = rng.choice(elements), rng.choice(elements)
+        monkeypatch.setattr(analysis_mod, "_soluble_residual", lambda H: (1, ()))
+        verdict, branch = analysis_mod._pair_verdict(G, x, y)
+        monkeypatch.undo()
+        pair = (Permutation._from_raw(x, n), Permutation._from_raw(y, n))
+        assert branch == "soluble G"
+        assert verdict == sympy_pair(*pair).is_solvable, (name, pair)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}, name
 
 
 # ------------------------------------------------------------- nilpotency

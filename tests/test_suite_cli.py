@@ -15,6 +15,7 @@ import pytest
 
 import grouplab
 from grouplab import FactoredInteger, build_named_group, catalog
+from grouplab import analysis as analysis_mod
 from grouplab import suite as suite_mod
 from grouplab.cli import build_parser, main
 from grouplab.suite import (
@@ -411,6 +412,49 @@ def test_cli_scan_counterexample_exits_two(monkeypatch, capsys):
     assert "COUNTEREXAMPLE" in out and "A:5" in out
     # the recorded witness is enough to replay the offending query
     assert main(["sol", "--group", witness["group"], "--element", witness["element"]]) == 0
+    capsys.readouterr()
+
+
+def test_flipped_pair_verdict_fails_the_checks_of_a_soluble_group(monkeypatch, capsys):
+    # one wrong pair answer at one representative of a soluble G, where every
+    # pair is decided from x and y without a walk: the containment spot check
+    # and the equivariance check must each report FAIL with a witness, every
+    # other record must still print and pass, and suite must exit 1. The
+    # generator (1,2,3,4,5,6,7) centralizes x = (9,10,11), so the
+    # equivariance check asks for the same pair again. The one-block
+    # solubilizer tests only the identity, so Sol stays G
+    args = ["suite", "--groups", "C7:C3 x S:4", "--workers", "1", "--format", "json"]
+    assert main(args) == 0
+    clean = json.loads(capsys.readouterr().out)
+    G = build_named_group("C7:C3 x S:4")
+    x = grouplab.parse_permutation("(9,10,11)", G.degree)._raw
+    y = grouplab.parse_permutation("(1,2,3,4,5,6,7)", G.degree)._raw
+    real = analysis_mod._pair_verdict
+    assert real(G, x, y) == (True, "soluble G")
+
+    def flipped(H, a, b):
+        verdict, branch = real(H, a, b)
+        return (not verdict if (a, b) == (x, y) else verdict), branch
+
+    monkeypatch.setattr(analysis_mod, "_pair_verdict", flipped)
+    assert main(args) == 1
+    monkeypatch.undo()
+    report = json.loads(capsys.readouterr().out)
+    assert not report["all_passed"]
+    (group,), (clean_group,) = report["groups"], clean["groups"]
+    records = group["lemma_checks"] + group["theorem_checks"]
+    clean_records = clean_group["lemma_checks"] + clean_group["theorem_checks"]
+    assert len(records) == len(clean_records) > 2
+    failed = [c for c in records if not c["passed"]]
+    flipped_keys = [(c["item"], c["rep"]) for c in failed]
+    assert flipped_keys == [("containment", "(9,10,11)"), ("conjugation_equivariance", "(9,10,11)")]
+    assert failed[0]["witness"] == {"rep": "(9,10,11)"}
+    assert failed[1]["witness"] == {"g": "(1,2,3,4,5,6,7)"}
+    assert [c for c in records if c["passed"]] == [
+        c for c in clean_records if (c["item"], c["rep"]) not in flipped_keys
+    ]
+    # the witness replays: sol on that group and element exits 0
+    assert main(["sol", "--group", "C7:C3 x S:4", "--element", failed[0]["rep"]]) == 0
     capsys.readouterr()
 
 
