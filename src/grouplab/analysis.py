@@ -11,14 +11,16 @@ each restriction is, and a restriction to at most 4 points lies in the soluble
 S_4 and is not walked (A_5 on 5 points shows 4 is tight). Each wider orbit is
 relabelled 0..m-1 and walked at degree m; a transitive H walks unchanged. The
 same walk on G, memoized and unsplit, gives the soluble residual D = G^(oo), the
-last term of the series; is_soluble(G) asks whether D is trivial. Callers that
-know the ambient group G use pair_soluble. In a soluble G it restricts x and y
-to G's own orbits of more than 4 points, found once per group: each orbit of H
-lies in one of them, and a restriction is listed breadth-first and walked only
-if it reaches 60 elements, the order of A_5, the smallest insoluble group. In an
-insoluble G it first builds one stabilizer chain for H = <x, y>, stopped at
-|G|/5, and settles most pairs from its order, or from D sifting into it, before
-any walk. The stop rests on an index lemma:
+last term of the series; is_soluble(G) asks whether D is trivial. A pair x, y
+is listed before any walk: H = <x, y> is listed breadth-first, stopping at the
+60th element, and fewer than 60 elements make it soluble, since A_5, of order
+60, is the smallest insoluble group. Callers that know the ambient group G use
+pair_soluble. In a soluble G it tests x and y restricted to G's own orbits of
+more than 4 points, found once per group: each orbit of H lies in an orbit of
+G, and on the others H lies in a product of copies of S_4. In an insoluble G
+it first builds one stabilizer chain for H, stopped at |G|/5, and settles most
+pairs from its order, or from D sifting into it, before any walk. The stop
+rests on an index lemma:
 a non-trivial perfect group has no proper subgroup of index k <= 4, since its
 action on the cosets maps it onto a perfect subgroup of the soluble S_k, which
 is trivial. So |G : H| <= 4 forces |D : H n D| <= |G : H| <= 4, hence H >= D
@@ -133,9 +135,8 @@ def _residual_raw(n: int, gens: Sequence, order: int | None = None) -> tuple[int
         cur = found
 
 
-def _wide_orbits(n: int, gens: Sequence) -> list:
-    """The orbits of <gens> of more than 4 points, each sorted, found in one
-    pass in point order."""
+def _orbits(n: int, gens: Sequence) -> list:
+    """The orbits of <gens>, found in one pass in point order."""
     seen = bytearray(n)
     out = []
     for s in range(n):
@@ -149,59 +150,48 @@ def _wide_orbits(n: int, gens: Sequence) -> list:
                 if not seen[q]:
                     seen[q] = 1
                     orbit.append(q)
-        if len(orbit) > 4:
-            orbit.sort()
-            out.append(orbit)
+        out.append(orbit)
     return out
 
 
-def _restriction(n: int, orbit: list) -> Callable:
-    """The map from a raw table of degree n that permutes the sorted points of
-    orbit to its restriction there, relabelled 0..m-1 in point order: bytes up
-    to 256 points and a tuple above. Points in one run are read as one slice."""
-    m = len(orbit)
-    lo, hi = orbit[0], orbit[-1] + 1
-    pick = (lambda g: g[lo:hi]) if hi - lo == m else itemgetter(*orbit)
+def _relabel(n: int, points: list) -> Callable:
+    """The map from a raw table of degree n that permutes the sorted points,
+    at least 2 of them, to its restriction there, relabelled 0..m-1 in point
+    order: bytes up to 256 points and a tuple above."""
+    m = len(points)
+    pick = itemgetter(*points)
     if n <= _BYTES_DEGREE:
         label = bytearray(_BYTES_DEGREE)
-        for i, p in enumerate(orbit):
+        for i, p in enumerate(points):
             label[p] = i
-        label = bytes(label)
         return lambda g: bytes(pick(g)).translate(label)
-    label = dict(zip(orbit, range(m)))
+    label = dict(zip(points, range(m)))
     raw = bytes if m <= _BYTES_DEGREE else tuple
     return lambda g: raw(map(label.__getitem__, pick(g)))
 
 
 def _wide_constituents(n: int, gens: Sequence) -> list:
     """(m, generators) for each orbit of <gens> of more than 4 points, in
-    point order: the generators restricted to the orbit by _restriction. An
-    orbit of all n points returns the generators unchanged."""
+    point order: the generators restricted to the orbit by _relabel. An orbit
+    of all n points returns the generators unchanged."""
     out = []
-    for orbit in _wide_orbits(n, gens):
-        if len(orbit) == n:
-            return [(n, gens)]
-        out.append((len(orbit), list(map(_restriction(n, orbit), gens))))
+    for orbit in _orbits(n, gens):
+        m = len(orbit)
+        if m > 4:
+            if m == n:
+                return [(n, gens)]
+            orbit.sort()
+            out.append((m, list(map(_relabel(n, orbit), gens))))
     return out
 
 
-def _soluble_raw(n: int, gens: Sequence) -> bool:
-    """Is <gens> soluble? It embeds in the product of its restrictions to its
-    orbits, so it is soluble iff each restriction is; one to at most 4 points
-    lies in the soluble S_4, so only the wider ones walk the derived series."""
-    for m, restricted in _wide_constituents(n, gens):
-        if _residual_raw(m, restricted)[0] != 1:
-            return False
-    return True
-
-
-def _fewer_than_60(m: int, x, y) -> bool:
-    """Has <x, y>, on m points, fewer than 60 elements? The powers of x are
+def _fewer_than_60(n: int, x, y) -> bool:
+    """Has <x, y>, on n points, fewer than 60 elements? The powers of x are
     listed first, then the rest breadth-first under right multiplication by y
     and x; the listing stops at the 60th element."""
-    mult = bytes.translate if m <= _BYTES_DEGREE else _raw_mult
+    mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
     tx, ty = _table(x), _table(y)
-    ident = _raw_identity(m)
+    ident = _raw_identity(n)
     listed = [ident]
     power = x
     while power != ident:
@@ -223,22 +213,32 @@ def _fewer_than_60(m: int, x, y) -> bool:
     return True
 
 
-def _soluble_on_wide_orbits(G: PermGroup, x, y) -> bool:
-    """Is <x, y> soluble, for x and y in G, decided from x and y on G's own
-    orbits of more than 4 points (memoized per group)? Each orbit of <x, y>
-    lies in an orbit of G, so <x, y> embeds in the product of its restrictions
-    to G's orbits; one to at most 4 points lies in the soluble S_4. A
-    restriction with fewer than 60 elements is soluble, since A_5 (order 60)
-    is the smallest insoluble group; only one that reaches 60 walks."""
-    n = G.degree
-    orbits = G._memo(
-        "wide orbits", lambda: [(len(o), _restriction(n, o)) for o in _wide_orbits(n, G._gen_raws())]
-    )
-    for m, restrict in orbits:
-        gens = (restrict(x), restrict(y))
-        if not _fewer_than_60(m, *gens) and not _soluble_raw(m, gens):
+def _soluble_raw(n: int, gens: Sequence) -> bool:
+    """Is <gens> soluble? A pair is listed first: fewer than 60 elements make
+    it soluble, since A_5, of order 60, is the smallest insoluble group.
+    Otherwise <gens> embeds in the product of its restrictions to its orbits,
+    so it is soluble iff each restriction is; one to at most 4 points lies in
+    the soluble S_4, so only the wider ones walk the derived series."""
+    if len(gens) == 2 and _fewer_than_60(n, *gens):
+        return True
+    for m, restricted in _wide_constituents(n, gens):
+        if _residual_raw(m, restricted)[0] != 1:
             return False
     return True
+
+
+def _wide_part(G: PermGroup) -> tuple[int, Callable]:
+    """(w, restrict): the number w of points in G's orbits of more than 4
+    points, and the map from an element of G to its restriction to them,
+    relabelled 0..w-1 in point order. An element keeps its form when every
+    orbit is wide, and becomes the empty permutation when none is."""
+    n = G.degree
+    points = sorted(p for orbit in _orbits(n, G._gen_raws()) if len(orbit) > 4 for p in orbit)
+    if len(points) == n:
+        return n, lambda g: g
+    if not points:
+        return 0, lambda g: b""
+    return len(points), _relabel(n, points)
 
 
 def _soluble_residual(G: PermGroup) -> tuple[int, tuple]:
@@ -271,15 +271,16 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     _prefix_chain), and each y extends a copy of it: the same chain as a new
     one extended by x and then by y.
 
-    Only the remaining pairs run the derived-series walk, one orbit of H at a
-    time, skipping the orbits of at most 4 points (see _soluble_raw).
+    Only the remaining pairs run the pair test _soluble_raw, whose listing
+    cannot succeed here (|H| >= 60), so they walk the derived series, one
+    orbit of H at a time, skipping the orbits of at most 4 points.
 
     In a soluble G every pair is soluble, but the answer still comes from x
-    and y alone, so that checks on soluble groups keep a test that can fail:
-    _soluble_on_wide_orbits restricts x and y to each of G's orbits of more
-    than 4 points, lists each restriction below 60 elements, and walks only
-    one that reaches 60. In a product such as S_4 x S_4, whose orbits have 4
-    points, a pair costs nothing.
+    and y alone, so that checks on soluble groups keep a test that can fail.
+    The pair test runs on x and y restricted to G's orbits of more than 4
+    points (see _wide_part), where the listing settles every pair of fewer
+    than 60 elements without a walk. In a product such as S_4 x S_4, whose
+    orbits have 4 points, the restriction is the trivial group on no points.
     """
     return _pair_verdict(G, x, y)[0]
 
@@ -290,7 +291,8 @@ def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
     n = G.degree
     residual_order, residual = _soluble_residual(G)
     if residual_order == 1:
-        return _soluble_on_wide_orbits(G, x, y), "soluble G"
+        w, restrict = G._memo("wide part", lambda: _wide_part(G))
+        return _soluble_raw(w, (restrict(x), restrict(y))), "soluble G"
     prefix = _prefix_chain(G, x)
     if prefix is None:
         return False, "index below 5"

@@ -201,27 +201,50 @@ def residual_elements(name):
     return tuple(sorted(_group_from_raws(G.degree, analysis_mod._soluble_residual(G)[1]).elements()))
 
 
-def wide_restriction_orders(G, x, y):
-    """(m, sympy's order of <x, y> restricted there) for each orbit of G of
-    m > 4 points, in point order."""
+def wide_part_order(G, x, y):
+    """sympy's order of <x, y> restricted to the points of G's orbits of more
+    than 4 points, 1 when there are none."""
     ambient = PermutationGroup([SPerm([i - 1 for i in p.images]) for p in G.generators])
-    out = []
-    for points in sorted(sorted(orbit) for orbit in ambient.orbits()):
-        if len(points) > 4:
-            label = {p: i for i, p in enumerate(points)}
-            restricted = [SPerm([label[q.images[p] - 1] for p in points]) for q in (x, y)]
-            out.append((len(points), PermutationGroup(restricted).order()))
-    return out
+    points = sorted(p for orbit in ambient.orbits() if len(orbit) > 4 for p in orbit)
+    if not points:
+        return 1
+    label = {p: i for i, p in enumerate(points)}
+    restricted = [SPerm([label[q.images[p] - 1] for p in points]) for q in (x, y)]
+    return PermutationGroup(restricted).order()
+
+
+def wide_orbit_sizes(x, y):
+    """The sizes of the orbits of <x, y> of more than 4 points, in point
+    order, by sympy."""
+    orbits = sorted(sorted(orbit) for orbit in sympy_pair(x, y).orbits())
+    return [len(orbit) for orbit in orbits if len(orbit) > 4]
+
+
+def counted_verdict(monkeypatch, G, x, y):
+    """_pair_verdict(G, x, y), the degrees of the pair tests it ran (calls of
+    _soluble_raw) and the degrees of the derived-series walks under them."""
+    tests, walks = [], []
+    real_test, real_walk = analysis_mod._soluble_raw, analysis_mod._residual_raw
+
+    def test(n, gens):
+        tests.append(n)
+        return real_test(n, gens)
+
+    def walk(n, gens, order=None):
+        walks.append(n)
+        return real_walk(n, gens, order)
+
+    monkeypatch.setattr(analysis_mod, "_soluble_raw", test)
+    monkeypatch.setattr(analysis_mod, "_residual_raw", walk)
+    try:
+        out = analysis_mod._pair_verdict(G, x, y)
+    finally:
+        monkeypatch.setattr(analysis_mod, "_soluble_raw", real_test)
+        monkeypatch.setattr(analysis_mod, "_residual_raw", real_walk)
+    return out, tests, walks
 
 
 def test_pair_soluble_takes_every_branch(monkeypatch):
-    walks = []
-    real = analysis_mod._soluble_raw
-
-    def counting(n, gens):
-        walks.append(n)
-        return real(n, gens)
-
     # in every insoluble group of SCREENED a subgroup containing D has index
     # at most 4, so only C4 x PGL(2,7), where |G : D| = 8, can show the
     # residual branch: its pairs are drawn from G and from D
@@ -232,9 +255,10 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
     assert g(wide).order == 8 * analysis_mod._soluble_residual(g(wide))[0]
     pools = [(name, sorted_elements(name)) for name in SCREENED]
     pools += [(wide, sorted_elements(wide)), (wide, residual_elements(wide))]
-    # a soluble G walks a pair only where a restriction to one of G's orbits
-    # of more than 4 points has at least 60 elements: never in S:4 x S:4, and
-    # in D:120 x S:4 on the 60 points of D:120 about half of the time
+    # a soluble G runs one pair test on the restriction of x and y to its
+    # orbits of more than 4 points, and that test walks only when the
+    # restriction has at least 60 elements: never in S:4 x S:4, and in
+    # D:120 x S:4 on the 60 points of D:120 about half of the time
     pools.append(("D:120 x S:4", sorted_elements("D:120 x S:4")))
     rng = random.Random(20261018)
     seen = set()
@@ -245,15 +269,13 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
         for _ in range(25):
             x, y = rng.choice(elements), rng.choice(elements)
             oracle = sympy_pair(x, y)
-            del walks[:]
-            monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
-            verdict, branch = analysis_mod._pair_verdict(G, x._raw, y._raw)
-            monkeypatch.undo()
+            (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x._raw, y._raw)
             assert verdict == oracle.is_solvable, (name, x, y)
             assert branch == expected_branch(name, oracle), (name, x, y)
+            assert len(tests) == (branch in ("walk", "soluble G")), (name, x, y, branch)
             if branch == "soluble G":
-                reaches_60 = any(o >= 60 for _, o in wide_restriction_orders(G, x, y))
-                assert bool(walks) == reaches_60, (name, x, y)
+                reaches_60 = wide_part_order(G, x, y) >= 60
+                assert walks == (wide_orbit_sizes(x, y) if reaches_60 else []), (name, x, y)
                 soluble_walks.add((name, reaches_60))
             else:
                 assert bool(walks) == (branch == "walk"), (name, x, y, branch)
@@ -567,8 +589,9 @@ def test_constituents_of_degree_300_pairs():
 
 # derived-series walks by degree in a single-group suite, with cold groups:
 # one residual for the product and one for each factor, and no pair test. A
-# pair walks only a restriction to one of G's orbits of more than 4 points
-# that has at least 60 elements, and every such restriction here is smaller.
+# pair is tested on its restriction to G's orbits of more than 4 points, and
+# walks only when that restriction has at least 60 elements; every such
+# restriction here is smaller.
 # Walking each orbit of <x, y> of more than 4 points, as before, made 1,544
 # walks at degree 7 in C7:C3 x S:4, and 1,951 at degree 10 and 1,410 at
 # degree 5 in D:20 x S:4
@@ -601,72 +624,98 @@ def test_soluble_suite_walks_only_wide_orbits(monkeypatch, name):
 # ------------------------------------------ a soluble G, on G's own orbits
 
 
-def soluble_300():
-    """D_295 x D_10 at degree 300: the 295-point orbit restricts to tuples,
-    the 5-point one to bytes."""
+def dihedral_295(a, flip):
+    """0-based images of the element i -> (+-i + a) mod 295 of D_295."""
+    return [((-i if flip else i) + a) % 295 for i in range(295)]
+
+
+# soluble groups of degree 300: (head generators on the first 295 points,
+# tail generators on the last 5, the elements of the tail group, and the
+# number of points of G's orbits of more than 4 points with the raw type of
+# their restriction)
+S4_ON_4 = [[1, 0, 2, 3, 4], [1, 2, 3, 0, 4]]
+D10_ON_5 = [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]
+SOLUBLE_300 = {
+    # all 300 points: the pair test restricts nothing, and a walk splits
+    # <x, y> into a 295-point tuple and a 5-point bytes constituent
+    "D:295 x D:10": ([ROTATION_295, REFLECTION_295], D10_ON_5, 300, tuple),
+    # the 295-point orbit only, restricted to tuples
+    "D:295 x S:4": ([ROTATION_295, REFLECTION_295], S4_ON_4, 295, tuple),
+    # S_4 on the first 4 points, 291 fixed points and D_10 on the last 5:
+    # the 5-point orbit only, restricted to bytes
+    "S:4 x D:10": ([p + list(range(5, 295)) for p in S4_ON_4], D10_ON_5, 5, bytes),
+}
+
+
+def soluble_300(name):
+    """The group called name in SOLUBLE_300, and a function drawing its
+    random elements as raw tables."""
+    head, tail, _, _ = SOLUBLE_300[name]
     fixed, fixed_5 = list(range(295)), list(range(5))
-    return PermGroup(
-        [
-            on_300(ROTATION_295, fixed_5),
-            on_300(REFLECTION_295, fixed_5),
-            on_300(fixed, [1, 2, 3, 4, 0]),
-            on_300(fixed, [0, 4, 3, 2, 1]),
-        ]
+    G = PermGroup([on_300(h, fixed_5) for h in head] + [on_300(fixed, t) for t in tail])
+    tails = sorted(PermGroup([Permutation([i + 1 for i in t]) for t in tail]).elements())
+    heads = (
+        [dihedral_295(a, f) for a in range(295) for f in (False, True)]
+        if head[0] == ROTATION_295
+        else [[p - 1 for p in e.images] + list(range(4, 295)) for e in sorted(g("S:4").elements())]
     )
 
+    def draw(rng):
+        return on_300(rng.choice(heads), [p - 1 for p in rng.choice(tails).images])._raw
 
-def counted_verdict(monkeypatch, G, x, y):
-    """_pair_verdict(G, x, y) and the degrees of the walks it ran."""
-    walks = []
-    real = analysis_mod._soluble_raw
-
-    def counting(n, gens):
-        walks.append(n)
-        return real(n, gens)
-
-    monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
-    out = analysis_mod._pair_verdict(G, x, y)
-    monkeypatch.undo()
-    return out, walks
+    return G, draw
 
 
 @pytest.mark.parametrize(
     "name, pairs",
-    [("S:4 x S:4", 40), ("C7:C3 x S:4", 40), ("D:20 x S:4", 40), ("D:295 x D:10", 12)],
+    [("S:4 x S:4", 40), ("C7:C3 x S:4", 40), ("D:20 x S:4", 40)]
+    + [(name, 12) for name in SOLUBLE_300],
 )
 def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, name, pairs):
-    # in a soluble G a pair is decided on G's orbits of more than 4 points and
-    # walks only a restriction of at least 60 elements, by sympy's order; the
-    # whole-degree walk, the frozen walk and sympy are the oracles
-    G = soluble_300() if name == "D:295 x D:10" else g(name)
-    n = G.degree
-    elements = G._elements_raw()
+    # in a soluble G a pair runs one pair test, on x and y restricted to G's
+    # orbits of more than 4 points, and walks only a restriction of at least
+    # 60 elements, by sympy's order; the whole-degree walk without listing,
+    # the frozen walk and sympy are the oracles
     rng = random.Random(20261020)
-    drawn = [(rng.choice(elements), rng.choice(elements)) for _ in range(pairs)]
-    if n == 300:
+    if name in SOLUBLE_300:
+        G, draw = soluble_300(name)
+        drawn = [(draw(rng), draw(rng)) for _ in range(pairs)]
+        _, _, w, raw = SOLUBLE_300[name]
+    else:
+        G = g(name)
+        elements = G._elements_raw()
+        drawn = [(rng.choice(elements), rng.choice(elements)) for _ in range(pairs)]
+        w, raw = {"S:4 x S:4": 0, "C7:C3 x S:4": 7, "D:20 x S:4": 10}[name], bytes
+    n = G.degree
+    assert is_soluble(G), name
+    if name in ("D:295 x D:10", "D:295 x S:4"):
         # random pairs of D_295 nearly always reach 60 on its orbit; r^59 has
         # order 5, and with a reflection it generates D_10, which is listed
-        r59 = [(i + 59) % 295 for i in range(295)]
-        x = on_300(r59, [1, 2, 3, 4, 0])._raw
-        drawn += [(x, on_300(REFLECTION_295, [0, 4, 3, 2, 1])._raw), (x, x)]
+        tail = SOLUBLE_300[name][1]
+        x = on_300(dihedral_295(59, False), tail[0])._raw
+        drawn += [(x, on_300(REFLECTION_295, tail[1])._raw), (x, x)]
     walked = set()
     for x, y in drawn:
-        (verdict, branch), walks = counted_verdict(monkeypatch, G, x, y)
+        (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x, y)
         pair = (Permutation._from_raw(x, n), Permutation._from_raw(y, n))
-        orders = wide_restriction_orders(G, *pair)
+        assert G.contains(pair[0]) and G.contains(pair[1]), (name, pair)
+        reaches_60 = wide_part_order(G, *pair) >= 60
         assert branch == "soluble G", (name, pair)
-        assert walks == [m for m, o in orders if o >= 60], (name, pair, orders)
-        assert verdict == analysis_mod._soluble_raw(n, (x, y)) == frozen_walk(n, (x, y)), pair
+        assert tests == [w], (name, pair)
+        assert walks == (wide_orbit_sizes(*pair) if reaches_60 else []), (name, pair)
+        whole = analysis_mod._residual_raw(n, (x, y))[0] == 1
+        assert verdict == whole == frozen_walk(n, (x, y)), (name, pair)
         assert verdict == sympy_pair(*pair).is_solvable, (name, pair)
-        walked.add(bool(walks))
-    assert walked == ({False, True} if n == 300 else {False}), name
-    if n == 300:
-        # each orbit restricts to the raw type of its own size
-        (m1, wide), (m2, small) = G._memo("wide orbits", None)
-        x = elements[-1]
-        assert (m1, m2) == (295, 5)
-        assert type(wide(x)) is tuple and sorted(wide(x)) == list(range(295))
-        assert type(small(x)) is bytes and sorted(small(x)) == list(range(5))
+        walked.add(reaches_60)
+    assert walked == ({False, True} if name.startswith("D:295") else {False}), name
+    # the restriction keeps the points of G's wide orbits, in the raw type of
+    # their number
+    x = drawn[0][0]
+    restricted = analysis_mod._wide_part(G)[1](x)
+    assert (len(restricted), type(restricted)) == (w, raw), name
+    if 0 < w < n:
+        points = sorted(p for o in analysis_mod._orbits(n, G._gen_raws()) if len(o) > 4 for p in o)
+        assert list(restricted) == [points.index(x[p]) for p in points], name
 
 
 @pytest.mark.parametrize(
@@ -676,15 +725,16 @@ def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, nam
 def test_listing_stops_at_the_60th_element(monkeypatch, name, soluble):
     # 60 = |A_5| is the order of the smallest insoluble group: C:59 is listed
     # in full and not walked; C:60, D:60 and A:5 reach the 60th element and
-    # walk, to soluble, soluble and insoluble. A:5 takes the branch through a
-    # residual forced to order 1
+    # walk, to soluble, soluble and insoluble. A:5 takes the soluble-G branch
+    # through a residual forced to order 1
     G = PermGroup(list(g(name).generators))
     x, y = G._gen_raws()[0], G._gen_raws()[-1]
     assert G.order == _group_from_raws(G.degree, [x, y]).order
     assert analysis_mod._fewer_than_60(G.degree, x, y) == (G.order < 60)
     monkeypatch.setattr(analysis_mod, "_soluble_residual", lambda H: (1, ()))
-    (verdict, branch), walks = counted_verdict(monkeypatch, G, x, y)
+    (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x, y)
     assert (verdict, branch) == (soluble, "soluble G")
+    assert tests == [G.degree]
     assert walks == ([] if G.order < 60 else [G.degree])
 
 
