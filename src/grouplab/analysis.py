@@ -17,7 +17,10 @@ is listed before any walk: H = <x, y> is listed breadth-first, stopping at the
 60, is the smallest insoluble group. Callers that know the ambient group G use
 pair_soluble. In a soluble G it tests x and y restricted to G's own orbits of
 more than 4 points, found once per group: each orbit of H lies in an orbit of
-G, and on the others H lies in a product of copies of S_4. In an insoluble G
+G, and on the others H lies in a product of copies of S_4. The group keeps the
+verdict of each restricted pair it has tested, so a pair whose restriction
+was seen before runs no test; the verdict still comes from the restricted x
+and y alone, never from G's solubility. In an insoluble G
 it first builds one stabilizer chain for H, stopped at |G|/5, and settles most
 pairs from its order, or from D sifting into it, before any walk. The stop
 rests on an index lemma:
@@ -281,6 +284,9 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     points (see _wide_part), where the listing settles every pair of fewer
     than 60 elements without a walk. In a product such as S_4 x S_4, whose
     orbits have 4 points, the restriction is the trivial group on no points.
+    Each distinct restricted pair is tested once per group and process: G
+    keeps its verdict, keyed on both restrictions, and a later pair with the
+    same restrictions reads it back.
     """
     return _pair_verdict(G, x, y)[0]
 
@@ -291,8 +297,13 @@ def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
     n = G.degree
     residual_order, residual = _soluble_residual(G)
     if residual_order == 1:
-        w, restrict = G._memo("wide part", lambda: _wide_part(G))
-        return _soluble_raw(w, (restrict(x), restrict(y))), "soluble G"
+        # verdicts: each restricted pair tested so far in G, and its answer
+        w, restrict, verdicts = G._memo("wide part", lambda: (*_wide_part(G), {}))
+        key = restrict(x), restrict(y)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _soluble_raw(w, key)
+        return verdict, "soluble G"
     prefix = _prefix_chain(G, x)
     if prefix is None:
         return False, "index below 5"

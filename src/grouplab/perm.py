@@ -674,7 +674,7 @@ class ConjugacyClassTable:
     (element order, class size, representative), and the class of every
     element."""
 
-    __slots__ = ("ambient", "classes", "_index", "_members")
+    __slots__ = ("ambient", "classes", "_index")
 
     def __init__(
         self, ambient: PermGroup, classes: tuple[ConjugacyClass, ...], index: dict
@@ -682,7 +682,6 @@ class ConjugacyClassTable:
         self.ambient = ambient
         self.classes = classes
         self._index = index  # raw element -> position of its class in `classes`
-        self._members = None  # every class as an ElementSet, by position; see class_members
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -703,16 +702,10 @@ class ConjugacyClassTable:
         return index
 
     def class_members(self, representative: Permutation) -> "ElementSet":
-        """The full conjugacy class of the given element. The first call
-        sorts every element into its class in one pass over the index, and
-        the table keeps all the classes."""
+        """The full conjugacy class of the given element."""
         index = self.class_index(representative)
-        if self._members is None:
-            buckets: list = [[] for _ in self.classes]
-            for e, i in self._index.items():
-                buckets[i].append(e)
-            self._members = [ElementSet._from_raws(self.ambient, frozenset(b)) for b in buckets]
-        return self._members[index]
+        members = frozenset(e for e, i in self._index.items() if i == index)
+        return ElementSet._from_raws(self.ambient, members)
 
 
 class ElementSet:

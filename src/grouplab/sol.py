@@ -19,7 +19,9 @@ The per-element layer conjugates x by no more of G than it must:
   the cosets <x> b x^j, and each coset is one product: the elements of
   <x> b, laid end to end, times x^j (_sol_verdicts).
 * For |x| prime, ell = |x| whenever it is defined: <x> meet <z> is 1 or <x>
-  (ell_invariant).
+  (ell_invariant). For composite |x| each z in x^G is powered only until a
+  power lies in <x>: the least such exponent is the index of <x> meet <z> in
+  <x> (_least_class_index).
 """
 
 from __future__ import annotations
@@ -446,6 +448,29 @@ class EllReport:
         }
 
 
+def _least_class_index(G: PermGroup, x: Permutation, cap: int) -> int:
+    """min over z in x^G outside <x> of |<x> : <x> meet <z>|, for
+    N_G(<x>) != G, so that some such z exists.
+
+    No z is listed in full. z^G = x^G gives |z| = |x| = m, and the k with
+    z^k in <x> form a subgroup of the integers that contains m, so they are
+    the multiples of the least such k = k0, a divisor of m, with k0 > 1 for z
+    outside <x>. Then <x> meet <z> = <z^k0>, of order m / k0, and its index in
+    <x> is k0. So the powers of each z are walked only until one lies in <x>,
+    or until k reaches the least k0 found so far, which starts at m.
+    """
+    powers = _cyclic_raws(x._raw, G.degree)
+    least = x.order()
+    for z in G.conjugacy_classes(cap).class_members(x)._raws:
+        if z in powers:
+            continue
+        table, power, k = _table(z), z, 1
+        while k < least and power not in powers:
+            power, k = _raw_mult(power, table), k + 1
+        least = k
+    return least
+
+
 def ell_invariant(
     G: PermGroup, x: Permutation, sol: SolResult | None = None, cap: int = DEFAULT_CAP
 ) -> EllReport:
@@ -457,25 +482,16 @@ def ell_invariant(
     For |x| prime no class is walked: ell = |x|. With N_G(<x>) != G some such
     z exists, and <x> meet <z> is a subgroup of the group <x> of prime order,
     so 1 or <x>; it is not <x>, since <x> <= <z> with |z| = |x| would give
-    <z> = <x> and z in <x>. So every index is |x|.
+    <z> = <x> and z in <x>. So every index is |x|. For composite |x| the
+    class is walked (_least_class_index).
     """
     if sol is None:
         sol = solubilizer(G, x, cap)
-    n = G.degree
-    xraw = x._raw
-    norm_set = _normalizer_of_cyclic_raws(G, xraw, cap)
+    norm_set = _normalizer_of_cyclic_raws(G, x._raw, cap)
     if len(norm_set) == G.order:
         return EllReport(x.order(), None, "undefined", sol.order.value, len(norm_set))
     x_order = x.order()
-    if is_prime(x_order):
-        ell = x_order
-    else:
-        powers = _cyclic_raws(xraw, n)
-        ell = min(
-            x_order // len(powers & _cyclic_raws(z, n))
-            for z in G.conjugacy_classes(cap).class_members(x)._raws
-            if z not in powers
-        )
+    ell = x_order if is_prime(x_order) else _least_class_index(G, x, cap)
     if sol.members._raws == norm_set:
         status = "normalizer_equals_sol"
     elif sol.order.value > ell * x_order:

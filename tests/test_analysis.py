@@ -201,11 +201,23 @@ def residual_elements(name):
     return tuple(sorted(_group_from_raws(G.degree, analysis_mod._soluble_residual(G)[1]).elements()))
 
 
+def wide_points(G):
+    """The 0-based points of G's orbits of more than 4 points, by sympy."""
+    ambient = PermutationGroup([SPerm([i - 1 for i in p.images]) for p in G.generators])
+    return sorted(p for orbit in ambient.orbits() if len(orbit) > 4 for p in orbit)
+
+
+def wide_restriction(G, x, y):
+    """The images of x and y on the points of G's orbits of more than 4
+    points: equal for two pairs exactly when their restrictions are."""
+    points = wide_points(G)
+    return tuple(tuple(q.images[p] for p in points) for q in (x, y))
+
+
 def wide_part_order(G, x, y):
     """sympy's order of <x, y> restricted to the points of G's orbits of more
     than 4 points, 1 when there are none."""
-    ambient = PermutationGroup([SPerm([i - 1 for i in p.images]) for p in G.generators])
-    points = sorted(p for orbit in ambient.orbits() if len(orbit) > 4 for p in orbit)
+    points = wide_points(G)
     if not points:
         return 1
     label = {p: i for i, p in enumerate(points)}
@@ -256,28 +268,37 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
     pools = [(name, sorted_elements(name)) for name in SCREENED]
     pools += [(wide, sorted_elements(wide)), (wide, residual_elements(wide))]
     # a soluble G runs one pair test on the restriction of x and y to its
-    # orbits of more than 4 points, and that test walks only when the
-    # restriction has at least 60 elements: never in S:4 x S:4, and in
-    # D:120 x S:4 on the 60 points of D:120 about half of the time
+    # orbits of more than 4 points the first time the group sees that
+    # restriction, and none after; that test walks only when the restriction
+    # has at least 60 elements: never in S:4 x S:4, whose restrictions are
+    # all one, and in D:120 x S:4 on the 60 points of D:120 about half of the
+    # time
     pools.append(("D:120 x S:4", sorted_elements("D:120 x S:4")))
     rng = random.Random(20261018)
     seen = set()
     soluble_walks = set()
     for name, elements in pools:
-        G = g(name)
+        # a fresh group, whose pair verdicts no earlier test has memoized
+        G = PermGroup(list(g(name).generators))
         is_soluble(G)
+        tested = set()
         for _ in range(25):
             x, y = rng.choice(elements), rng.choice(elements)
             oracle = sympy_pair(x, y)
             (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x._raw, y._raw)
             assert verdict == oracle.is_solvable, (name, x, y)
             assert branch == expected_branch(name, oracle), (name, x, y)
-            assert len(tests) == (branch in ("walk", "soluble G")), (name, x, y, branch)
             if branch == "soluble G":
+                key = wide_restriction(G, x, y)
+                first = key not in tested
+                tested.add(key)
+                assert len(tests) == first, (name, x, y)
                 reaches_60 = wide_part_order(G, x, y) >= 60
-                assert walks == (wide_orbit_sizes(x, y) if reaches_60 else []), (name, x, y)
-                soluble_walks.add((name, reaches_60))
+                assert walks == (wide_orbit_sizes(x, y) if first and reaches_60 else []), (name, x, y)
+                if first:
+                    soluble_walks.add((name, reaches_60))
             else:
+                assert len(tests) == (branch == "walk"), (name, x, y, branch)
                 assert bool(walks) == (branch == "walk"), (name, x, y, branch)
             seen.add(branch)
     assert seen == {"index below 5", "order", "contains residual", "walk", "soluble G"}
@@ -621,6 +642,45 @@ def test_soluble_suite_walks_only_wide_orbits(monkeypatch, name):
     assert all(degrees[d] <= bounds.get(d, 0) for d in degrees), dict(degrees)
 
 
+# pair tests (calls of _soluble_raw) in a single-group suite at seed 11, with
+# cold groups: one per distinct restriction of a pair to G's orbits of more
+# than 4 points. The suites make 2,221, 2,149 and 3,532 pair verdicts, and
+# testing every pair made one pair test per verdict
+SOLUBLE_SUITE_PAIR_TESTS = {
+    "S:4 x S:4": 1,
+    "C7:C3 x S:4": 302,
+    "D:20 x S:4": 344,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLUBLE_SUITE_PAIR_TESTS))
+def test_soluble_suite_tests_each_restricted_pair_once(monkeypatch, name):
+    # every pair verdict of the suite, memoized or not, equals a fresh pair
+    # test on the restricted pair; the pair tests are one per distinct
+    # restricted pair, and a gate on work done pins their number
+    real_test, real_verdict = analysis_mod._soluble_raw, analysis_mod._pair_verdict
+    tests, keys = [], set()
+
+    def test(n, gens):
+        tests.append(n)
+        return real_test(n, gens)
+
+    def verdict(G, x, y):
+        out = real_verdict(G, x, y)
+        w, restrict = analysis_mod._wide_part(G)
+        key = restrict(x), restrict(y)
+        keys.add(key)
+        assert out == (real_test(w, key), "soluble G"), (name, x, y)
+        return out
+
+    monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
+    monkeypatch.setattr(analysis_mod, "_soluble_raw", test)
+    monkeypatch.setattr(analysis_mod, "_pair_verdict", verdict)
+    report = run_full_suite(RunConfig(groups=(name,), workers=1, seed=11))
+    assert report.all_passed
+    assert len(tests) == len(keys) == SOLUBLE_SUITE_PAIR_TESTS[name], (len(tests), len(keys))
+
+
 # ------------------------------------------ a soluble G, on G's own orbits
 
 
@@ -673,7 +733,8 @@ def soluble_300(name):
 )
 def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, name, pairs):
     # in a soluble G a pair runs one pair test, on x and y restricted to G's
-    # orbits of more than 4 points, and walks only a restriction of at least
+    # orbits of more than 4 points, the first time the group sees that
+    # restriction and none after, and walks only a restriction of at least
     # 60 elements, by sympy's order; the whole-degree walk without listing,
     # the frozen walk and sympy are the oracles
     rng = random.Random(20261020)
@@ -682,7 +743,8 @@ def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, nam
         drawn = [(draw(rng), draw(rng)) for _ in range(pairs)]
         _, _, w, raw = SOLUBLE_300[name]
     else:
-        G = g(name)
+        # a fresh group, whose pair verdicts no earlier test has memoized
+        G = PermGroup(list(g(name).generators))
         elements = G._elements_raw()
         drawn = [(rng.choice(elements), rng.choice(elements)) for _ in range(pairs)]
         w, raw = {"S:4 x S:4": 0, "C7:C3 x S:4": 7, "D:20 x S:4": 10}[name], bytes
@@ -695,14 +757,18 @@ def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, nam
         x = on_300(dihedral_295(59, False), tail[0])._raw
         drawn += [(x, on_300(REFLECTION_295, tail[1])._raw), (x, x)]
     walked = set()
+    tested = set()
     for x, y in drawn:
         (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x, y)
         pair = (Permutation._from_raw(x, n), Permutation._from_raw(y, n))
         assert G.contains(pair[0]) and G.contains(pair[1]), (name, pair)
         reaches_60 = wide_part_order(G, *pair) >= 60
+        key = wide_restriction(G, *pair)
+        first = key not in tested
+        tested.add(key)
         assert branch == "soluble G", (name, pair)
-        assert tests == [w], (name, pair)
-        assert walks == (wide_orbit_sizes(*pair) if reaches_60 else []), (name, pair)
+        assert tests == ([w] if first else []), (name, pair)
+        assert walks == (wide_orbit_sizes(*pair) if first and reaches_60 else []), (name, pair)
         whole = analysis_mod._residual_raw(n, (x, y))[0] == 1
         assert verdict == whole == frozen_walk(n, (x, y)), (name, pair)
         assert verdict == sympy_pair(*pair).is_solvable, (name, pair)
@@ -757,6 +823,26 @@ def test_soluble_g_branch_decides_from_x_and_y(monkeypatch, name):
         assert verdict == sympy_pair(*pair).is_solvable, (name, pair)
         verdicts.add(verdict)
     assert verdicts == {True, False}, name
+
+
+@pytest.mark.parametrize("name", ["C:2 x A:5", "A:5 x C7:C3"])
+def test_soluble_g_memo_tells_apart_pairs_that_share_x_or_y(monkeypatch, name):
+    # forced onto an insoluble G by a residual of order 1, the branch keeps
+    # its verdicts by the restriction of both x and y: <x, y> soluble, while
+    # <x, z> (same x) and <z, y> (same y) are not, each by sympy
+    G = PermGroup(list(g(name).generators))
+    n = G.degree
+    elements = G._elements_raw()
+    rng = random.Random(20261021)
+
+    def soluble(x, y):
+        return sympy_pair(Permutation._from_raw(x, n), Permutation._from_raw(y, n)).is_solvable
+
+    draws = ([rng.choice(elements) for _ in range(3)] for _ in range(1000))
+    x, y, z = next(d for d in draws if soluble(d[0], d[1]) and not soluble(d[0], d[2]) and not soluble(d[2], d[1]))
+    monkeypatch.setattr(analysis_mod, "_soluble_residual", lambda H: (1, ()))
+    for a, b, want in ((x, y, True), (x, z, False), (z, y, False), (x, y, True)):
+        assert analysis_mod._pair_verdict(G, a, b) == (want, "soluble G"), (name, a, b)
 
 
 # ------------------------------------------------------------- nilpotency

@@ -46,6 +46,7 @@ from grouplab.perm import (
     _group_from_raws,
     _raw_inv,
     _raw_mult,
+    is_prime,
     prime_power_base,
 )
 from grouplab.suite import RunConfig, run_full_suite
@@ -637,6 +638,41 @@ def test_ell_over_class_matches_full_group_scan(name):
         rep = ell_invariant(G, x)
         assert rep.ell == expected, (name, x)
         assert (rep.dichotomy == "undefined") == (expected is None)
+
+
+def power_raws(z):
+    """The raw tables of every power of z."""
+    out, p = set(), z
+    while p._raw not in out:
+        out.add(p._raw)
+        p = p * z
+    return out
+
+
+ELL_GROUPS = list(TABLE1_NAMES) + [
+    "SL2:7", "S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4", "S:7", "A:7", "PSL2:31",
+]
+
+
+def test_least_class_index_matches_the_intersection_formula():
+    # the index |<x> : <x> meet <z>| = |x| / |<x> meet <z>| from both power
+    # lists in full, least over the conjugates z outside <x>, at each of the
+    # 121 representatives of composite order that have such a z
+    cases = 0
+    for name in ELL_GROUPS:
+        G = g(name)
+        classes = G.conjugacy_classes()
+        for c in classes:
+            x = c.representative
+            m = x.order()
+            powers = power_raws(x)
+            outside = [z for z in classes.class_members(x) if z._raw not in powers]
+            if is_prime(m) or not outside:
+                continue
+            expected = min(m // len(powers & power_raws(z)) for z in outside)
+            assert sol_mod._least_class_index(G, x, DEFAULT_CAP) == expected, (name, x)
+            cases += 1
+    assert cases == 121
 
 
 def test_ell_undefined_when_normalizer_is_everything():
