@@ -5,32 +5,37 @@ and quotient groups.
 Everything here is a pure function of immutable inputs. The solubility test
 walks the derived series of the generated subgroup H directly, one normal
 closure at a time, and stops each closure as soon as it fills the previous
-term. It walks one orbit of H at a time: H embeds in the product of its
-restrictions to its orbits (its transitive constituents), so it is soluble iff
-each restriction is, and a restriction to at most 4 points lies in the soluble
-S_4 and is not walked (A_5 on 5 points shows 4 is tight). Each wider orbit is
-relabelled 0..m-1 and walked at degree m; a transitive H walks unchanged. The
-same walk on G, memoized and unsplit, gives the soluble residual D = G^(oo), the
-last term of the series; is_soluble(G) asks whether D is trivial. A pair x, y
-is listed before any walk: H = <x, y> is listed breadth-first, stopping at the
-60th element, and fewer than 60 elements make it soluble, since A_5, of order
-60, is the smallest insoluble group. Callers that know the ambient group G use
-pair_soluble. In a soluble G it tests x and y restricted to G's own orbits of
-more than 4 points, found once per group: each orbit of H lies in an orbit of
-G, and on the others H lies in a product of copies of S_4. The group keeps the
-verdict of each restricted pair it has tested, so a pair whose restriction
-was seen before runs no test; the verdict still comes from the restricted x
-and y alone, never from G's solubility. In an insoluble G
-it first builds one stabilizer chain for H, stopped at |G|/5, and settles most
-pairs from its order, or from D sifting into it, before any walk. The stop
-rests on an index lemma:
-a non-trivial perfect group has no proper subgroup of index k <= 4, since its
-action on the cosets maps it onto a perfect subgroup of the soluble S_k, which
-is trivial. So |G : H| <= 4 forces |D : H n D| <= |G : H| <= 4, hence H >= D
-and H is insoluble. The pair tests come in runs that share x, so the chain of
-<x> alone is built once and each partner y extends a copy of it. In an
-insoluble G, <x> alone never reaches the stop: an index of at most 4 would put
-the non-trivial perfect D inside the cyclic <x>.
+term. The same walk on G, memoized, gives the soluble residual D = G^(oo), the
+last term of the series; is_soluble(G) asks whether D is trivial.
+
+Callers that know the ambient group G use pair_soluble. In a soluble G it tests
+x and y restricted to G's own orbits of more than 4 points, found once per
+group: each orbit of H = <x, y> lies in an orbit of G, and on the others H lies
+in a product of copies of S_4. That pair test, _soluble_raw, also serves the
+radical scan. It lists H breadth-first, stopping at the 60th element, and fewer
+than 60 elements make it soluble, since A_5, of order 60, is the smallest
+insoluble group. A larger H walks one orbit at a time: H embeds in the product
+of its restrictions to its orbits (its transitive constituents), so it is
+soluble iff each restriction is, and a restriction to at most 4 points lies in
+the soluble S_4 and is not walked (A_5 on 5 points shows 4 is tight). The group
+keeps the verdict of each restricted pair it has tested, and the restriction of
+x for the current run of pairs that share x, so a pair whose restriction was
+seen before costs one restriction and a dict read; the verdict still comes from
+the restricted x and y alone, never from G's solubility.
+
+In an insoluble G pair_soluble first builds one stabilizer chain for H,
+stopped at |G|/5, and settles most pairs from its order, or from D sifting into
+it, before any walk. The stop rests on an index lemma: a non-trivial perfect
+group has no proper subgroup of index k <= 4, since its action on the cosets
+maps it onto a perfect subgroup of the soluble S_k, which is trivial. So
+|G : H| <= 4 forces |D : H n D| <= |G : H| <= 4, hence H >= D and H is
+insoluble. The pair tests come in runs that share x, so the chain of <x> alone
+is built once and each partner y extends a copy of it. In an insoluble G, <x>
+alone never reaches the stop: an index of at most 4 would put the non-trivial
+perfect D inside the cyclic <x>. A chain that did not stop holds |H| exactly,
+so the pairs left walk the derived series of H from |H|, with no listing (they
+have |H| >= 60): every term's closure has a stop, and a perfect H is settled
+by its first closure.
 
 R(G), Fit(G) and simplicity come from one memoized pass that builds the normal
 closure <x^G> of each class representative, stopped at |G|: x lies in R(G)
@@ -217,11 +222,13 @@ def _fewer_than_60(n: int, x, y) -> bool:
 
 
 def _soluble_raw(n: int, gens: Sequence) -> bool:
-    """Is <gens> soluble? A pair is listed first: fewer than 60 elements make
-    it soluble, since A_5, of order 60, is the smallest insoluble group.
-    Otherwise <gens> embeds in the product of its restrictions to its orbits,
-    so it is soluble iff each restriction is; one to at most 4 points lies in
-    the soluble S_4, so only the wider ones walk the derived series."""
+    """Is <gens> soluble? The pair test of a soluble G in pair_soluble, and the
+    radical scan's test of each class closure. A pair is listed first: fewer
+    than 60 elements make it soluble, since A_5, of order 60, is the smallest
+    insoluble group. Otherwise <gens> embeds in the product of its
+    restrictions to its orbits, so it is soluble iff each restriction is; one
+    to at most 4 points lies in the soluble S_4, so only the wider ones walk
+    the derived series."""
     if len(gens) == 2 and _fewer_than_60(n, *gens):
         return True
     for m, restricted in _wide_constituents(n, gens):
@@ -274,9 +281,11 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     _prefix_chain), and each y extends a copy of it: the same chain as a new
     one extended by x and then by y.
 
-    Only the remaining pairs run the pair test _soluble_raw, whose listing
-    cannot succeed here (|H| >= 60), so they walk the derived series, one
-    orbit of H at a time, skipping the orbits of at most 4 points.
+    Only the remaining pairs walk the derived series of H, at degree n. The
+    chain did not stop, so it holds |H| exactly, and the walk starts from it:
+    each term's normal closure stops at the previous term's order, so a
+    perfect H, such as A_5, is settled by its first closure. These pairs have
+    |H| >= 60, so they run no listing.
 
     In a soluble G every pair is soluble, but the answer still comes from x
     and y alone, so that checks on soluble groups keep a test that can fail.
@@ -286,7 +295,10 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     orbits have 4 points, the restriction is the trivial group on no points.
     Each distinct restricted pair is tested once per group and process: G
     keeps its verdict, keyed on both restrictions, and a later pair with the
-    same restrictions reads it back.
+    same restrictions reads it back. G also keeps (x, restriction of x) for
+    the current run of pairs that share x, where an insoluble G keeps the
+    chain of <x>, so a pair seen before costs one restriction, of y, and a
+    dict read.
     """
     return _pair_verdict(G, x, y)[0]
 
@@ -294,12 +306,20 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
 def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
     """pair_soluble's answer and the branch that settled it: "soluble G",
     "index below 5", "order", "contains residual" or "walk"."""
-    n = G.degree
-    residual_order, residual = _soluble_residual(G)
-    if residual_order == 1:
-        # verdicts: each restricted pair tested so far in G, and its answer
-        w, restrict, verdicts = G._memo("wide part", lambda: (*_wide_part(G), {}))
-        key = restrict(x), restrict(y)
+    # (w, restrict, verdicts), memoized once G is known to be soluble; verdicts
+    # holds each restricted pair tested so far in G, and its answer
+    wide = G._cache.get("wide part")
+    if wide is None:
+        residual_order, residual = _soluble_residual(G)
+        if residual_order == 1:
+            wide = G._memo("wide part", lambda: (*_wide_part(G), {}))
+    if wide is not None:
+        w, restrict, verdicts = wide
+        # (x, restrict(x)) for the current run of pairs that share x
+        slot = G._prefix
+        if slot is None or slot[0] != x:
+            slot = G._prefix = (x, restrict(x))
+        key = slot[1], restrict(y)
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = _soluble_raw(w, key)
@@ -317,7 +337,8 @@ def _pair_verdict(G: PermGroup, x, y) -> tuple[bool, str]:
         return True, "order"
     if h % residual_order == 0 and all(ch.contains(d) for d in residual):
         return False, "contains residual"
-    return _soluble_raw(n, (x, y)), "walk"
+    # the chain did not stop, so h = |H|, where the first closure stops
+    return _residual_raw(G.degree, (x, y), h)[0] == 1, "walk"
 
 
 def _prefix_chain(G: PermGroup, x) -> _Chain | None:

@@ -564,7 +564,9 @@ class PermGroup:
         self._elements = None
         self._classes = None
         self._cache = {}  # group facts, filled through _memo only
-        self._prefix = None  # (x, chain of <x>) of the last pair test; see analysis._prefix_chain
+        # (x, chain of <x>) of the last pair test, or (x, x restricted to G's
+        # wide orbits) in a soluble G; see analysis._pair_verdict
+        self._prefix = None
 
     @property
     def degree(self) -> int:

@@ -150,6 +150,10 @@ def _normalizer_scan(G: PermGroup, xraw, cap: int) -> tuple[frozenset, list]:
     of K's elements, laid end to end, with r. K stays inside N, and it is N
     once it holds |N| elements, where the scan stops. Running out of G first
     means the order or the scan is wrong, which raises RuntimeError.
+
+    When |N| = |G|, <x> is normal and there is no scan: each generator s of G
+    is checked to have x^s in <x>, which raises RuntimeError if one fails,
+    and G's generators are kept.
     """
 
     def compute() -> tuple[frozenset, list]:
@@ -162,6 +166,11 @@ def _normalizer_scan(G: PermGroup, xraw, cap: int) -> tuple[frozenset, list]:
         index = classes._index
         k = index[xraw]
         order = G.order // classes.classes[k].size * sum(index[p] == k for p in powers)
+        if order == G.order:
+            if any(_raw_conj(xraw, s) not in cyclic for s in G._gen_raws()):
+                raise RuntimeError(f"normalizer scan: |N_G(<x>)| = |G| = {order}, "
+                                   "but a generator of G does not normalize <x>")
+            return frozenset(G._elements_raw(cap)), G._gen_raws()
         closure = set(powers)
         members = powers[:]  # the closure K, coset by coset
         gens = [_table(xraw)]  # K's generators, padded as right operands

@@ -232,9 +232,10 @@ def wide_orbit_sizes(x, y):
     return [len(orbit) for orbit in orbits if len(orbit) > 4]
 
 
-def counted_verdict(monkeypatch, G, x, y):
+def counted_verdict(monkeypatch, G, x, y, orders=None):
     """_pair_verdict(G, x, y), the degrees of the pair tests it ran (calls of
-    _soluble_raw) and the degrees of the derived-series walks under them."""
+    _soluble_raw) and the degrees of the derived-series walks it ran; the
+    order each walk started from is appended to orders when it is given."""
     tests, walks = [], []
     real_test, real_walk = analysis_mod._soluble_raw, analysis_mod._residual_raw
 
@@ -244,6 +245,8 @@ def counted_verdict(monkeypatch, G, x, y):
 
     def walk(n, gens, order=None):
         walks.append(n)
+        if orders is not None:
+            orders.append(order)
         return real_walk(n, gens, order)
 
     monkeypatch.setattr(analysis_mod, "_soluble_raw", test)
@@ -285,7 +288,8 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
         for _ in range(25):
             x, y = rng.choice(elements), rng.choice(elements)
             oracle = sympy_pair(x, y)
-            (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x._raw, y._raw)
+            orders = []
+            (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x._raw, y._raw, orders)
             assert verdict == oracle.is_solvable, (name, x, y)
             assert branch == expected_branch(name, oracle), (name, x, y)
             if branch == "soluble G":
@@ -298,11 +302,54 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
                 if first:
                     soluble_walks.add((name, reaches_60))
             else:
-                assert len(tests) == (branch == "walk"), (name, x, y, branch)
-                assert bool(walks) == (branch == "walk"), (name, x, y, branch)
+                # a walk pair runs no pair test: one walk of the whole of H,
+                # from the order its chain already holds
+                assert tests == [], (name, x, y, branch)
+                if branch == "walk":
+                    assert (walks, orders) == ([G.degree], [oracle.order()]), (name, x, y)
+                else:
+                    assert walks == [], (name, x, y, branch)
             seen.add(branch)
     assert seen == {"index below 5", "order", "contains residual", "walk", "soluble G"}
     assert soluble_walks == {("S:4 x S:4", False), ("D:120 x S:4", False), ("D:120 x S:4", True)}
+
+
+@pytest.mark.parametrize(
+    "name, x, y, order",
+    [
+        ("A:6", "(1,2,3,4,5)", "(1,2,3)", 60),
+        ("A:6", "(1,2,3,4,5)", "(1,6)(2,5)", 60),
+        ("S:6", "(1,2,3,4,5)", "(1,2,3)", 60),
+        ("S:7", "(1,2,3,4,5,6,7)", "(2,3)(4,7)", 168),
+    ],
+)
+def test_perfect_pair_walks_one_closure_stopped_at_its_order(monkeypatch, name, x, y, order):
+    # A5 and PSL(2,7) are perfect and lie below a fifth of G and below its
+    # residual, so they walk; the walk starts from |H|, which the pair's chain
+    # holds, and the first derived subgroup reaches it: one chain, stopped
+    G = PermGroup(list(g(name).generators))
+    x, y = perm(x, G.degree), perm(y, G.degree)
+    H = sympy_pair(x, y)
+    assert H.order() == order and H.is_perfect
+    # the residual and the chain of <x>, which the pair's run already holds
+    analysis_mod._soluble_residual(G)
+    analysis_mod._prefix_chain(G, x._raw)
+    chains = []
+
+    class Recorded(_Chain):
+        __slots__ = ()
+
+        def __init__(self, n, stop=None):
+            super().__init__(n, stop)
+            chains.append(self)
+
+    monkeypatch.setattr(analysis_mod, "_Chain", Recorded)
+    orders = []
+    (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x._raw, y._raw, orders)
+    assert (verdict, branch) == (False, "walk")
+    assert (tests, walks, orders) == ([], [G.degree], [order])
+    assert [ch.stop for ch in chains] == [order]
+    assert chains[0].order() >= order  # it reached its stop
 
 
 @pytest.mark.parametrize(
@@ -392,9 +439,10 @@ def test_residual_walk_ends_when_a_chain_misses_its_stop(monkeypatch):
     assert 2520 in stops  # the stop that was missed
 
 
-# derived-series walks in the suite below with every screen in place; without
-# the order rules |H| < 60 and 4 not dividing |H| the suite makes 321
-SUITE_WALKS = 234
+# pairs that the suite below settles by a derived-series walk ("walk"
+# verdicts of _pair_verdict) with every screen in place; without the order
+# rules |H| < 60 and 4 not dividing |H| the suite makes 306
+SUITE_WALKS = 219
 
 
 def run_screened_suite(monkeypatch):
@@ -408,13 +456,15 @@ def run_screened_suite(monkeypatch):
 def test_suite_walk_count_stays_screened(monkeypatch):
     # a gate on work done: a lost or weakened screen in pair_soluble raises it
     walks = []
-    real = analysis_mod._soluble_raw
+    real = analysis_mod._pair_verdict
 
-    def counting(n, gens):
-        walks.append(n)
-        return real(n, gens)
+    def counting(G, x, y):
+        out = real(G, x, y)
+        if out[1] == "walk":
+            walks.append(G.degree)
+        return out
 
-    monkeypatch.setattr(analysis_mod, "_soluble_raw", counting)
+    monkeypatch.setattr(analysis_mod, "_pair_verdict", counting)
     run_screened_suite(monkeypatch)
     assert len(walks) <= SUITE_WALKS
 
@@ -843,6 +893,49 @@ def test_soluble_g_memo_tells_apart_pairs_that_share_x_or_y(monkeypatch, name):
     monkeypatch.setattr(analysis_mod, "_soluble_residual", lambda H: (1, ()))
     for a, b, want in ((x, y, True), (x, z, False), (z, y, False), (x, y, True)):
         assert analysis_mod._pair_verdict(G, a, b) == (want, "soluble G"), (name, a, b)
+
+
+@pytest.mark.parametrize("name, forced", [("D:20 x S:4", False), ("C:2 x A:5", True)])
+def test_soluble_g_restricts_x_once_per_run(monkeypatch, name, forced):
+    # the branch keeps x's restriction for a run of pairs that share x; the
+    # pairs (x, y), (z, y), (x, y), with x and z restricted apart, must each be
+    # keyed on their own x: two pair tests, on the restrictions read through
+    # sympy's orbits, and sympy's verdicts. C:2 x A:5 is forced onto the branch
+    # by a residual of order 1, and <x, y> and <z, y> differ in solubility there
+    G = PermGroup(list(g(name).generators))
+    n = G.degree
+    points = wide_points(G)
+    elements = G._elements_raw()
+    rng = random.Random(20261022)
+
+    def restricted(q):
+        return tuple(points.index(q[p]) for p in points)
+
+    def soluble(a, b):
+        return sympy_pair(Permutation._from_raw(a, n), Permutation._from_raw(b, n)).is_solvable
+
+    draws = ([rng.choice(elements) for _ in range(3)] for _ in range(1000))
+    x, z, y = next(
+        d for d in draws
+        if restricted(d[0]) != restricted(d[1]) and (not forced or soluble(d[0], d[2]) != soluble(d[1], d[2]))
+    )
+    if forced:
+        monkeypatch.setattr(analysis_mod, "_soluble_residual", lambda H: (1, ()))
+    else:
+        assert is_soluble(G)
+    calls = []
+    real = analysis_mod._soluble_raw
+
+    def test(w, gens):
+        calls.append((w, tuple(map(tuple, gens))))
+        return real(w, gens)
+
+    monkeypatch.setattr(analysis_mod, "_soluble_raw", test)
+    for a, b in ((x, y), (z, y), (x, y)):
+        assert analysis_mod._pair_verdict(G, a, b) == (soluble(a, b), "soluble G"), (name, a, b)
+    w = len(points)
+    assert calls == [(w, (restricted(x), restricted(y))), (w, (restricted(z), restricted(y)))]
+    assert G._prefix == (x, analysis_mod._wide_part(G)[1](x))
 
 
 # ------------------------------------------------------------- nilpotency

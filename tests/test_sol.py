@@ -290,11 +290,12 @@ def test_normalizer_from_its_order_matches_the_full_scan(label):
         assert len(norm) == centralizer(G, x).order * conjugate_powers, (label, x)
 
 
-@pytest.mark.parametrize("factor", [2, 0.5])
+@pytest.mark.parametrize("factor", [2, 0.5, 6])
 def test_normalizer_scan_raises_when_its_order_is_out_of_reach(monkeypatch, factor):
-    # a wrong class size gives a wrong |N_G(<x>)|: 20 or 4 in place of 10 at a
-    # 5-cycle of A5. The scan must run out of G and raise, not return the
-    # closure it reached
+    # a wrong class size gives a wrong |N_G(<x>)|: 20, 4 or 60 = |G| in place
+    # of 10 at a 5-cycle of A5. The scan must run out of G and raise, not
+    # return the closure it reached; at |G| it scans nothing, and must find
+    # the generator of A5 that does not normalize <x>
     G = PermGroup(list(g("A:5").generators))
     classes = G.conjugacy_classes()
     x = rep_of_order(G, 5)
