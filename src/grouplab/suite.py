@@ -10,14 +10,11 @@ else.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -37,23 +34,143 @@ def available_workers() -> int:
         return os.cpu_count() or 1
 
 
-if sys.platform == "linux":
-    # fork: each worker inherits the groups this process has built, where
-    # spawn and forkserver (the Linux default from Python 3.14) rebuild them
-    ProcessPoolExecutor = functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
-    )
+# the seam between pool_map's two paths: "fork" forks the workers directly
+# (_fork_map), so each inherits the groups this process has built; any other
+# start method runs ProcessPoolExecutor with it, and None with the platform's
+# default, where spawn and forkserver (the Linux default from Python 3.14)
+# make each worker rebuild them
+_START_METHOD = "fork" if sys.platform == "linux" else None
+
+# task numbers go down the shared pipe in writes of this many bytes: 512 is
+# the least PIPE_BUF that POSIX allows, so each write is atomic and, being a
+# multiple of 4, every 4-byte read takes one whole task number
+_TASK_WRITE = 512
 
 
 def pool_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], in input order, on min(workers, len(items))
     worker processes; in this process when workers <= 1 or there is at most
-    one item. fn must be a module-level function so that it can be pickled.
-    On Linux the workers are forked (see ProcessPoolExecutor above)."""
-    if workers <= 1 or len(items) <= 1:
+    one item. A task's exception is raised here, the first in input order.
+
+    On Linux the workers are forked directly (_fork_map). Elsewhere they run
+    in a ProcessPoolExecutor, so fn must be a module-level function that
+    pickles; under spawn, the start method there, each worker rebuilds the
+    groups it needs."""
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    if _START_METHOD == "fork":
+        return _fork_map(fn, items, workers)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context(_START_METHOD)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(fn, items))
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """pool_map on `workers` forked processes that share one task pipe.
+
+    Each worker reads 4-byte task numbers until EOF and runs fn(items[i]) for
+    each; after its first exception it reads on but runs nothing more. It then
+    writes one pickled reply on a pipe of its own: its (i, result) pairs and
+    its first (i, exception), or None. Writing every task number before
+    reading any reply cannot block for good, since the workers drain the task
+    pipe whatever their tasks do. A worker ends in os._exit, so it runs none
+    of this process's exit handlers and flushes none of the output buffers it
+    inherited (a task that prints must flush). A worker that exits without a
+    reply, or a reply that pickle cannot carry, raises RuntimeError here. On
+    every path the pipes are closed and each worker is killed and reaped, so
+    none outlives the call, not even one blocked on a large reply."""
+    import pickle
+    import signal
+
+    tasks_r, tasks_w = os.pipe()
+    unclosed = {tasks_r, tasks_w}
+    replies: list[int] = []  # read ends, one per worker
+    pids: list[int] = []
+    try:
+        for _ in range(workers):
+            reply_r, reply_w = os.pipe()
+            unclosed |= {reply_r, reply_w}
+            pid = os.fork()
+            if pid == 0:  # the worker: it never leaves this branch
+                code = 1
+                try:
+                    # a worker holding the task pipe's write end would never see EOF
+                    for fd in unclosed - {tasks_r, reply_w}:
+                        os.close(fd)
+                    _work(fn, items, tasks_r, reply_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            replies.append(reply_r)
+            os.close(reply_w)
+            unclosed.remove(reply_w)
+        os.close(tasks_r)
+        unclosed.remove(tasks_r)
+        numbers = b"".join(i.to_bytes(4, "little") for i in range(len(items)))
+        try:
+            for start in range(0, len(numbers), _TASK_WRITE):
+                os.write(tasks_w, numbers[start:start + _TASK_WRITE])
+        except BrokenPipeError:
+            pass  # every worker has exited; the missing replies say so below
+        os.close(tasks_w)
+        unclosed.remove(tasks_w)
+
+        results: list = [None] * len(items)
+        first = None  # the (i, exception) of the first failed task
+        for fd in replies:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            if not chunks:
+                raise RuntimeError("a pool worker exited without a reply")
+            try:
+                done, error = pickle.loads(b"".join(chunks))
+            except Exception as exc:
+                raise RuntimeError(f"a pool worker's reply could not be read: {exc}") from exc
+            for i, result in done:
+                results[i] = result
+            if error is not None and (first is None or error[0] < first[0]):
+                first = error
+        if first is not None:
+            raise first[1]
+        return results
+    finally:
+        for fd in unclosed:
+            os.close(fd)
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)  # a zombie that has replied ignores it
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _work(fn, items: list, tasks: int, reply: int) -> None:
+    """A forked worker's tasks and reply (see _fork_map)."""
+    import pickle
+
+    done: list[tuple] = []
+    error = None
+    while number := os.read(tasks, 4):
+        if error is None:
+            i = int.from_bytes(number, "little")
+            try:
+                done.append((i, fn(items[i])))
+            except BaseException as exc:
+                error = (i, exc)
+    try:
+        payload = pickle.dumps((done, error))
+    except Exception as exc:  # a result or an exception that pickle cannot carry
+        failure = RuntimeError(f"a pool worker could not send its reply: {exc}")
+        payload = pickle.dumps(([], (-1, failure)))
+    view = memoryview(payload)
+    while view:
+        view = view[os.write(reply, view):]
 
 
 @dataclass(frozen=True)

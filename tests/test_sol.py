@@ -10,6 +10,7 @@ import collections
 import dataclasses
 import functools
 import itertools
+import os
 import random
 from math import gcd
 
@@ -521,19 +522,24 @@ def test_conjugation_outside_the_normalizer_changes_membership():
 
 
 def test_pool_map_keeps_order_and_sizes_the_pool(monkeypatch):
-    sizes = []
-    real = suite_mod.ProcessPoolExecutor
+    forked = []
+    real = os.fork
 
-    def sized(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers)
+    def counted():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(suite_mod, "ProcessPoolExecutor", sized)
+    monkeypatch.setattr(suite_mod, "_START_METHOD", "fork")
+    monkeypatch.setattr(os, "fork", counted)
     assert suite_mod.pool_map(abs, [-3, 1, -2], 8) == [3, 1, 2]
+    assert suite_mod.pool_map(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
+    assert len(forked) == 3 + 2
     # one item, or one worker, stays in this process
     assert suite_mod.pool_map(abs, [-1], 8) == [1]
     assert suite_mod.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
-    assert sizes == [3]
+    assert len(forked) == 3 + 2
 
 
 # ----------------------------------------------------------- identification

@@ -4,11 +4,11 @@ import csv
 import functools
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ import pytest
 import grouplab
 from grouplab import FactoredInteger, build_named_group, catalog
 from grouplab import analysis as analysis_mod
+from grouplab import sol as sol_mod
 from grouplab import suite as suite_mod
 from grouplab.cli import build_parser, main
 from grouplab.suite import (
@@ -151,12 +152,12 @@ def test_runners_time_every_group_and_section_in_meta():
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_full_suite_does_not_depend_on_the_start_method(monkeypatch, method):
+    # "fork" forks the workers directly; "spawn" runs ProcessPoolExecutor
+    # under spawn, the path off Linux
     config = RunConfig(groups=("A:5", "PSL2:7"), product_powers=1, workers=2)
+    monkeypatch.setattr(suite_mod, "_START_METHOD", "fork")
     expected = _without_meta(run_full_suite(config))
-    pool = functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
-    )
-    monkeypatch.setattr(suite_mod, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(suite_mod, "_START_METHOD", method)
     assert _without_meta(run_full_suite(config)) == expected
 
 
@@ -168,11 +169,168 @@ def _built_before_the_pool(name):
 def test_suite_pool_forks_on_linux(monkeypatch):
     # whatever the platform default, a worker is forked, so it inherits the
     # groups built here; under spawn or forkserver its cache starts empty
-    context = suite_mod.ProcessPoolExecutor.keywords["mp_context"]
-    assert context.get_start_method() == "fork"
     monkeypatch.setattr(catalog, "_BUILD_CACHE", {})
     build_named_group("A:5")
     assert suite_mod.pool_map(_built_before_the_pool, ["A:5", "PSL2:7"], 2) == [True, False]
+
+
+# ------------------------------------------------------- pool failure paths
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers that pool_map forks, on its direct-fork path."""
+    pids = []
+    real = os.fork
+
+    def recorded():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(suite_mod, "_START_METHOD", "fork")
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _all_reaped(pids) -> bool:
+    # per pid, not os.waitpid(-1): the spawn test above leaves multiprocessing's
+    # resource tracker running as a child of this process
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+def test_task_error_at_two_workers_exits_one_as_at_one(monkeypatch, capsys, forked):
+    real = sol_mod.lemma_checks_for_rep
+
+    def injected(G, rep_idx, *args, **kwargs):
+        if rep_idx == 2:
+            raise RuntimeError("injected")
+        return real(G, rep_idx, *args, **kwargs)
+
+    monkeypatch.setattr(sol_mod, "lemma_checks_for_rep", injected)
+    runs = []
+    for workers in ("1", "2"):
+        code = main(["suite", "--groups", "A:5", "--workers", workers])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and runs[0][1].err == "error: injected\n"
+    assert len(forked) == 2 and _all_reaped(forked)
+
+
+def _exits_at_three(i):
+    if i == 3:
+        os._exit(3)
+    return i
+
+
+def test_worker_that_exits_without_a_reply_raises(forked):
+    with pytest.raises(RuntimeError, match="without a reply"):
+        suite_mod.pool_map(_exits_at_three, list(range(8)), 2)
+    assert _all_reaped(forked)
+
+
+def _large_reply_unless_one(failure, i):
+    if i == 1:
+        time.sleep(0.2)  # meanwhile the other worker takes every other task
+        if failure == "raise":
+            raise ValueError("task 1")
+        os._exit(3)
+    return bytes(100_000)  # more than a pipe holds
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_large_reply_beside_a_failed_task_does_not_hang(forked, failure):
+    # the other worker's reply is 500 KB; when the failed worker exited, its
+    # missing reply may be read first, so the parent gives up while the other
+    # is still blocked writing
+    task = functools.partial(_large_reply_unless_one, failure)
+    error = ValueError if failure == "raise" else RuntimeError
+    with pytest.raises(error, match="task 1" if failure == "raise" else "without a reply"):
+        suite_mod.pool_map(task, list(range(6)), 2)
+    assert _all_reaped(forked)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+def test_exception_in_the_parent_kills_the_workers(forked):
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    started = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(_Interrupted):
+            suite_mod.pool_map(time.sleep, [30, 30, 30], 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 10  # the workers did not finish their tasks
+    assert len(forked) == 2 and _all_reaped(forked)
+
+
+def _unpicklable_error(i):
+    raise ValueError(lambda: i)
+
+
+def _exits_python_at_two(i):
+    if i == 2:
+        raise SystemExit(5)
+    return i
+
+
+def test_worker_errors_that_do_not_pickle_or_are_not_exceptions(forked):
+    with pytest.raises(RuntimeError, match="could not send its reply"):
+        suite_mod.pool_map(_unpicklable_error, [1, 2, 3], 2)
+    with pytest.raises(SystemExit) as exit_info:
+        suite_mod.pool_map(_exits_python_at_two, list(range(6)), 2)
+    assert exit_info.value.code == 5
+    assert len(forked) == 4 and _all_reaped(forked)
+
+
+def _logged(path, i):
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, b"%d\n" % i)
+    finally:
+        os.close(fd)
+    return -i
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_map_runs_every_item_exactly_once(tmp_path, forked, workers):
+    log = tmp_path / "ran"
+    task = functools.partial(_logged, log)
+    assert suite_mod.pool_map(task, list(range(200)), workers) == [-i for i in range(200)]
+    assert sorted(map(int, log.read_text().split())) == list(range(200))
+    assert len(forked) == workers and _all_reaped(forked)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="off Linux the pool is ProcessPoolExecutor")
+def test_cli_imports_no_multiprocessing():
+    script = (
+        "import json, sys\n"
+        "def pool_modules():\n"
+        "    return [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "import grouplab.cli\n"
+        "imported = pool_modules()\n"
+        "code = grouplab.cli.main(['suite', '--groups', 'A:5', '--workers', '1'])\n"
+        "print(json.dumps([imported, pool_modules(), code]), file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(grouplab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert json.loads(run.stderr.splitlines()[-1]) == [[], [], 0]
 
 
 def test_scan_records_are_deterministic():
@@ -267,7 +425,8 @@ def test_cli_sol_workers_flag_parses_and_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("sol started a process pool")
 
-    monkeypatch.setattr(suite_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(suite_mod, "pool_map", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     docs = []
     for workers in ("1", "2"):
         assert main(["sol", "--group", "PGL2:11", "--order", "2", "--format", "json",
