@@ -51,9 +51,8 @@ dict read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .perm import (
     _BYTES_DEGREE,
@@ -76,8 +75,7 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
-class RadicalCertificate:
+class RadicalCertificate(NamedTuple):
     """R(G) together with the number of class normal closures walked for
     solubility."""
 

@@ -13,17 +13,15 @@ before returning; a validation failure is a construction bug and raises.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import analysis
 from .fields import SmallField, field_arithmetic
 from .perm import DEFAULT_CAP, FactoredInteger, PermGroup, Permutation, _order_histogram, is_prime
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     name: str
     degree: int
     expected_order: FactoredInteger

@@ -7,8 +7,8 @@ the polynomial coefficients, least significant first. Fixing the modulus per
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .perm import is_prime
 
@@ -21,8 +21,7 @@ _FIXED_MODULI = {
 _SIZE_LIMIT = 1024
 
 
-@dataclass(frozen=True)
-class SmallField:
+class SmallField(NamedTuple):
     p: int
     k: int
     modulus: tuple[int, ...]  # c_0..c_{k-1} of t^k + c_{k-1} t^{k-1} + ... + c_0

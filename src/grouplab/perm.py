@@ -2,7 +2,8 @@
 
 A degree-n permutation acts on the points 1..n. Internally it is a 0-based
 image table of length n: a ``bytes`` object for degrees up to 256, a plain
-tuple above. ``bytes.translate`` composes two bytes tables in a single C
+tuple above, where a product is one ``operator.itemgetter`` gather.
+``bytes.translate`` composes two bytes tables in a single C
 call, but its table argument must have all 256 entries, so the right factor
 of a product is padded with the identity past the degree (``_table``). Hot
 loops build that padded form once per right operand and keep the left
@@ -30,9 +31,9 @@ this module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_CAP = 20000
 
@@ -71,7 +72,8 @@ def _raw_mult(a, b):
     # apply a, then b
     if type(a) is bytes:
         return a.translate(_table(b))
-    return tuple(b[v] for v in a)
+    # a tuple has more than 256 entries, so itemgetter returns a tuple
+    return itemgetter(*a)(b)
 
 
 def _inv_table(a, n: int):
@@ -138,8 +140,7 @@ def _raw_cycles(a, n: int) -> list[list[int]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(NamedTuple):
     """A positive integer together with its prime factorization."""
 
     value: int
@@ -664,8 +665,7 @@ class PermGroup:
         return f"PermGroup(degree={self._degree}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     representative: Permutation
     size: int
     element_order: int

@@ -27,9 +27,9 @@ The per-element layer conjugates x by no more of G than it must:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import analysis, catalog
 from .perm import (
@@ -52,8 +52,7 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
-class StructureTag:
+class StructureTag(NamedTuple):
     """Isomorphism label for a group of order <= 64, decided by fingerprint.
 
     fingerprint = (order, abelian, exponent, element-order histogram,
@@ -78,8 +77,7 @@ class StructureTag:
         }
 
 
-@dataclass(frozen=True)
-class SolResult:
+class SolResult(NamedTuple):
     ambient: PermGroup
     x: Permutation
     members: ElementSet
@@ -438,8 +436,7 @@ def identify_small_group(H: PermGroup, cap: int = DEFAULT_CAP) -> StructureTag:
 # ------------------------------------------------------------ ell invariant
 
 
-@dataclass(frozen=True)
-class EllReport:
+class EllReport(NamedTuple):
     x_order: int
     ell: int | None
     # normalizer_equals_sol | strict_bound | undefined (N_G(<x>) = G) | violated
@@ -513,8 +510,7 @@ def ell_invariant(
 # ----------------------------------------------------------- check reports
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verified statement instance: an item id, the element it was
     checked at, the outcome, and a concrete witness when it failed."""
 
@@ -756,8 +752,7 @@ def lemma_checks_for_rep(
     return checks[:lemma_count], checks[lemma_count:]
 
 
-@dataclass(frozen=True)
-class CoreCheckReport:
+class CoreCheckReport(NamedTuple):
     rep: str
     applicable: bool  # Sol is a subgroup, so the lemma's hypothesis holds
     passed: bool
@@ -803,8 +798,7 @@ def sol_core_check(
     )
 
 
-@dataclass(frozen=True)
-class QuotientCheckReport:
+class QuotientCheckReport(NamedTuple):
     rep: str
     n_order: int
     n_soluble: bool
@@ -867,8 +861,7 @@ def quotient_sol_check(
     )
 
 
-@dataclass(frozen=True)
-class ProductCheckReport:
+class ProductCheckReport(NamedTuple):
     rep: str
     factor_order: int
     sol_in_factor: int

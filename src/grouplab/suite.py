@@ -15,8 +15,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from . import analysis, catalog, sol
 from .perm import DEFAULT_CAP, FactoredInteger, PermGroup, parse_permutation, prime_power_base
@@ -173,8 +173,7 @@ def _work(fn, items: list, tasks: int, reply: int) -> None:
         view = view[os.write(reply, view):]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     groups: tuple[str, ...] = catalog.TABLE1_NAMES
     selector: str = "all_class_reps"
     orders: tuple[int, ...] = ()
@@ -187,13 +186,25 @@ class RunConfig:
     include_psl31: bool = False
     product_powers: int = 0
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = (str, type(None)) if f.default is None else type(f.default)
+
+class RunConfig(_RunConfigFields):
+    """The fields of _RunConfigFields, checked on every construction."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> "RunConfig":
+        # _replace builds its result through _make, so it is checked too
+        return cls(*iterable)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            default = self._field_defaults[name]
+            kind = (str, type(None)) if default is None else type(default)
             if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
                 want = getattr(kind, "__name__", "str or null")
-                raise ValueError(f"config field {f.name} must be {want}, not {value!r}")
+                raise ValueError(f"config field {name} must be {want}, not {value!r}")
         for key, kind in (("groups", str), ("elements", str), ("orders", int)):
             if not all(isinstance(v, kind) and type(v) is not bool for v in getattr(self, key)):
                 raise ValueError(f"config field {key} must list {kind.__name__} values")
@@ -221,6 +232,7 @@ class RunConfig:
                 raise ValueError(
                     f"group {name} has order {spec.expected_order.value} over the cap {self.cap}"
                 )
+        return self
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else available_workers()
@@ -242,8 +254,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        extra = set(data) - set(cls.__dataclass_fields__)
+        known = {f: data[f] for f in cls._fields if f in data}
+        extra = set(data) - set(cls._fields)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         for key in ("groups", "orders", "elements"):
@@ -252,8 +264,7 @@ class RunConfig:
         return cls(**known)
 
 
-@dataclass(frozen=True)
-class ConjectureScanRecord:
+class ConjectureScanRecord(NamedTuple):
     group: str
     representative: str
     x_order: int
@@ -364,11 +375,10 @@ def _table1_row(name: str, cap: int) -> dict:
     return dict(items)
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(NamedTuple):
     rows: tuple[dict, ...]
     seed: int
-    meta: dict = field(compare=False)
+    meta: dict
 
     @property
     def all_ok(self) -> bool:
@@ -439,11 +449,10 @@ def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[ConjectureS
     return records
 
 
-@dataclass(frozen=True)
-class ConjectureScanReport:
+class ConjectureScanReport(NamedTuple):
     records: tuple[ConjectureScanRecord, ...]
     seed: int
-    meta: dict = field(compare=False)
+    meta: dict
 
     @property
     def counterexamples(self) -> list[ConjectureScanRecord]:
@@ -500,14 +509,13 @@ def run_conjecture_scan(config: RunConfig | None = None) -> ConjectureScanReport
 _QUOTIENT_SECTIONS = (("SL2:7", "center"), ("S:5", "derived"))
 
 
-@dataclass(frozen=True)
-class FullSuiteReport:
+class FullSuiteReport(NamedTuple):
     config: RunConfig
     groups: tuple[dict, ...]
     quotient_checks: tuple[dict, ...]
     product_checks: tuple[dict, ...]
     exploration: tuple[dict, ...]
-    meta: dict = field(compare=False)
+    meta: dict
 
     @property
     def all_passed(self) -> bool:

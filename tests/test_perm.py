@@ -20,7 +20,15 @@ from grouplab import (
     closure_test,
     parse_permutation,
 )
-from grouplab.perm import OrderReached, _Chain, _chain_from_raws
+from grouplab.perm import (
+    OrderReached,
+    _Chain,
+    _chain_from_raws,
+    _inv_table,
+    _raw_conj,
+    _raw_inv,
+    _raw_mult,
+)
 from test_group_facts import LABELS, group
 
 perms = st.integers(3, 8).flatmap(
@@ -514,3 +522,24 @@ def test_arithmetic_matches_image_lists(label):
             xg, gx = image_product(xi, gi), image_product(gi, xi)
             assert comm.images == image_product(image_inverse(gx), xg)
             assert {len(r._raw) for r in (prod, conj, comm)} == {n}
+
+
+@pytest.mark.parametrize("degree", [257, 300])
+def test_tuple_gathers_match_their_per_point_definitions(degree):
+    # above 256 points a raw table is a tuple and the product is a gather;
+    # the product, the inverse and the conjugate are each compared with
+    # their definition, point by point, on the identity and seeded random
+    # permutations
+    rng = random.Random(degree)
+    raws = [tuple(range(degree))] + [tuple(rng.sample(range(degree), degree)) for _ in range(5)]
+    for a in raws:
+        inverse = [0] * degree
+        for i in range(degree):
+            inverse[a[i]] = i
+        assert _inv_table(a, degree) == _raw_inv(a, degree) == tuple(inverse)
+        for g in raws:
+            assert _raw_mult(a, g) == tuple(g[a[i]] for i in range(degree))
+            conj = [0] * degree
+            for i in range(degree):
+                conj[g[i]] = g[a[i]]
+            assert _raw_conj(a, g) == tuple(conj)

@@ -1,0 +1,130 @@
+"""The result and config records are read-only NamedTuples: what they keep of
+the frozen dataclasses they replaced, and RunConfig's checks on every path
+that builds one."""
+
+import pickle
+
+import pytest
+
+from grouplab import FactoredInteger
+from grouplab.analysis import RadicalCertificate
+from grouplab.catalog import GroupSpec
+from grouplab.fields import SmallField
+from grouplab.perm import ConjugacyClass
+from grouplab.sol import (
+    CheckRecord,
+    CoreCheckReport,
+    EllReport,
+    ProductCheckReport,
+    QuotientCheckReport,
+    SolResult,
+    StructureTag,
+)
+from grouplab.suite import (
+    ConjectureScanRecord,
+    ConjectureScanReport,
+    FullSuiteReport,
+    RunConfig,
+    Table1Report,
+)
+
+RECORDS = {
+    "grouplab.perm": (FactoredInteger, ConjugacyClass),
+    "grouplab.analysis": (RadicalCertificate,),
+    "grouplab.catalog": (GroupSpec,),
+    "grouplab.fields": (SmallField,),
+    "grouplab.sol": (
+        StructureTag,
+        SolResult,
+        EllReport,
+        CheckRecord,
+        CoreCheckReport,
+        QuotientCheckReport,
+        ProductCheckReport,
+    ),
+    "grouplab.suite": (
+        RunConfig,
+        ConjectureScanRecord,
+        Table1Report,
+        ConjectureScanReport,
+        FullSuiteReport,
+    ),
+}
+ALL_RECORDS = [cls for group in RECORDS.values() for cls in group]
+
+
+def _instance(cls):
+    # RunConfig checks its fields; every other record takes any values
+    return RunConfig() if cls is RunConfig else cls._make(range(len(cls._fields)))
+
+
+def test_seventeen_records_keep_their_modules():
+    assert len(ALL_RECORDS) == 17
+    for module, classes in RECORDS.items():
+        for cls in classes:
+            assert cls.__module__ == module
+            assert issubclass(cls, tuple)
+
+
+@pytest.mark.parametrize("cls", ALL_RECORDS, ids=lambda cls: cls.__name__)
+def test_record_attributes_are_read_only(cls):
+    record = _instance(cls)
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert record == _instance(cls)
+
+
+POOL_RECORDS = [
+    CheckRecord("containment", "(1,2,3)", True),
+    CheckRecord("sol_pq", "(1,2)(3,4)", False, False, {"g": "(1,3)", "companion": True}),
+    QuotientCheckReport("(1,2)", 2, True, 24, 12, True, None),
+    ProductCheckReport("(1,2,3,4,5)", 6, 10, 60, True),
+    ConjectureScanRecord("A:5", "(1,2,3)", 3, FactoredInteger.from_int(12), 1, "verified"),
+    ConjectureScanRecord(
+        "S:4", "", 0, FactoredInteger.from_int(1), 2, "hypothesis_not_triggered",
+        {"reason": "soluble ambient group"},
+    ),
+    FactoredInteger.from_int(720),
+]
+
+
+@pytest.mark.parametrize("record", POOL_RECORDS, ids=lambda r: type(r).__name__)
+def test_records_that_cross_the_pool_pickle_round_trip(record):
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record)
+    assert back == record
+
+
+def test_check_record_defaults():
+    record = CheckRecord("containment", "(1,2,3)", True)
+    assert record.triggered is True
+    assert record.witness is None
+    assert record == CheckRecord(item="containment", rep="(1,2,3)", passed=True,
+                                 triggered=True, witness=None)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"workers": -1}, {"selector": "everything"}, {"cap": True}, {"groups": ("A:5", "A:5")},
+     {"orders": (2, "3")}, {"product_powers": 4}],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_run_config_checks_every_construction_path(bad):
+    with pytest.raises(ValueError):
+        RunConfig(**bad)
+    with pytest.raises(ValueError):
+        RunConfig.from_json({k: list(v) if isinstance(v, tuple) else v for k, v in bad.items()})
+    with pytest.raises(ValueError):
+        RunConfig()._replace(**bad)
+    with pytest.raises(ValueError):
+        RunConfig._make({**RunConfig()._asdict(), **bad}.values())
+
+
+def test_run_config_replace_keeps_its_type_and_fields():
+    config = RunConfig(groups=("A:5",), workers=2)
+    changed = config._replace(seed=7)
+    assert type(changed) is RunConfig
+    assert changed == RunConfig(groups=("A:5",), workers=2, seed=7)
+    assert pickle.loads(pickle.dumps(changed)) == changed

@@ -7,7 +7,6 @@ independent implementations before being pinned here.
 """
 
 import collections
-import dataclasses
 import functools
 import itertools
 import os
@@ -302,7 +301,7 @@ def test_normalizer_scan_raises_when_its_order_is_out_of_reach(monkeypatch, fact
     x = rep_of_order(G, 5)
     k = classes.class_index(x)
     wrong = list(classes.classes)
-    wrong[k] = dataclasses.replace(wrong[k], size=int(wrong[k].size / factor))
+    wrong[k] = wrong[k]._replace(size=int(wrong[k].size / factor))
     monkeypatch.setattr(classes, "classes", tuple(wrong))
     with pytest.raises(RuntimeError, match="normalizer scan"):
         sol_mod._normalizer_scan(G, x._raw, DEFAULT_CAP)

@@ -314,6 +314,17 @@ def test_pool_map_runs_every_item_exactly_once(tmp_path, forked, workers):
     assert len(forked) == workers and _all_reaped(forked)
 
 
+def _last_stderr_line_of(script: str):
+    """Run script in a fresh interpreter that imports this grouplab, and
+    read the JSON on the last line of its stderr."""
+    env = dict(os.environ)
+    src = str(Path(grouplab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    return json.loads(run.stderr.splitlines()[-1])
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="off Linux the pool is ProcessPoolExecutor")
 def test_cli_imports_no_multiprocessing():
     script = (
@@ -325,12 +336,21 @@ def test_cli_imports_no_multiprocessing():
         "code = grouplab.cli.main(['suite', '--groups', 'A:5', '--workers', '1'])\n"
         "print(json.dumps([imported, pool_modules(), code]), file=sys.stderr)\n"
     )
-    env = dict(os.environ)
-    src = str(Path(grouplab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert json.loads(run.stderr.splitlines()[-1]) == [[], [], 0]
+    assert _last_stderr_line_of(script) == [[], [], 0]
+
+
+def test_cli_import_generates_no_code():
+    # the records are NamedTuples, so importing the CLI loads neither
+    # dataclasses nor what it pulls in; modules the bare interpreter already
+    # holds (from site packages, say) do not count
+    script = (
+        "import json, sys\n"
+        "bare = set(sys.modules)\n"
+        "import grouplab.cli\n"
+        "added = set(sys.modules) - bare\n"
+        "print(json.dumps(sorted(added & {'dataclasses', 'inspect', 'ast', 'dis'})), file=sys.stderr)\n"
+    )
+    assert _last_stderr_line_of(script) == []
 
 
 def test_scan_records_are_deterministic():
