@@ -56,7 +56,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .perm import (
     _BYTES_DEGREE,
-    DEFAULT_CAP,
     CapExceededError,
     OrderReached,
     PermGroup,
@@ -365,30 +364,30 @@ def is_soluble(G: PermGroup) -> bool:
 def normal_closure(G: PermGroup, seeds: Sequence[Permutation]) -> PermGroup:
     """<seeds^G>, the smallest normal subgroup of G containing the seeds."""
     ch, found = _normal_closure_raws(G.degree, G._gen_raws(), [s._raw for s in seeds])
-    return _group_from_raws(G.degree, found)
+    return _group_from_raws(G, found)
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
     gens = G._gen_raws()
     _, found = _normal_closure_raws(G.degree, gens, _pair_commutators(G.degree, gens))
-    return _group_from_raws(G.degree, found)
+    return _group_from_raws(G, found)
 
 
-def is_nilpotent(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+def is_nilpotent(G: PermGroup) -> bool:
     """G is nilpotent when each Sylow subgroup is normal, that is the only one:
     when exactly |G|_p elements have p-power order, for every prime p."""
-    hist = _order_histogram(G, cap)
+    hist = _order_histogram(G)
     return all(
         sum(c for o, c in hist if o == 1 or prime_power_base(o) == p) == p**e
         for p, e in G.order_factored.factor_pairs
     )
 
 
-def center(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
+def center(G: PermGroup) -> PermGroup:
     """Z(G): the elements whose conjugacy class has size 1."""
-    table = G.conjugacy_classes(cap)
-    keep = [g for g in G._elements_raw(cap) if table.classes[table._index[g]].size == 1]
-    return _group_from_raws(G.degree, keep)
+    table = G.conjugacy_classes()
+    keep = [g for g in G._elements_raw() if table.classes[table._index[g]].size == 1]
+    return _group_from_raws(G, keep)
 
 
 def _require_subgroup(G: PermGroup, H: PermGroup):
@@ -396,25 +395,25 @@ def _require_subgroup(G: PermGroup, H: PermGroup):
         raise ValueError("not a subgroup of the ambient group")
 
 
-def core(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
+def core(G: PermGroup, H: PermGroup) -> PermGroup:
     """Largest normal subgroup of G inside H, i.e. the intersection of all
     conjugates of H: the union of the classes of G that lie wholly in H,
     found by counting H's members per class against the class size."""
     _require_subgroup(G, H)
     if H.order == G.order:
         return G
-    table = G.conjugacy_classes(cap)
+    table = G.conjugacy_classes()
     members: dict = {}  # class position -> H's members in that class
-    for h in H._elements_raw(cap):
+    for h in H._elements_raw():
         members.setdefault(table._index[h], []).append(h)
     kept = sorted(h for i, hs in members.items() if len(hs) == table.classes[i].size for h in hs)
-    out = _group_from_raws(G.degree, kept)
+    out = _group_from_raws(G, kept)
     if out.order != len(kept):
         raise RuntimeError("core set is not closed; intersection logic is wrong")
     return out
 
 
-def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
+def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup P of G, grown in one pass over the p-elements g of
     G by adjoining each g that keeps <P, g> a p-group. A rejected g stays
     rejected as P grows, so no p-element enlarges the final P. So P is Sylow:
@@ -427,7 +426,7 @@ def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
         target = p ** G.order_factored.factors.get(p, 0)
         kept: list = []
         chain = _Chain(n)
-        for g in G._elements_raw(cap):
+        for g in G._elements_raw():
             if chain.order() == target:
                 break
             if chain.contains(g) or prime_power_base(_raw_order(g, n)) != p:
@@ -448,7 +447,7 @@ def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     return G._memo(("sylow", p), grow)
 
 
-def _class_closures(G: PermGroup, cap: int) -> list:
+def _class_closures(G: PermGroup) -> list:
     """(representative, closure) for every non-identity class of G, in class
     table order. closure lists the generators that grew the chain of <x^G>,
     or is None when <x^G> = G: each chain stops at |G|. The soluble radical,
@@ -457,7 +456,7 @@ def _class_closures(G: PermGroup, cap: int) -> list:
     def build():
         n, gens = G.degree, G._gen_raws()
         out = []
-        for cls in G.conjugacy_classes(cap).classes:
+        for cls in G.conjugacy_classes().classes:
             if cls.element_order == 1:
                 continue
             try:
@@ -470,44 +469,42 @@ def _class_closures(G: PermGroup, cap: int) -> list:
     return G._memo("class closures", build)
 
 
-def _closure_union(G: PermGroup, cap: int, keep: Callable) -> tuple[PermGroup, int]:
+def _closure_union(G: PermGroup, keep: Callable) -> tuple[PermGroup, int]:
     """The identity and every class x^G with <x^G> != G whose closure passes
     keep, checked to form a group; and the number of closures tested."""
-    n = G.degree
-    table = G.conjugacy_classes(cap)
-    raws = {_raw_identity(n)}
+    table = G.conjugacy_classes()
+    raws = {_raw_identity(G.degree)}
     tested = 0
-    for rep, found in _class_closures(G, cap):
+    for rep, found in _class_closures(G):
         if found is not None:
             tested += 1
             if keep(found):
                 raws |= table.class_members(rep)._raws
-    out = _group_from_raws(n, sorted(raws))
-    if set(out._elements_raw(cap)) != raws:
+    out = _group_from_raws(G, sorted(raws))
+    if set(out._elements_raw()) != raws:
         raise RuntimeError("the selected classes do not form the group they generate")
     return out, tested
 
 
-def fitting_subgroup(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
+def fitting_subgroup(G: PermGroup) -> PermGroup:
     """Fit(G). It is a soluble normal subgroup, so Fit(G) = Fit(R(G)); in a
     soluble G, x lies in it exactly when <x^G> is nilpotent."""
 
     def search() -> PermGroup:
-        radical = soluble_radical(G, cap).radical
+        radical = soluble_radical(G).radical
         if radical.order != G.order:
-            return fitting_subgroup(radical, cap)
-        if is_nilpotent(G, cap):
+            return fitting_subgroup(radical)
+        if is_nilpotent(G):
             return G
-        n = G.degree
-        fit, _ = _closure_union(G, cap, lambda found: is_nilpotent(_group_from_raws(n, found), cap))
-        if not is_nilpotent(fit, cap):
+        fit, _ = _closure_union(G, lambda found: is_nilpotent(_group_from_raws(G, found)))
+        if not is_nilpotent(fit):
             raise RuntimeError("Fitting subgroup computed non-nilpotent")
         return fit
 
     return G._memo("fitting", search)
 
 
-def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> RadicalCertificate:
+def soluble_radical(G: PermGroup) -> RadicalCertificate:
     """R(G): x lies in it exactly when <x^G> is soluble. A soluble group is its
     own radical; in an insoluble one a closure equal to G is insoluble."""
 
@@ -515,19 +512,20 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> RadicalCertificate:
         if is_soluble(G):
             return RadicalCertificate(G, 0)
         n = G.degree
-        return RadicalCertificate(*_closure_union(G, cap, lambda found: _soluble_raw(n, found)))
+        return RadicalCertificate(*_closure_union(G, lambda found: _soluble_raw(n, found)))
 
     return G._memo("radical", search)
 
 
 def quotient_group(
-    G: PermGroup, N: PermGroup, cap: int = DEFAULT_CAP
+    G: PermGroup, N: PermGroup
 ) -> tuple[PermGroup, Callable[[Permutation], Permutation]]:
     """The coset action of G on N's right cosets, plus the projection map.
 
-    N must be normal; the action has kernel exactly N, so the result is G/N
-    as a permutation group of degree |G : N|. It is memoized on G, keyed by
-    N's element set; the coset walk files every element of G under its coset.
+    N must be normal; the action has kernel exactly N, so the result is G/N,
+    with G's cap, as a permutation group of degree |G : N| <= cap. It is
+    memoized on G, keyed by N's element set; the coset walk files every
+    element of G under its coset.
     """
     _require_subgroup(G, N)
     n = G.degree
@@ -539,9 +537,9 @@ def quotient_group(
     if G.order % N.order:
         raise RuntimeError("subgroup order does not divide the group order")
     index = G.order // N.order
-    if index > cap:
-        raise CapExceededError(f"index {index} exceeds cap {cap}")
-    n_raws = N._elements_raw(cap)
+    if index > G._cap:
+        raise CapExceededError(f"index {index} exceeds cap {G._cap}")
+    n_raws = N._elements_raw()
 
     def build():
         reps = [_raw_identity(n)]
@@ -565,7 +563,7 @@ def quotient_group(
                 raise ValueError("element is not in the group being projected")
             return images[coset_of[g._raw]]
 
-        Q = PermGroup([project(g) for g in G.generators])
+        Q = PermGroup([project(g) for g in G.generators], G._cap)
         if Q.order * N.order != G.order:
             raise RuntimeError("coset action kernel differs from the given subgroup")
         return Q, project
@@ -573,6 +571,6 @@ def quotient_group(
     return G._memo(("quotient", frozenset(n_raws)), build)
 
 
-def is_simple(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+def is_simple(G: PermGroup) -> bool:
     """Exact test: the normal closure of every non-identity class is G."""
-    return G.order > 1 and all(found is None for _, found in _class_closures(G, cap))
+    return G.order > 1 and all(found is None for _, found in _class_closures(G))

@@ -293,7 +293,7 @@ def _m10_gens() -> list[Permutation]:
         for cand in (_compose0(frob, scale(nonsq)), _compose0(scale(nonsq), frob)):
             gens = [_one_based(t) for t in psl + [cand]]
             H = PermGroup(gens)
-            if H.order == 720 and {o for o, _ in _order_histogram(H, DEFAULT_CAP)} == want:
+            if H.order == 720 and {o for o, _ in _order_histogram(H)} == want:
                 return gens
     raise RuntimeError("no candidate produced the M10 order spectrum")
 
@@ -323,7 +323,7 @@ def _sl2_gens(p: int) -> list[Permutation]:
 def direct_product(
     A: PermGroup, B: PermGroup
 ) -> tuple[PermGroup, Callable[[Permutation], Permutation], Callable[[Permutation], Permutation]]:
-    """A x B on the disjoint union of point sets, with both embeddings."""
+    """A x B on the disjoint union of point sets, with both embeddings and the smaller cap."""
     m, n = A.degree, B.degree
 
     def embed_left(g: Permutation) -> Permutation:
@@ -333,26 +333,33 @@ def direct_product(
         return Permutation(list(range(1, m + 1)) + [m + g(i) for i in range(1, n + 1)])
 
     gens = [embed_left(g) for g in A.generators] + [embed_right(g) for g in B.generators]
-    return PermGroup(gens), embed_left, embed_right
+    return PermGroup(gens, min(A._cap, B._cap)), embed_left, embed_right
 
 
-_BUILD_CACHE: dict[str, PermGroup] = {}
+_BUILD_CACHE: dict[tuple[str, int], PermGroup] = {}  # (canonical name, cap) -> group
 
 
 def build_named_group(name: str, cap: int = DEFAULT_CAP) -> PermGroup:
+    """The named group with this cap, built once per (name, cap). Validation
+    lists the elements, so below the order and the default cap the group takes
+    the generators of the validated build at the default cap."""
     spec = group_spec(name)
-    cached = _BUILD_CACHE.get(spec.name)
+    key = spec.name, cap
+    cached = _BUILD_CACHE.get(key)
     if cached is not None:
         return cached
-    if " x " in spec.name:
-        parts = spec.name.split(" x ")
-        G = build_named_group(parts[0], cap)
-        for part in parts[1:]:
-            G, _, _ = direct_product(G, build_named_group(part, cap))
+    if cap < min(spec.expected_order.value, DEFAULT_CAP):
+        G = PermGroup(build_named_group(spec.name).generators, cap)
     else:
-        G = PermGroup(_gens_for(spec.name))
-    _validate_build(spec, G, cap)
-    _BUILD_CACHE[spec.name] = G
+        if " x " in spec.name:
+            parts = spec.name.split(" x ")
+            G = build_named_group(parts[0], cap)
+            for part in parts[1:]:
+                G, _, _ = direct_product(G, build_named_group(part, cap))
+        else:
+            G = PermGroup(_gens_for(spec.name), cap)
+        _validate_build(spec, G)
+    _BUILD_CACHE[key] = G
     return G
 
 
@@ -382,17 +389,17 @@ def _gens_for(name: str) -> list[Permutation]:
     raise ValueError(f"unknown group name: {name!r}")
 
 
-def _validate_build(spec: GroupSpec, G: PermGroup, cap: int):
+def _validate_build(spec: GroupSpec, G: PermGroup):
     problems = []
     if G.order != spec.expected_order.value:
         problems.append(f"order {G.order} != expected {spec.expected_order.value}")
     flags = spec.flags
     if "soluble" in flags and analysis.is_soluble(G) != flags["soluble"]:
         problems.append(f"solubility != expected {flags['soluble']}")
-    if "simple" in flags and analysis.is_simple(G, cap) != flags["simple"]:
+    if "simple" in flags and analysis.is_simple(G) != flags["simple"]:
         problems.append(f"simplicity != expected {flags['simple']}")
     if "trivial_fitting" in flags:
-        fit = analysis.fitting_subgroup(G, cap)
+        fit = analysis.fitting_subgroup(G)
         if (fit.order == 1) != flags["trivial_fitting"]:
             problems.append(f"|Fit| = {fit.order}, trivial expected {flags['trivial_fitting']}")
     if problems:
@@ -408,5 +415,5 @@ def catalog_row(name: str, cap: int = DEFAULT_CAP) -> dict:
         "degree": G.degree,
         "order": G.order_factored.to_json(),
         "insoluble": not analysis.is_soluble(G),
-        "fitting_order": analysis.fitting_subgroup(G, cap).order,
+        "fitting_order": analysis.fitting_subgroup(G).order,
     }

@@ -117,16 +117,16 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_sol(args) -> int:
+    args.groups = (args.group,)  # so the cap is checked against the queried group only
     config = _load_config(args)
-    cap = config.cap
-    G = catalog.build_named_group(args.group, cap)
+    G = catalog.build_named_group(args.group, config.cap)
     if args.element is not None:
         x = parse_permutation(args.element, G.degree)
         if not G.contains(x):
             print(f"error: element {args.element} is not in {args.group}", file=sys.stderr)
             return 1
     else:
-        table = G.conjugacy_classes(cap)
+        table = G.conjugacy_classes()
         x = next(
             (c.representative for c in table.classes if c.element_order == args.order), None
         )
@@ -138,8 +138,8 @@ def cmd_sol(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    result = sol.solubilizer(G, x, cap)
-    ell = sol.ell_invariant(G, x, result, cap)
+    result = sol.solubilizer(G, x)
+    ell = sol.ell_invariant(G, x, result)
     report = {
         "schema": suite.SCHEMA,
         "kind": "sol",

@@ -26,6 +26,10 @@ composer once, ``bytes.translate`` up to degree 256, and a chain can be
 copied to extend one prefix in several ways. Element enumeration follows the
 transversals, so its order is deterministic but not fixed across versions of
 this module.
+
+Each group has an enumeration cap, given when it is built: listing a larger
+group raises CapExceededError, and a group built from a group (subgroup(),
+_group_from_raws) takes its cap. The chain itself never lists the group.
 """
 
 from __future__ import annotations
@@ -517,10 +521,7 @@ class _Chain:
                 self._insert(res, d)
                 i = d
 
-    def elements_raw(self, cap: int) -> list:
-        o = self.order()
-        if o > cap:
-            raise CapExceededError(f"group order {o} exceeds cap {cap}")
+    def elements_raw(self) -> list:
         mult = self.mult
         cur = [self.ident]
         for i in reversed(range(len(self.base))):
@@ -537,11 +538,13 @@ def _chain_from_raws(n: int, raws: Iterable) -> _Chain:
 
 
 class PermGroup:
-    """A finite permutation group generated by explicit permutations."""
+    """A finite permutation group generated by explicit permutations; it
+    lists its elements only if its order is at most cap (see the module)."""
 
     __slots__ = (
         "_degree",
         "_generators",
+        "_cap",
         "_chain",
         "_order_f",
         "_elements",
@@ -550,7 +553,7 @@ class PermGroup:
         "_prefix",
     )
 
-    def __init__(self, generators: Sequence[Permutation]):
+    def __init__(self, generators: Sequence[Permutation], cap: int = DEFAULT_CAP):
         gens = list(generators)
         if not gens:
             raise ValueError("at least one generator is required")
@@ -560,6 +563,7 @@ class PermGroup:
                 raise DegreeMismatchError("generators act on different point sets")
         self._degree = degree
         self._generators = tuple(gens)
+        self._cap = cap
         self._chain = _chain_from_raws(degree, (g._raw for g in gens))
         self._order_f = FactoredInteger.from_int(self._chain.order())
         self._elements = None
@@ -607,25 +611,27 @@ class PermGroup:
     def _gen_raws(self) -> list:
         return [g._raw for g in self._generators]
 
-    def _elements_raw(self, cap: int = DEFAULT_CAP) -> list:
-        if self._elements is None or len(self._elements) > cap:
-            self._elements = self._chain.elements_raw(cap)
+    def _elements_raw(self) -> list:
+        if self._elements is None:
+            if self.order > self._cap:
+                raise CapExceededError(f"group order {self.order} exceeds cap {self._cap}")
+            self._elements = self._chain.elements_raw()
         return self._elements
 
-    def elements(self, cap: int = DEFAULT_CAP) -> list[Permutation]:
+    def elements(self) -> list[Permutation]:
         """All elements, in deterministic transversal-product order."""
-        return [Permutation._from_raw(r, self._degree) for r in self._elements_raw(cap)]
+        return [Permutation._from_raw(r, self._degree) for r in self._elements_raw()]
 
     def subgroup(self, generators: Sequence[Permutation], check: bool = True) -> "PermGroup":
         if check:
             for g in generators:
                 if not self.contains(g):
                     raise ValueError(f"{g!r} is not in the ambient group")
-        return PermGroup(list(generators) or [self.identity()])
+        return PermGroup(list(generators) or [self.identity()], self._cap)
 
-    def conjugacy_classes(self, cap: int = DEFAULT_CAP) -> "ConjugacyClassTable":
+    def conjugacy_classes(self) -> "ConjugacyClassTable":
         if self._classes is None:
-            elems = self._elements_raw(cap)
+            elems = self._elements_raw()
             n = self._degree
             gens = self._gen_raws()
             seen: dict = {}  # conjugate -> minimal element of its class
@@ -780,10 +786,10 @@ def closure_test(S) -> bool:
     return ch.order() == len(raws)
 
 
-def _order_histogram(H: PermGroup, cap: int) -> tuple:
+def _order_histogram(H: PermGroup) -> tuple:
     """((element order, number of elements of that order), ...), ascending."""
     counts: dict[int, int] = {}
-    for g in H._elements_raw(cap):
+    for g in H._elements_raw():
         o = _raw_order(g, H.degree)
         counts[o] = counts.get(o, 0) + 1
     return tuple(sorted(counts.items()))
@@ -808,12 +814,13 @@ def _chain_growers(n: int, raws: Iterable, order: int | None = None) -> list:
     return kept
 
 
-def _group_from_raws(n: int, raws: Iterable, order: int | None = None) -> PermGroup:
-    """Build a PermGroup from raw tables, keeping only chain-growing generators
-    (see _chain_growers for order).
+def _group_from_raws(G: PermGroup, raws: Iterable, order: int | None = None) -> PermGroup:
+    """Build a group from raw tables of elements of G, with G's degree and
+    cap, keeping only chain-growing generators (see _chain_growers for order).
 
     The input order must be deterministic; pass sorted() output when the
     source is an unordered set.
     """
+    n = G.degree
     kept = _chain_growers(n, raws, order) or [_raw_identity(n)]
-    return PermGroup([Permutation._from_raw(r, n) for r in kept])
+    return PermGroup([Permutation._from_raw(r, n) for r in kept], G._cap)

@@ -34,7 +34,6 @@ from typing import NamedTuple
 from . import analysis, catalog
 from .perm import (
     _BYTES_DEGREE,
-    DEFAULT_CAP,
     ElementSet,
     FactoredInteger,
     PermGroup,
@@ -127,7 +126,7 @@ def _cut(joined, n: int) -> list:
     return [joined[i : i + n] for i in range(0, len(joined), n)]
 
 
-def _normalizer_scan(G: PermGroup, xraw, cap: int) -> tuple[frozenset, list]:
+def _normalizer_scan(G: PermGroup, xraw) -> tuple[frozenset, list]:
     """(N_G(<x>) as G's own raw tables, the elements g the scan kept);
     memoized per (group, element). The kept elements and x generate N.
 
@@ -160,7 +159,7 @@ def _normalizer_scan(G: PermGroup, xraw, cap: int) -> tuple[frozenset, list]:
         ident = _raw_identity(n)
         powers = _power_list(xraw, n)
         cyclic = frozenset(powers)
-        classes = G.conjugacy_classes(cap)
+        classes = G.conjugacy_classes()
         index = classes._index
         k = index[xraw]
         order = G.order // classes.classes[k].size * sum(index[p] == k for p in powers)
@@ -168,12 +167,12 @@ def _normalizer_scan(G: PermGroup, xraw, cap: int) -> tuple[frozenset, list]:
             if any(_raw_conj(xraw, s) not in cyclic for s in G._gen_raws()):
                 raise RuntimeError(f"normalizer scan: |N_G(<x>)| = |G| = {order}, "
                                    "but a generator of G does not normalize <x>")
-            return frozenset(G._elements_raw(cap)), G._gen_raws()
+            return frozenset(G._elements_raw()), G._gen_raws()
         closure = set(powers)
         members = powers[:]  # the closure K, coset by coset
         gens = [_table(xraw)]  # K's generators, padded as right operands
         kept = []
-        for g in G._elements_raw(cap):
+        for g in G._elements_raw():
             if len(closure) == order:
                 break
             if g in closure or _raw_conj(xraw, g) not in cyclic:
@@ -195,16 +194,16 @@ def _normalizer_scan(G: PermGroup, xraw, cap: int) -> tuple[frozenset, list]:
                 f"normalizer scan closed {len(closure)} elements, not |N_G(<x>)| = {order}"
             )
         # G's own tables, so that the closure's copies are not kept
-        return frozenset(filter(closure.__contains__, G._elements_raw(cap))), kept
+        return frozenset(filter(closure.__contains__, G._elements_raw())), kept
 
     return G._memo(("ncyc", xraw), compute)
 
 
-def _normalizer_of_cyclic_raws(G: PermGroup, xraw, cap: int) -> frozenset:
+def _normalizer_of_cyclic_raws(G: PermGroup, xraw) -> frozenset:
     """N_G(<x>) = {g : <x>^g = <x>} as raw tables, found from its order
     |C_G(x)| * |x^G meet <x>| by _normalizer_scan, which conjugates x only by
     the elements it reads before the closure reaches that order."""
-    return _normalizer_scan(G, xraw, cap)[0]
+    return _normalizer_scan(G, xraw)[0]
 
 
 def _coprime_powers(y, ident, mult) -> list:
@@ -217,7 +216,7 @@ def _coprime_powers(y, ident, mult) -> list:
     return [powers[k - 1] for k in range(1, order + 1) if gcd(k, order) == 1]
 
 
-def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
+def _sol_verdicts(G: PermGroup, xraw, one_block: bool) -> dict:
     """{y: <x, y> is soluble} for every element y, one pair test per block.
 
     one_block: every <x, y> is soluble, because G is soluble or x lies in
@@ -242,7 +241,7 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
     has a verdict, as its whole double coset does. x, the remaining generator
     of N, maps every double coset to itself and is not needed.
     """
-    elements = G._elements_raw(cap)
+    elements = G._elements_raw()
     if one_block:
         return dict.fromkeys(elements, analysis.pair_soluble(G, xraw, elements[0]))
     n = G.degree
@@ -254,7 +253,7 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
     cuts = range(0, len(joined), n)
     rights = [_table(p) for p in powers]  # b -> b x^j
     # b^g = g^-1 * b * g, with g padded as a right operand
-    conj = [(_raw_inv(g, n), _table(g)) for g in _normalizer_scan(G, xraw, cap)[1]]
+    conj = [(_raw_inv(g, n), _table(g)) for g in _normalizer_scan(G, xraw)[1]]
     verdict: dict = {}
     for y in elements:
         if y in verdict:
@@ -273,7 +272,7 @@ def _sol_verdicts(G: PermGroup, xraw, cap: int, one_block: bool) -> dict:
     return verdict
 
 
-def solubilizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> SolResult:
+def solubilizer(G: PermGroup, x: Permutation) -> SolResult:
     """Sol_G(x) with its structural trimmings.
 
     The full invariant battery from the underlying theory is asserted on
@@ -281,18 +280,18 @@ def solubilizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> SolResu
     """
     if not G.contains(x):
         raise ValueError("element is not in the group")
-    return G._memo(("sol", x._raw), lambda: _solubilizer_search(G, x, cap))
+    return G._memo(("sol", x._raw), lambda: _solubilizer_search(G, x))
 
 
-def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
+def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
     n = G.degree
     xraw = x._raw
     soluble = analysis.is_soluble(G)
-    radical = analysis.soluble_radical(G, cap).radical
-    verdict = _sol_verdicts(G, xraw, cap, soluble or radical.contains(x))
+    radical = analysis.soluble_radical(G).radical
+    verdict = _sol_verdicts(G, xraw, soluble or radical.contains(x))
     if len(verdict) != G.order:
         raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
-    member_set = frozenset(filter(verdict.__getitem__, G._elements_raw(cap)))
+    member_set = frozenset(filter(verdict.__getitem__, G._elements_raw()))
     members = ElementSet._from_raws(G, member_set)
     order = FactoredInteger.from_int(len(member_set))
 
@@ -301,13 +300,13 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
     else:
         is_sub = closure_test(members)
         # closed, so its order is its size and the chain can stop there
-        subgroup = _group_from_raws(n, sorted(member_set), len(member_set)) if is_sub else None
+        subgroup = _group_from_raws(G, sorted(member_set), len(member_set)) if is_sub else None
     structure = None
     if is_sub and len(member_set) <= 64:
         structure = identify_small_group(subgroup)
 
-    norm_set = _normalizer_of_cyclic_raws(G, xraw, cap)
-    classes = G.conjugacy_classes(cap)
+    norm_set = _normalizer_of_cyclic_raws(G, xraw)
+    classes = G.conjugacy_classes()
     cent_order = G.order // classes.classes[classes.class_index(x)].size  # |G| / |x^G|
 
     # containment and divisibility invariants
@@ -315,7 +314,7 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
         raise RuntimeError("solubilizer does not contain the cyclic subgroup")
     if not norm_set <= member_set:
         raise RuntimeError("solubilizer does not contain the normalizer")
-    if not set(radical._elements_raw(cap)) <= member_set:
+    if not set(radical._elements_raw()) <= member_set:
         raise RuntimeError("solubilizer does not contain the soluble radical")
     for d in (x.order(), cent_order, radical.order):
         if order.value % d:
@@ -343,14 +342,14 @@ def _solubilizer_search(G: PermGroup, x: Permutation, cap: int) -> SolResult:
 # ---------------------------------------------------------------- structure
 
 
-def _fingerprint(H: PermGroup, cap: int = DEFAULT_CAP) -> tuple:
+def _fingerprint(H: PermGroup) -> tuple:
     """Memoized per group: identify_small_group compares against the same
     cached reference groups on every call."""
 
     def compute() -> tuple:
-        hist = _order_histogram(H, cap)
+        hist = _order_histogram(H)
         exponent = lcm(*(o for o, _ in hist))
-        center_order = analysis.center(H, cap).order
+        center_order = analysis.center(H).order
         derived_order = analysis.derived_subgroup(H).order
         abelian = derived_order == 1
         return (H.order, abelian, exponent, hist, center_order, derived_order)
@@ -411,11 +410,11 @@ _REFERENCE_LABELS = (
 )
 
 
-def identify_small_group(H: PermGroup, cap: int = DEFAULT_CAP) -> StructureTag:
+def identify_small_group(H: PermGroup) -> StructureTag:
     """Fingerprint-table identification for |H| <= 64."""
     if H.order > 64:
         raise ValueError(f"identification supports orders <= 64, got {H.order}")
-    fp = _fingerprint(H, cap)
+    fp = _fingerprint(H)
     order, abelian, exponent, hist, _, _ = fp
     if abelian:
         if any(o == order for o, _ in hist):
@@ -428,7 +427,7 @@ def identify_small_group(H: PermGroup, cap: int = DEFAULT_CAP) -> StructureTag:
         if not applies(order):
             continue
         ref = catalog.build_named_group(name_pat.format(order))
-        if _fingerprint(ref, cap) == fp:
+        if _fingerprint(ref) == fp:
             return StructureTag(label_pat.format(order), fp)
     return StructureTag("other", fp)
 
@@ -454,7 +453,7 @@ class EllReport(NamedTuple):
         }
 
 
-def _least_class_index(G: PermGroup, x: Permutation, cap: int) -> int:
+def _least_class_index(G: PermGroup, x: Permutation) -> int:
     """min over z in x^G outside <x> of |<x> : <x> meet <z>|, for
     N_G(<x>) != G, so that some such z exists.
 
@@ -467,7 +466,7 @@ def _least_class_index(G: PermGroup, x: Permutation, cap: int) -> int:
     """
     powers = _cyclic_raws(x._raw, G.degree)
     least = x.order()
-    for z in G.conjugacy_classes(cap).class_members(x)._raws:
+    for z in G.conjugacy_classes().class_members(x)._raws:
         if z in powers:
             continue
         table, power, k = _table(z), z, 1
@@ -477,9 +476,7 @@ def _least_class_index(G: PermGroup, x: Permutation, cap: int) -> int:
     return least
 
 
-def ell_invariant(
-    G: PermGroup, x: Permutation, sol: SolResult | None = None, cap: int = DEFAULT_CAP
-) -> EllReport:
+def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) -> EllReport:
     """ell = min over y outside N_G(<x>) of the index |<x> : <x> meet <x^y>|,
     and which arm of the dichotomy (N = Sol, or |Sol| > ell*|x|) holds.
 
@@ -492,12 +489,12 @@ def ell_invariant(
     class is walked (_least_class_index).
     """
     if sol is None:
-        sol = solubilizer(G, x, cap)
-    norm_set = _normalizer_of_cyclic_raws(G, x._raw, cap)
+        sol = solubilizer(G, x)
+    norm_set = _normalizer_of_cyclic_raws(G, x._raw)
     if len(norm_set) == G.order:
         return EllReport(x.order(), None, "undefined", sol.order.value, len(norm_set))
     x_order = x.order()
-    ell = x_order if is_prime(x_order) else _least_class_index(G, x, cap)
+    ell = x_order if is_prime(x_order) else _least_class_index(G, x)
     if sol.members._raws == norm_set:
         status = "normalizer_equals_sol"
     elif sol.order.value > ell * x_order:
@@ -532,21 +529,16 @@ class CheckRecord(NamedTuple):
         return out
 
 
-def _sampled_elements(G: PermGroup, label: str, seed: int, cap: int, count: int = 8) -> list:
+def _sampled_elements(G: PermGroup, label: str, seed: int, count: int = 8) -> list:
     """Deterministic sample: every generator plus `count` seeded picks."""
-    elements = G._elements_raw(cap)
+    elements = G._elements_raw()
     rng = random.Random(f"{seed}:{label}")
     picks = [elements[rng.randrange(len(elements))] for _ in range(count)]
     return G._gen_raws() + picks
 
 
 def lemma_checks_for_rep(
-    G: PermGroup,
-    rep_idx: int,
-    name: str = "",
-    seed: int = 0,
-    cap: int = DEFAULT_CAP,
-    full_equivariance: bool = False,
+    G: PermGroup, rep_idx: int, name: str = "", seed: int = 0, full_equivariance: bool = False
 ) -> tuple[list[CheckRecord], list[CheckRecord]]:
     """Every lemma-level check at one conjugacy-class representative, and
     the theorem-instance checks there (none for a soluble G). All of them
@@ -555,19 +547,19 @@ def lemma_checks_for_rep(
     n = G.degree
     ident = _raw_identity(n)
     insoluble = not analysis.is_soluble(G)
-    radical = analysis.soluble_radical(G, cap).radical
-    classes = G.conjugacy_classes(cap).classes
+    radical = analysis.soluble_radical(G).radical
+    classes = G.conjugacy_classes().classes
     cls = classes[rep_idx]
 
     x = cls.representative
     rep = x.cycle_string()
     xraw = x._raw
     x_order = cls.element_order
-    sol = solubilizer(G, x, cap)
+    sol = solubilizer(G, x)
     sol_set = sol.members._raws
     sol_order = sol.order.value
-    norm_set = _normalizer_of_cyclic_raws(G, xraw, cap)
-    sample = _sampled_elements(G, f"{name}:{rep_idx}", seed, cap)
+    norm_set = _normalizer_of_cyclic_raws(G, xraw)
+    sample = _sampled_elements(G, f"{name}:{rep_idx}", seed)
     checks: list[CheckRecord] = []
 
     def record(item: str, passed: bool, witness: dict | None = None, triggered: bool = True):
@@ -590,7 +582,7 @@ def lemma_checks_for_rep(
     contained = (
         cyc <= sol_set
         and norm_set <= sol_set
-        and sol_set.issuperset(radical._elements_raw(cap))
+        and sol_set.issuperset(radical._elements_raw())
     )
     spot_ok = all(analysis.pair_soluble(G, xraw, y) == (y in sol_set) for y in sample)
     record("containment", contained and spot_ok, {"rep": rep})
@@ -633,7 +625,7 @@ def lemma_checks_for_rep(
         g = next((s for s in sample if s != ident and s not in cyc), None)
         if g is not None:
             xg = Permutation._from_raw(_raw_conj(xraw, g), n)
-            direct = solubilizer(G, xg, cap).members._raws
+            direct = solubilizer(G, xg).members._raws
             conjugated = frozenset(_raw_conj(y, g) for y in sol_set)
             if direct != conjugated:
                 equi_ok = False
@@ -641,7 +633,7 @@ def lemma_checks_for_rep(
     record("conjugation_equivariance", equi_ok, equi_witness)
 
     # either N_G(<x>) = Sol as sets or |Sol| strictly exceeds ell * |x|
-    ell = ell_invariant(G, x, sol, cap)
+    ell = ell_invariant(G, x, sol)
     record(
         "normalizer_dichotomy",
         ell.dichotomy != "violated",
@@ -681,8 +673,8 @@ def lemma_checks_for_rep(
     # underlying maximal-subgroup solubility criterion bite; without it
     # the statement is false (Sol of a 5-cycle in A5 is dihedral of
     # order 10 with a Sylow 2-subgroup of order 2).
-    if insoluble and sol.is_subgroup and analysis.is_nilpotent(sol.subgroup, cap):
-        syl2 = analysis.sylow_subgroup(sol.subgroup, 2, cap)
+    if insoluble and sol.is_subgroup and analysis.is_nilpotent(sol.subgroup):
+        syl2 = analysis.sylow_subgroup(sol.subgroup, 2)
         ok = syl2.order >= 16 and analysis.derived_subgroup(syl2).order > 1
         record("sylow2_of_sol_nonabelian_ge16", ok, {"sylow2_order": syl2.order})
     else:
@@ -700,7 +692,7 @@ def lemma_checks_for_rep(
 
     # involution class sits inside the normal core of a subgroup-Sol
     if x_order == 2:
-        core_rep = sol_core_check(G, x, seed=seed, cap=cap)
+        core_rep = sol_core_check(G, x, seed=seed)
         record(
             "involution_class_in_core",
             core_rep.passed,
@@ -716,7 +708,7 @@ def lemma_checks_for_rep(
 
         # |Sol| = 2p, p odd prime -> G simple and N_G(<x>) = Sol
         if len(factors) == 2 and factors[0] == (2, 1) and factors[1][1] == 1:
-            passed = analysis.is_simple(G, cap) and norm_set == sol_set
+            passed = analysis.is_simple(G) and norm_set == sol_set
             record("sol_2p", passed, {"sol": sol_order})
         else:
             record("sol_2p", True, triggered=False)
@@ -728,7 +720,7 @@ def lemma_checks_for_rep(
             and factors[1][1] == 1
             and x_order == factors[1][0]
         ):
-            passed = analysis.is_simple(G, cap) and norm_set == sol_set
+            passed = analysis.is_simple(G) and norm_set == sol_set
             record("sol_pq", passed, {"sol": sol_order})
         else:
             record("sol_pq", True, triggered=False)
@@ -762,9 +754,7 @@ class CoreCheckReport(NamedTuple):
     witness: dict | None
 
 
-def sol_core_check(
-    G: PermGroup, x: Permutation, seed: int = 0, cap: int = DEFAULT_CAP
-) -> CoreCheckReport:
+def sol_core_check(G: PermGroup, x: Permutation, seed: int = 0) -> CoreCheckReport:
     """For an involution with Sol a subgroup: x^G sits inside Core_G(Sol).
     The companion fact x in Sol_G(x^g) (as <x, x^g> is cyclic or dihedral)
     is verified for sampled g regardless of subgroup-ness."""
@@ -772,12 +762,12 @@ def sol_core_check(
         raise ValueError("the core check applies to involutions only")
     n = G.degree
     xraw = x._raw
-    sol = solubilizer(G, x, cap)
+    sol = solubilizer(G, x)
 
     companion = 0
     witness = None
     ok = True
-    for g in _sampled_elements(G, f"core:{x.cycle_string()}", seed, cap):
+    for g in _sampled_elements(G, f"core:{x.cycle_string()}", seed):
         companion += 1
         if not analysis.pair_soluble(G, xraw, _raw_conj(xraw, g)):
             ok = False
@@ -787,9 +777,9 @@ def sol_core_check(
     if not sol.is_subgroup:
         return CoreCheckReport(x.cycle_string(), False, ok, None, None, companion, witness)
 
-    core = analysis.core(G, sol.subgroup, cap)
-    core_set = set(core._elements_raw(cap))
-    class_raws = G.conjugacy_classes(cap).class_members(x)._raws
+    core = analysis.core(G, sol.subgroup)
+    core_set = set(core._elements_raw())
+    class_raws = G.conjugacy_classes().class_members(x)._raws
     if ok and not class_raws <= core_set:
         ok = False
         witness = {"core_order": core.order, "class_size": len(class_raws)}
@@ -818,18 +808,16 @@ class QuotientCheckReport(NamedTuple):
         }
 
 
-def quotient_sol_check(
-    G: PermGroup, N: PermGroup, x: Permutation, cap: int = DEFAULT_CAP
-) -> QuotientCheckReport:
+def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation) -> QuotientCheckReport:
     """Sol in the quotient versus the projected Sol.
 
     For soluble N the two agree exactly and |Sol| is divisible by |N|; for an
     insoluble N only the containment (projected Sol inside quotient Sol) is
     claimed, and that is what gets verified.
     """
-    Q, project = analysis.quotient_group(G, N, cap)
-    sol_g = solubilizer(G, x, cap)
-    sol_q = solubilizer(Q, project(x), cap)
+    Q, project = analysis.quotient_group(G, N)
+    sol_g = solubilizer(G, x)
+    sol_q = solubilizer(Q, project(x))
     projected = frozenset(project(y)._raw for y in sol_g.members)
     n_soluble = analysis.is_soluble(N)
     witness: dict | None = None
@@ -878,17 +866,15 @@ class ProductCheckReport(NamedTuple):
         }
 
 
-def direct_product_sol_check(
-    A: PermGroup, H: PermGroup, x: Permutation, cap: int = DEFAULT_CAP
-) -> ProductCheckReport:
+def direct_product_sol_check(A: PermGroup, H: PermGroup, x: Permutation) -> ProductCheckReport:
     """Sol_{A x H}(x) = A x Sol_H(x), checked as literal sets."""
     G, embed_left, embed_right = catalog.direct_product(A, H)
     x_in_g = embed_right(x)
-    sol_h = solubilizer(H, x, cap)
-    sol_g = solubilizer(G, x_in_g, cap)
+    sol_h = solubilizer(H, x)
+    sol_g = solubilizer(G, x_in_g)
     expected = frozenset(
         _raw_mult(embed_left(a)._raw, embed_right(s)._raw)
-        for a in A.elements(cap)
+        for a in A.elements()
         for s in sol_h.members
     )
     passed = (

@@ -291,7 +291,7 @@ class ConjectureScanRecord(NamedTuple):
 
 
 def _rep_indices(G: PermGroup, config: RunConfig) -> list[int]:
-    table = G.conjugacy_classes(config.cap)
+    table = G.conjugacy_classes()
     if config.selector == "all_class_reps":
         return list(range(len(table.classes)))
     if config.selector == "orders":
@@ -321,33 +321,30 @@ def _run_task(task: tuple) -> tuple:
 
 def _lemma_task(name: str, rep_idx: int, seed: int, cap: int, full: bool):
     G = catalog.build_named_group(name, cap)
-    return sol.lemma_checks_for_rep(G, rep_idx, name, seed, cap, full_equivariance=full)
+    return sol.lemma_checks_for_rep(G, rep_idx, name, seed, full_equivariance=full)
 
 
 def _quotient_task(name: str, mode: str, rep_idx: int, cap: int) -> dict:
     G = catalog.build_named_group(name, cap)
-    N = analysis.center(G, cap) if mode == "center" else analysis.derived_subgroup(G)
-    x = G.conjugacy_classes(cap).classes[rep_idx].representative
-    report = sol.quotient_sol_check(G, N, x, cap)
+    N = analysis.center(G) if mode == "center" else analysis.derived_subgroup(G)
+    x = G.conjugacy_classes().classes[rep_idx].representative
+    report = sol.quotient_sol_check(G, N, x)
     return {**report.to_json(), "group": name, "kernel": mode}
 
 
 def _product_task(m: int, cap: int) -> dict:
     pgl = catalog.build_named_group("PGL2:7", cap)
-    x8 = next(
-        c.representative
-        for c in pgl.conjugacy_classes(cap).classes
-        if c.element_order == 8
-    )
+    x8 = next(c.representative for c in pgl.conjugacy_classes().classes
+              if c.element_order == 8)
     A = catalog.build_named_group(f"C:{2 ** m}", cap)
-    report = sol.direct_product_sol_check(A, pgl, x8, cap)
+    report = sol.direct_product_sol_check(A, pgl, x8)
     return {**report.to_json(), "product": f"C:{2 ** m} x PGL2:7"}
 
 
 def _explore_task(name: str, rep_idx: int, cap: int) -> dict:
     G = catalog.build_named_group(name, cap)
-    cls = G.conjugacy_classes(cap).classes[rep_idx]
-    result = sol.solubilizer(G, cls.representative, cap)
+    cls = G.conjugacy_classes().classes[rep_idx]
+    result = sol.solubilizer(G, cls.representative)
     return {
         **result.to_json(),
         "is_two_group": prime_power_base(result.order.value) == 2,
@@ -362,7 +359,7 @@ def _table1_row(name: str, cap: int) -> dict:
     spec = catalog.group_spec(name)
     row = catalog.catalog_row(name, cap)
     G = catalog.build_named_group(name, cap)
-    radical = analysis.soluble_radical(G, cap).radical.order
+    radical = analysis.soluble_radical(G).radical.order
     ok = (
         G.order == spec.expected_order.value
         and row["insoluble"]
@@ -415,10 +412,10 @@ def run_table1(config: RunConfig | None = None) -> Table1Report:
 
 def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[ConjectureScanRecord]:
     G = catalog.build_named_group(name, cap)
-    cls = G.conjugacy_classes(cap).classes[rep_idx]
+    cls = G.conjugacy_classes().classes[rep_idx]
     x = cls.representative
     rep = x.cycle_string()
-    result = sol.solubilizer(G, x, cap)
+    result = sol.solubilizer(G, x)
     s = result.order.value
     records = []
 
@@ -578,7 +575,7 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
             G = catalog.build_named_group(name, config.cap)
             sections["quotient_checks"].extend(
                 (_quotient_task, name, mode, rep_idx, config.cap)
-                for rep_idx in range(len(G.conjugacy_classes(config.cap).classes))
+                for rep_idx in range(len(G.conjugacy_classes().classes))
             )
     if config.include_psl31:
         G = catalog.build_named_group("PSL2:31", config.cap)

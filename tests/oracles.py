@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from grouplab.analysis import _normal_closure_raws, _require_subgroup
 from grouplab.perm import (
-    DEFAULT_CAP,
     FactoredInteger,
     PermGroup,
     Permutation,
@@ -53,7 +52,7 @@ def lower_central_series(G: PermGroup) -> SeriesReport:
     cur = G
     while cur.order > 1:
         seeds = [_raw_commutator(a, b, n) for a in cur._gen_raws() for b in g_gens]
-        nxt = _group_from_raws(n, _normal_closure_raws(n, g_gens, seeds)[1])
+        nxt = _group_from_raws(G, _normal_closure_raws(n, g_gens, seeds)[1])
         terms.append(nxt.order_factored)
         if nxt.order == cur.order:
             break  # stalled above 1: the repeated order shows it
@@ -61,21 +60,21 @@ def lower_central_series(G: PermGroup) -> SeriesReport:
     return SeriesReport(tuple(terms))
 
 
-def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
+def centralizer(G: PermGroup, x: Permutation) -> PermGroup:
     if not G.contains(x):
         raise ValueError("element is not in the group")
     xr = x._raw
-    keep = [g for g in G._elements_raw(cap) if _raw_mult(g, xr) == _raw_mult(xr, g)]
-    return _group_from_raws(G.degree, keep)
+    keep = [g for g in G._elements_raw() if _raw_mult(g, xr) == _raw_mult(xr, g)]
+    return _group_from_raws(G, keep)
 
 
-def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
+def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     _require_subgroup(G, H)
     n = G.degree
     h_gens = [h._raw for h in H.generators]
     keep = []
-    for g in G._elements_raw(cap):
+    for g in G._elements_raw():
         g_inv = _raw_inv(g, n)
         if all(H._chain.contains(_raw_mult(_raw_mult(g_inv, h), g)) for h in h_gens):
             keep.append(g)
-    return _group_from_raws(n, keep)
+    return _group_from_raws(G, keep)

@@ -19,8 +19,10 @@ from grouplab import (
     PermGroup,
     build_named_group,
     center,
+    CapExceededError,
     core,
     derived_subgroup,
+    direct_product,
     fitting_subgroup,
     identify_small_group,
     is_nilpotent,
@@ -30,6 +32,7 @@ from grouplab import (
     parse_permutation,
     quotient_group,
     soluble_radical,
+    solubilizer,
     sylow_subgroup,
 )
 from grouplab.perm import (
@@ -198,7 +201,7 @@ def expected_branch(name, H):
 
 def residual_elements(name):
     G = g(name)
-    return tuple(sorted(_group_from_raws(G.degree, analysis_mod._soluble_residual(G)[1]).elements()))
+    return tuple(sorted(_group_from_raws(G, analysis_mod._soluble_residual(G)[1]).elements()))
 
 
 def wide_points(G):
@@ -435,7 +438,7 @@ def test_residual_walk_ends_when_a_chain_misses_its_stop(monkeypatch):
     order, gens = analysis_mod._residual_raw(G.degree, G._gen_raws(), G.order)
     monkeypatch.undo()
     assert order == 2520
-    assert _group_from_raws(G.degree, gens).order == 2520
+    assert _group_from_raws(G, gens).order == 2520
     assert 2520 in stops  # the stop that was missed
 
 
@@ -845,7 +848,7 @@ def test_listing_stops_at_the_60th_element(monkeypatch, name, soluble):
     # through a residual forced to order 1
     G = PermGroup(list(g(name).generators))
     x, y = G._gen_raws()[0], G._gen_raws()[-1]
-    assert G.order == _group_from_raws(G.degree, [x, y]).order
+    assert G.order == _group_from_raws(G, [x, y]).order
     assert analysis_mod._fewer_than_60(G.degree, x, y) == (G.order < 60)
     monkeypatch.setattr(analysis_mod, "_soluble_residual", lambda H: (1, ()))
     (verdict, branch), tests, walks = counted_verdict(monkeypatch, G, x, y)
@@ -1292,3 +1295,47 @@ def test_group_facts_are_memoized(monkeypatch):
     assert walked == len(closures) == 1
     assert soluble_radical(G) is soluble_radical(G)
     assert sylow_subgroup(G, 2) is sylow_subgroup(G, 2)
+
+
+# ------------------------------------------------------------------ the cap
+
+
+# each constructor of a group from a group, applied to S:5 at cap 150
+_CAP_HEIRS = {
+    "subgroup": lambda G: G.subgroup([perm("(1,2,3)", 5)]),
+    "_group_from_raws": lambda G: _group_from_raws(G, [perm("(1,2)(3,4)", 5)._raw]),
+    "normal_closure": lambda G: normal_closure(G, [perm("(1,2,3)", 5)]),
+    "derived_subgroup": derived_subgroup,
+    "center": center,
+    "core": lambda G: core(G, G.subgroup(list(g("A:5").generators))),
+    "sylow_subgroup": lambda G: sylow_subgroup(G, 2),
+    "soluble_radical": lambda G: soluble_radical(G).radical,
+    "fitting_subgroup": fitting_subgroup,
+    "fitting_subgroup of S4": lambda G: fitting_subgroup(
+        G.subgroup([perm("(1,2)", 5), perm("(1,2,3,4)", 5)])),
+    "solubilizer": lambda G: solubilizer(G, perm("(1,2,3,4,5)", 5)).subgroup,
+    "quotient_group": lambda G: quotient_group(G, derived_subgroup(G))[0],
+}
+
+
+@pytest.mark.parametrize("make", list(_CAP_HEIRS.values()), ids=list(_CAP_HEIRS))
+def test_a_group_built_from_a_group_keeps_its_cap(make):
+    G = PermGroup(list(g("S:5").generators), cap=150)
+    H = make(G)
+    assert H is not G and H.order < G.order
+    assert H._cap == 150
+
+
+def test_direct_product_takes_the_smaller_cap():
+    A = PermGroup(list(g("C:2").generators), cap=50)
+    B = PermGroup(list(g("A:5").generators), cap=70)
+    assert direct_product(A, B)[0]._cap == direct_product(B, A)[0]._cap == 50
+
+
+def test_a_subgroup_within_the_cap_lists_its_elements():
+    # S:5 at cap 100 may not list its 120 elements; its derived subgroup A5,
+    # of order 60, may
+    G = PermGroup(list(g("S:5").generators), cap=100)
+    assert len(derived_subgroup(G).elements()) == 60
+    with pytest.raises(CapExceededError):
+        G.elements()

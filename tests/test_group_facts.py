@@ -187,7 +187,7 @@ def test_soluble_residual_is_perfect_and_matches_sympy(label):
     G = group(label)
     order, gens = analysis._soluble_residual(G)
     if gens:
-        D = _group_from_raws(G.degree, gens)
+        D = _group_from_raws(G, gens)
         assert D.order == order
         assert derived_subgroup(D).order == order  # perfect
     else:

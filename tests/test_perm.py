@@ -216,9 +216,9 @@ def test_factored_integer_round_trip(n):
 
 
 def test_elements_cap():
-    s4 = PermGroup([parse_permutation("(1,2)", 4), parse_permutation("(1,2,3,4)", 4)])
+    gens = [parse_permutation("(1,2)", 4), parse_permutation("(1,2,3,4)", 4)]
     with pytest.raises(CapExceededError):
-        s4.elements(cap=23)
+        PermGroup(gens, cap=23).elements()
 
 
 def test_closure_detection():

@@ -22,6 +22,7 @@ from grouplab import sol as sol_mod
 from grouplab import suite as suite_mod
 from grouplab import (
     TABLE1_NAMES,
+    CapExceededError,
     FactoredInteger,
     build_named_group,
     closure_test,
@@ -29,10 +30,12 @@ from grouplab import (
     derived_subgroup,
     ell_invariant,
     identify_small_group,
+    is_simple,
     is_soluble,
     parse_permutation,
     quotient_sol_check,
     sol_core_check,
+    soluble_radical,
     solubilizer,
     sylow_subgroup,
     center,
@@ -280,11 +283,11 @@ def test_normalizer_from_its_order_matches_the_full_scan(label):
     classes = G.conjugacy_classes()
     for cls in classes:
         x = cls.representative
-        norm, kept = sol_mod._normalizer_scan(G, x._raw, DEFAULT_CAP)
+        norm, kept = sol_mod._normalizer_scan(G, x._raw)
         assert norm == frozenset(normalizer(G, G.subgroup([x]))._elements_raw()), (label, x)
-        assert norm == sol_mod._normalizer_of_cyclic_raws(G, x._raw, DEFAULT_CAP)
+        assert norm == sol_mod._normalizer_of_cyclic_raws(G, x._raw)
         assert set(kept) <= norm
-        assert _group_from_raws(G.degree, kept + [x._raw]).order == len(norm), (label, x)
+        assert _group_from_raws(G, kept + [x._raw]).order == len(norm), (label, x)
         powers = frozenset((x**k)._raw for k in range(x.order()))
         conjugate_powers = len(powers & classes.class_members(x)._raws)
         assert len(norm) == centralizer(G, x).order * conjugate_powers, (label, x)
@@ -304,7 +307,7 @@ def test_normalizer_scan_raises_when_its_order_is_out_of_reach(monkeypatch, fact
     wrong[k] = wrong[k]._replace(size=int(wrong[k].size / factor))
     monkeypatch.setattr(classes, "classes", tuple(wrong))
     with pytest.raises(RuntimeError, match="normalizer scan"):
-        sol_mod._normalizer_scan(G, x._raw, DEFAULT_CAP)
+        sol_mod._normalizer_scan(G, x._raw)
     with pytest.raises(RuntimeError, match="normalizer scan"):
         solubilizer(G, x)
 
@@ -333,7 +336,7 @@ def test_stopped_chain_keeps_the_generators_of_the_full_build(label):
     # size; the flood's conjugators must be the generators the full build keeps
     G = group(label)
     for x in G.conjugacy_classes().representatives():
-        norm = sorted(sol_mod._normalizer_of_cyclic_raws(G, x._raw, DEFAULT_CAP))
+        norm = sorted(sol_mod._normalizer_of_cyclic_raws(G, x._raw))
         assert _chain_growers(G.degree, norm, len(norm)) == _chain_growers(G.degree, norm), x
 
 
@@ -570,9 +573,9 @@ def test_fingerprint_is_taken_once_per_group(monkeypatch):
     taken = []
     real = sol_mod._order_histogram
 
-    def counting(H, cap):
+    def counting(H):
         taken.append(H)
-        return real(H, cap)
+        return real(H)
 
     monkeypatch.setattr(sol_mod, "_order_histogram", counting)
     first, second = (PermGroup(list(g("SD:16").generators)) for _ in range(2))
@@ -581,6 +584,33 @@ def test_fingerprint_is_taken_once_per_group(monkeypatch):
     assert identify_small_group(second).label == "semidihedral 16"
     assert identify_small_group(first).label == "semidihedral 16"
     assert taken[before:] == [second]
+
+
+def test_memoized_answers_do_not_depend_on_call_history():
+    # the cap belongs to the group, so a group that may not list its elements
+    # answers nothing, whatever another group of the same generators has
+    # already answered and memoized
+    warm = g("S:5")
+    x = rep_of_order(warm, 5)
+    solubilizer(warm, x)
+    soluble_radical(warm)
+    is_simple(warm)
+    capped = build_named_group("S:5", 100)
+    assert capped is not warm
+    assert build_named_group("S:5") is build_named_group("S:5", DEFAULT_CAP) is warm
+    assert build_named_group("S:5", 100) is capped
+    for ask in (lambda G: solubilizer(G, x), soluble_radical, is_simple):
+        with pytest.raises(CapExceededError):
+            ask(capped)
+    # a group of S:5's generators at cap 10, asked cold and again after a
+    # fresh group of the same generators at the default cap has answered
+    gens = list(warm.generators)
+    H = PermGroup(gens, cap=10)
+    with pytest.raises(CapExceededError):
+        solubilizer(H, x)
+    assert solubilizer(PermGroup(gens), x).order == solubilizer(warm, x).order
+    with pytest.raises(CapExceededError):
+        solubilizer(H, x)
 
 
 def test_identify_abelian_labels():
@@ -676,7 +706,7 @@ def test_least_class_index_matches_the_intersection_formula():
             if is_prime(m) or not outside:
                 continue
             expected = min(m // len(powers & power_raws(z)) for z in outside)
-            assert sol_mod._least_class_index(G, x, DEFAULT_CAP) == expected, (name, x)
+            assert sol_mod._least_class_index(G, x) == expected, (name, x)
             cases += 1
     assert cases == 121
 

@@ -162,7 +162,7 @@ def test_full_suite_does_not_depend_on_the_start_method(monkeypatch, method):
 
 
 def _built_before_the_pool(name):
-    return name in catalog._BUILD_CACHE
+    return (name, grouplab.DEFAULT_CAP) in catalog._BUILD_CACHE
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
@@ -439,6 +439,21 @@ def test_cli_sol_json(capsys):
     assert doc["kind"] == "sol"
     assert doc["result"]["order"]["value"] == 12
     assert doc["result"]["structure"]["label"] == "dihedral 12"
+
+
+def test_cli_sol_checks_the_cap_against_the_queried_group_only(capsys):
+    # the catalog holds groups of order up to 1512; only A:5, of order 60,
+    # is queried, so a cap of 60 answers as the default cap does
+    orders = []
+    for cap in ([], ["--cap", "60"]):
+        assert main(["sol", "--group", "A:5", "--order", "5", "--format", "json", *cap]) == 0
+        orders.append(json.loads(capsys.readouterr().out)["result"]["order"]["value"])
+    assert orders == [10, 10]
+    assert main(["sol", "--group", "A:5", "--order", "5", "--cap", "59"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "over the cap 59" in captured.err
 
 
 def test_cli_sol_workers_flag_parses_and_starts_no_pool(capsys, monkeypatch):
