@@ -10,18 +10,17 @@ last term of the series; is_soluble(G) asks whether D is trivial.
 
 Callers that know the ambient group G use pair_soluble. In a soluble G it tests
 x and y restricted to G's own orbits of more than 4 points, found once per
-group: each orbit of H = <x, y> lies in an orbit of G, and on the others H lies
-in a product of copies of S_4. That pair test, _soluble_raw, also serves the
-radical scan. It lists H breadth-first, stopping at the 60th element, and fewer
-than 60 elements make it soluble, since A_5, of order 60, is the smallest
-insoluble group. A larger H walks one orbit at a time: H embeds in the product
-of its restrictions to its orbits (its transitive constituents), so it is
-soluble iff each restriction is, and a restriction to at most 4 points lies in
-the soluble S_4 and is not walked (A_5 on 5 points shows 4 is tight). The group
-keeps the verdict of each restricted pair it has tested, and the restriction of
-x for the current run of pairs that share x, so a pair whose restriction was
-seen before costs one restriction and a dict read; the verdict still comes from
-the restricted x and y alone, never from G's solubility.
+group. H = <x, y> embeds in the product of its restrictions to those points
+and to the rest, and on the rest it lies in a product of copies of the soluble
+S_4, so H is soluble iff its restriction to the wide orbits is (A_5 on 5 points
+shows 4 is tight). That pair test, _soluble_raw, also serves the radical scan.
+It lists H breadth-first, stopping at the 60th element, and fewer than 60
+elements make it soluble, since A_5, of order 60, is the smallest insoluble
+group. A larger H walks the derived series once, at the degree it is given.
+The group keeps the verdict of each restricted pair it has tested, and the
+restriction of x for the current run of pairs that share x, so a pair whose
+restriction was seen before costs one restriction and a dict read; the verdict
+still comes from the restricted x and y alone, never from G's solubility.
 
 In an insoluble G pair_soluble first builds one stabilizer chain for H,
 stopped at |G|/5, and settles most pairs from its order, or from D sifting into
@@ -175,21 +174,6 @@ def _relabel(n: int, points: list) -> Callable:
     return lambda g: raw(map(label.__getitem__, pick(g)))
 
 
-def _wide_constituents(n: int, gens: Sequence) -> list:
-    """(m, generators) for each orbit of <gens> of more than 4 points, in
-    point order: the generators restricted to the orbit by _relabel. An orbit
-    of all n points returns the generators unchanged."""
-    out = []
-    for orbit in _orbits(n, gens):
-        m = len(orbit)
-        if m > 4:
-            if m == n:
-                return [(n, gens)]
-            orbit.sort()
-            out.append((m, list(map(_relabel(n, orbit), gens))))
-    return out
-
-
 def _fewer_than_60(n: int, x, y) -> bool:
     """Has <x, y>, on n points, fewer than 60 elements? The powers of x are
     listed first, then the rest breadth-first under right multiplication by y
@@ -222,16 +206,10 @@ def _soluble_raw(n: int, gens: Sequence) -> bool:
     """Is <gens> soluble? The pair test of a soluble G in pair_soluble, and the
     radical scan's test of each class closure. A pair is listed first: fewer
     than 60 elements make it soluble, since A_5, of order 60, is the smallest
-    insoluble group. Otherwise <gens> embeds in the product of its
-    restrictions to its orbits, so it is soluble iff each restriction is; one
-    to at most 4 points lies in the soluble S_4, so only the wider ones walk
-    the derived series."""
+    insoluble group. Otherwise <gens> walks the derived series at degree n."""
     if len(gens) == 2 and _fewer_than_60(n, *gens):
         return True
-    for m, restricted in _wide_constituents(n, gens):
-        if _residual_raw(m, restricted)[0] != 1:
-            return False
-    return True
+    return _residual_raw(n, gens)[0] == 1
 
 
 def _wide_part(G: PermGroup) -> tuple[int, Callable]:
@@ -288,7 +266,8 @@ def pair_soluble(G: PermGroup, x, y) -> bool:
     and y alone, so that checks on soluble groups keep a test that can fail.
     The pair test runs on x and y restricted to G's orbits of more than 4
     points (see _wide_part), where the listing settles every pair of fewer
-    than 60 elements without a walk. In a product such as S_4 x S_4, whose
+    than 60 elements without a walk, and a larger pair walks the derived
+    series once, on all of those points. In a product such as S_4 x S_4, whose
     orbits have 4 points, the restriction is the trivial group on no points.
     Each distinct restricted pair is tested once per group and process: G
     keeps its verdict, keyed on both restrictions, and a later pair with the

@@ -117,7 +117,8 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_sol(args) -> int:
-    args.groups = (args.group,)  # so the cap is checked against the queried group only
+    # so the cap is checked against the queried group only
+    args.groups, args.include_psl31, args.product_powers = (args.group,), False, 0
     config = _load_config(args)
     G = catalog.build_named_group(args.group, config.cap)
     if args.element is not None:
@@ -176,10 +177,7 @@ def cmd_suite(args) -> int:
 
 def cmd_catalog(args) -> int:
     config = _load_config(args)
-    names = list(catalog.TABLE1_NAMES)
-    if config.include_psl31:
-        names.append("PSL2:31")
-    rows = [catalog.catalog_row(name, config.cap) for name in names]
+    rows = [catalog.catalog_row(name, config.cap) for name in config.group_names()]
     report = {"schema": suite.SCHEMA, "kind": "catalog", "rows": rows}
     _emit(suite.render(report, config.format), config.out)
     return 0

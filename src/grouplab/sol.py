@@ -199,13 +199,6 @@ def _normalizer_scan(G: PermGroup, xraw) -> tuple[frozenset, list]:
     return G._memo(("ncyc", xraw), compute)
 
 
-def _normalizer_of_cyclic_raws(G: PermGroup, xraw) -> frozenset:
-    """N_G(<x>) = {g : <x>^g = <x>} as raw tables, found from its order
-    |C_G(x)| * |x^G meet <x>| by _normalizer_scan, which conjugates x only by
-    the elements it reads before the closure reaches that order."""
-    return _normalizer_scan(G, xraw)[0]
-
-
 def _coprime_powers(y, ident, mult) -> list:
     """The y^m with gcd(m, |y|) = 1, that is the generators of <y>."""
     powers = [y]
@@ -305,7 +298,7 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
     if is_sub and len(member_set) <= 64:
         structure = identify_small_group(subgroup)
 
-    norm_set = _normalizer_of_cyclic_raws(G, xraw)
+    norm_set = _normalizer_scan(G, xraw)[0]
     classes = G.conjugacy_classes()
     cent_order = G.order // classes.classes[classes.class_index(x)].size  # |G| / |x^G|
 
@@ -490,7 +483,7 @@ def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) ->
     """
     if sol is None:
         sol = solubilizer(G, x)
-    norm_set = _normalizer_of_cyclic_raws(G, x._raw)
+    norm_set = _normalizer_scan(G, x._raw)[0]
     if len(norm_set) == G.order:
         return EllReport(x.order(), None, "undefined", sol.order.value, len(norm_set))
     x_order = x.order()
@@ -558,7 +551,7 @@ def lemma_checks_for_rep(
     sol = solubilizer(G, x)
     sol_set = sol.members._raws
     sol_order = sol.order.value
-    norm_set = _normalizer_of_cyclic_raws(G, xraw)
+    norm_set = _normalizer_scan(G, xraw)[0]
     sample = _sampled_elements(G, f"{name}:{rep_idx}", seed)
     checks: list[CheckRecord] = []
 

@@ -228,11 +228,20 @@ class RunConfig(_RunConfigFields):
             if spec.name in named:
                 raise ValueError(f"group {spec.name} is named twice")
             named.add(spec.name)
-            if spec.expected_order.value > self.cap:
-                raise ValueError(
-                    f"group {name} has order {spec.expected_order.value} over the cap {self.cap}"
-                )
+        products = [f"C:{2 ** m} x PGL2:7" for m in range(1, self.product_powers + 1)]
+        for name in self.group_names() + products:
+            order = catalog.group_spec(name).expected_order.value
+            if order > self.cap:
+                raise ValueError(f"group {name} has order {order} over the cap {self.cap}")
         return self
+
+    def group_names(self) -> list[str]:
+        """The groups whose checks or catalog rows a run builds: groups, then
+        PSL2:31 under include_psl31 unless groups names it."""
+        names = list(self.groups)
+        if self.include_psl31 and "PSL2:31" not in names:
+            names.append("PSL2:31")
+        return names
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else available_workers()
@@ -545,12 +554,8 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
     started = _utc_now()
     walls: dict[str, float] = {}
 
-    group_names = list(config.groups)
-    if config.include_psl31 and "PSL2:31" not in group_names:
-        group_names.append("PSL2:31")
-
     group_tasks: list[tuple[str, list[tuple]]] = []
-    for name in group_names:
+    for name in config.group_names():
         t0 = time.monotonic()
         G = catalog.build_named_group(name, config.cap)
         indices = _rep_indices(G, config)

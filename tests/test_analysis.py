@@ -228,13 +228,6 @@ def wide_part_order(G, x, y):
     return PermutationGroup(restricted).order()
 
 
-def wide_orbit_sizes(x, y):
-    """The sizes of the orbits of <x, y> of more than 4 points, in point
-    order, by sympy."""
-    orbits = sorted(sorted(orbit) for orbit in sympy_pair(x, y).orbits())
-    return [len(orbit) for orbit in orbits if len(orbit) > 4]
-
-
 def counted_verdict(monkeypatch, G, x, y, orders=None):
     """_pair_verdict(G, x, y), the degrees of the pair tests it ran (calls of
     _soluble_raw) and the degrees of the derived-series walks it ran; the
@@ -275,10 +268,10 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
     pools += [(wide, sorted_elements(wide)), (wide, residual_elements(wide))]
     # a soluble G runs one pair test on the restriction of x and y to its
     # orbits of more than 4 points the first time the group sees that
-    # restriction, and none after; that test walks only when the restriction
-    # has at least 60 elements: never in S:4 x S:4, whose restrictions are
-    # all one, and in D:120 x S:4 on the 60 points of D:120 about half of the
-    # time
+    # restriction, and none after; that test walks once, on all of those
+    # points, only when the restriction has at least 60 elements: never in
+    # S:4 x S:4, whose restrictions are all one, and in D:120 x S:4 on the 60
+    # points of D:120 about half of the time
     pools.append(("D:120 x S:4", sorted_elements("D:120 x S:4")))
     rng = random.Random(20261018)
     seen = set()
@@ -301,7 +294,8 @@ def test_pair_soluble_takes_every_branch(monkeypatch):
                 tested.add(key)
                 assert len(tests) == first, (name, x, y)
                 reaches_60 = wide_part_order(G, x, y) >= 60
-                assert walks == (wide_orbit_sizes(x, y) if first and reaches_60 else []), (name, x, y)
+                w = analysis_mod._wide_part(G)[0]
+                assert walks == ([w] if first and reaches_60 else []), (name, x, y)
                 if first:
                     soluble_walks.add((name, reaches_60))
             else:
@@ -592,11 +586,11 @@ INTRANSITIVE = [
     "S:4 x S:4",
     "C7:C3 x S:4",
     "D:20 x S:4",
-    # the 5-point orbit carries A5, so 4 is the widest orbit left unwalked
+    # an insoluble factor beside an orbit of at most 4 points
     "C:2 x A:5",
     "C:4 x PGL2:7",
-    # two wide orbits of opposite solubility, in both orders, so a walk that
-    # stops after the first wide orbit gives a wrong verdict in one of them
+    # two wide orbits of opposite solubility, in both orders, so a test that
+    # reads only the first wide orbit gives a wrong verdict in one of them
     "A:5 x C7:C3",
     "C7:C3 x A:5",
 ]
@@ -604,16 +598,14 @@ INTRANSITIVE = [
 
 @pytest.mark.parametrize("name", INTRANSITIVE)
 def test_constituent_walk_matches_frozen_walk_and_sympy(name):
-    # _soluble_raw walks each orbit of more than 4 points apart; the frozen
-    # walk of the whole of <x, y> and sympy are the oracles
+    # _soluble_raw lists the pair and walks it at the full degree; the frozen
+    # walk and sympy are the oracles
     G = g(name)
     elements = sorted_elements(name)
     rng = random.Random(20261019)
     verdicts = set()
     for _ in range(40):
         x, y = rng.choice(elements), rng.choice(elements)
-        for m, restricted in analysis_mod._wide_constituents(G.degree, (x._raw, y._raw)):
-            assert all(sorted(r) == list(range(m)) for r in restricted), (name, x, y)
         verdict = analysis_mod._soluble_raw(G.degree, (x._raw, y._raw))
         assert verdict == frozen_walk(G.degree, (x._raw, y._raw)), (name, x, y)
         assert verdict == sympy_pair(x, y).is_solvable, (name, x, y)
@@ -633,42 +625,35 @@ def on_300(head, tail):
 
 
 def test_constituents_of_degree_300_pairs():
-    # the wide orbit keeps the tuple form, the 5-point one is relabelled into
-    # bytes
+    # tuple tables at degree 300: D_295 beside an insoluble and a soluble
+    # group on the last five points, a pair moving only those five, a pair
+    # moving only four of them, and a transitive pair; sympy and the frozen
+    # walk are the oracles
     n, m = 300, 295
-    rotation, reflection = ROTATION_295, REFLECTION_295
+    rotation, reflection, fixed = ROTATION_295, REFLECTION_295, list(range(m))
     five_cycle, three_cycle, reflection_5 = [1, 2, 3, 4, 0], [1, 2, 0, 3, 4], [0, 4, 3, 2, 1]
-    for tail_y, soluble in ((three_cycle, False), (reflection_5, True)):
-        x, y = on_300(rotation, five_cycle), on_300(reflection, tail_y)
+    pairs = [
+        (on_300(rotation, five_cycle), on_300(reflection, three_cycle)),
+        (on_300(rotation, five_cycle), on_300(reflection, reflection_5)),
+        (on_300(fixed, five_cycle), on_300(fixed, three_cycle)),
+        (on_300(fixed, [1, 2, 3, 0, 4]), on_300(fixed, [1, 0, 2, 3, 4])),
+        tuple(dihedral_300().generators),
+    ]
+    verdicts = []
+    for x, y in pairs:
         assert type(x._raw) is tuple
-        wide, small = analysis_mod._wide_constituents(n, (x._raw, y._raw))
-        assert wide == (m, [tuple(rotation), tuple(reflection)])
-        assert small == (5, [bytes(five_cycle), bytes(tail_y)])
         verdict = analysis_mod._soluble_raw(n, (x._raw, y._raw))
-        assert verdict == soluble == sympy_pair(x, y).is_solvable
-        assert verdict == frozen_walk(n, (x._raw, y._raw))
-    # a pair that moves only the last five points walks them alone, as bytes;
-    # the 295 fixed points are orbits of one point each
-    x, y = on_300(list(range(m)), five_cycle), on_300(list(range(m)), three_cycle)
-    only = analysis_mod._wide_constituents(n, (x._raw, y._raw))
-    assert only == [(5, [bytes(five_cycle), bytes(three_cycle)])]
-    assert not analysis_mod._soluble_raw(n, (x._raw, y._raw))
-    # on four points nothing walks; a transitive pair walks unchanged
-    x, y = on_300(list(range(m)), [1, 2, 3, 0, 4]), on_300(list(range(m)), [1, 0, 2, 3, 4])
-    assert analysis_mod._wide_constituents(n, (x._raw, y._raw)) == []
-    assert analysis_mod._soluble_raw(n, (x._raw, y._raw))
-    gens = tuple(p._raw for p in dihedral_300().generators)
-    assert analysis_mod._wide_constituents(n, gens) == [(n, gens)]
+        assert verdict == sympy_pair(x, y).is_solvable, (x, y)
+        assert verdict == frozen_walk(n, (x._raw, y._raw)), (x, y)
+        verdicts.append(verdict)
+    assert verdicts == [False, True, False, True, True]
 
 
 # derived-series walks by degree in a single-group suite, with cold groups:
 # one residual for the product and one for each factor, and no pair test. A
 # pair is tested on its restriction to G's orbits of more than 4 points, and
-# walks only when that restriction has at least 60 elements; every such
-# restriction here is smaller.
-# Walking each orbit of <x, y> of more than 4 points, as before, made 1,544
-# walks at degree 7 in C7:C3 x S:4, and 1,951 at degree 10 and 1,410 at
-# degree 5 in D:20 x S:4
+# walks, once on all of those points, only when that restriction has at least
+# 60 elements; every such restriction here is smaller
 SOLUBLE_SUITE_WALKS = {
     "S:4 x S:4": {8: 1, 4: 1},
     "C7:C3 x S:4": {11: 1, 7: 1, 4: 1},
@@ -679,7 +664,8 @@ SOLUBLE_SUITE_WALKS = {
 @pytest.mark.parametrize("name", sorted(SOLUBLE_SUITE_WALKS))
 def test_soluble_suite_walks_only_wide_orbits(monkeypatch, name):
     # a gate on work done, like SUITE_WALKS: a lost listing below 60 walks
-    # pairs, and a lost decomposition walks them at the full degree
+    # pairs at G's wide degree, and a lost restriction to G's wide orbits
+    # walks them at the full degree
     degrees = collections.Counter()
     real = analysis_mod._residual_raw
 
@@ -749,8 +735,7 @@ def dihedral_295(a, flip):
 S4_ON_4 = [[1, 0, 2, 3, 4], [1, 2, 3, 0, 4]]
 D10_ON_5 = [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]
 SOLUBLE_300 = {
-    # all 300 points: the pair test restricts nothing, and a walk splits
-    # <x, y> into a 295-point tuple and a 5-point bytes constituent
+    # all 300 points: the pair test restricts nothing, and walks as tuples
     "D:295 x D:10": ([ROTATION_295, REFLECTION_295], D10_ON_5, 300, tuple),
     # the 295-point orbit only, restricted to tuples
     "D:295 x S:4": ([ROTATION_295, REFLECTION_295], S4_ON_4, 295, tuple),
@@ -788,8 +773,8 @@ def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, nam
     # in a soluble G a pair runs one pair test, on x and y restricted to G's
     # orbits of more than 4 points, the first time the group sees that
     # restriction and none after, and walks only a restriction of at least
-    # 60 elements, by sympy's order; the whole-degree walk without listing,
-    # the frozen walk and sympy are the oracles
+    # 60 elements, by sympy's order, once on all w points; the whole-degree
+    # walk without listing, the frozen walk and sympy are the oracles
     rng = random.Random(20261020)
     if name in SOLUBLE_300:
         G, draw = soluble_300(name)
@@ -821,7 +806,7 @@ def test_soluble_g_pairs_match_whole_walk_frozen_walk_and_sympy(monkeypatch, nam
         tested.add(key)
         assert branch == "soluble G", (name, pair)
         assert tests == ([w] if first else []), (name, pair)
-        assert walks == (wide_orbit_sizes(*pair) if first and reaches_60 else []), (name, pair)
+        assert walks == ([w] if first and reaches_60 else []), (name, pair)
         whole = analysis_mod._residual_raw(n, (x, y))[0] == 1
         assert verdict == whole == frozen_walk(n, (x, y)), (name, pair)
         assert verdict == sympy_pair(*pair).is_solvable, (name, pair)
@@ -1116,7 +1101,9 @@ def test_radical_of_soluble_group_is_the_group(monkeypatch):
 
 def test_radical_matches_brute_force_normal_closure_oracle():
     """R(G) = join of all soluble normal closures of class representatives."""
-    for name in ["C:2 x A:5", "S:4", "SL2:5", "D:10", "A:5"]:
+    # the last two are intransitive, with wide orbits of opposite solubility:
+    # the scan walks their class closures at the full degree
+    for name in ["C:2 x A:5", "S:4", "SL2:5", "D:10", "A:5", "C7:C3 x A:5", "A:5 x C7:C3"]:
         G = g(name)
         gens = []
         for cls in G.conjugacy_classes().classes:

@@ -456,6 +456,28 @@ def test_cli_sol_checks_the_cap_against_the_queried_group_only(capsys):
     assert "over the cap 59" in captured.err
 
 
+def test_cli_checks_the_cap_against_every_group_a_run_builds(capsys, monkeypatch, tmp_path):
+    # PSL2:31 under --include-psl31 and C:2 x PGL2:7 under --product-powers
+    # are checked with the named groups, before any group is built
+    monkeypatch.setattr(catalog, "_BUILD_CACHE", {})
+    runs = [
+        (["suite", "--groups", "A:5", "--include-psl31", "--cap", "2000"], "PSL2:31", 14880),
+        (["suite", "--groups", "A:5", "--product-powers", "1", "--cap", "400"], "C:2 x PGL2:7", 672),
+        (["catalog", "--include-psl31", "--cap", "2000"], "PSL2:31", 14880),
+    ]
+    for argv, name, order in runs:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: group {name} has order {order} over the cap {argv[-1]}\n"
+    assert catalog._BUILD_CACHE == {}
+    # sol checks the queried group alone, whatever a config file adds
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"include_psl31": True, "product_powers": 3}))
+    assert main(["sol", "--group", "A:5", "--order", "5", "--cap", "60", "--config", str(config)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_sol_workers_flag_parses_and_starts_no_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("sol started a process pool")
