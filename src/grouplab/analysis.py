@@ -56,6 +56,7 @@ from typing import Callable, NamedTuple, Sequence
 from .perm import (
     _BYTES_DEGREE,
     CapExceededError,
+    FactoredInteger,
     OrderReached,
     PermGroup,
     Permutation,
@@ -430,19 +431,39 @@ def _class_closures(G: PermGroup) -> list:
     """(representative, closure) for every non-identity class of G, in class
     table order. closure lists the generators that grew the chain of <x^G>,
     or is None when <x^G> = G: each chain stops at |G|. The soluble radical,
-    the Fitting subgroup and simplicity are all read from this one list."""
+    the Fitting subgroup and simplicity are all read from this one list.
+
+    <x^G> contains the powers x^(|x|/p) of prime order p and x^s * x for each
+    generator s of G, so when the class of one of those already closed to G,
+    so does x, and no chain is built. The powers have lower element order, so
+    their classes come first in the table. Until some class closes to G, as
+    in a soluble G, those elements are not formed."""
 
     def build():
         n, gens = G.degree, G._gen_raws()
+        table = G.conjugacy_classes()
+        index = table._index
+        whole = [False] * len(table.classes)  # class position -> its closure is G
+
+        def meets_a_whole_class(x: Permutation, o: int) -> bool:
+            xr = x._raw
+            powers = ((x ** (o // p))._raw for p, _ in FactoredInteger.from_int(o).factor_pairs)
+            products = (_raw_mult(_raw_conj(xr, s), xr) for s in gens)
+            return any(whole[index[y]] for ys in (powers, products) for y in ys)
+
         out = []
-        for cls in G.conjugacy_classes().classes:
+        for i, cls in enumerate(table.classes):
             if cls.element_order == 1:
                 continue
-            try:
-                _, found = _normal_closure_raws(n, gens, [cls.representative._raw], G.order)
-            except OrderReached:
-                found = None
-            out.append((cls.representative, found))
+            x = cls.representative
+            found = None
+            if not (True in whole and meets_a_whole_class(x, cls.element_order)):
+                try:
+                    _, found = _normal_closure_raws(n, gens, [x._raw], G.order)
+                except OrderReached:
+                    pass
+            whole[i] = found is None
+            out.append((x, found))
         return out
 
     return G._memo("class closures", build)

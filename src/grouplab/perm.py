@@ -537,6 +537,32 @@ def _chain_from_raws(n: int, raws: Iterable) -> _Chain:
     return ch
 
 
+def _conjugation_positions(elems: list, gens: list, n: int) -> list:
+    """For each generator g, the sequence whose entry i is the position in
+    elems of g^-1 * elems[i] * g; KeyError if a conjugate is not listed.
+
+    Up to 256 points each g conjugates the whole list at once. The conjugate
+    of x sends g[p] to g[x[p]], so one translate of the joined list puts
+    g[x[p]] at offset p of x's n bytes, and n strided copies move it to
+    offset g[p]. One gather then cuts the result into n-byte conjugates, and
+    one more reads their positions."""
+    pos = dict(zip(elems, range(len(elems))))
+    if n > _BYTES_DEGREE:
+        return [[pos[_raw_conj(x, g)] for x in elems] for g in gens]
+    if len(elems) == 1:
+        return [(0,)] * len(gens)  # a one-item gather would not return a tuple
+    joined = b"".join(elems)
+    cut = itemgetter(*(slice(k, k + n) for k in range(0, len(joined), n)))
+    out = []
+    for g in gens:
+        step = joined.translate(_table(g))
+        conj = bytearray(len(joined))
+        for p in range(n):
+            conj[g[p]::n] = step[p::n]
+        out.append(itemgetter(*cut(bytes(conj)))(pos))
+    return out
+
+
 class PermGroup:
     """A finite permutation group generated by explicit permutations; it
     lists its elements only if its order is at most cap (see the module)."""
@@ -630,40 +656,45 @@ class PermGroup:
         return PermGroup(list(generators) or [self.identity()], self._cap)
 
     def conjugacy_classes(self) -> "ConjugacyClassTable":
+        """The classes are the orbits of conjugation by the generators on the
+        positions of the element list (Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, ch. 4), each found in one pass in
+        position order; see _conjugation_positions."""
         if self._classes is None:
             elems = self._elements_raw()
             n = self._degree
-            gens = self._gen_raws()
-            seen: dict = {}  # conjugate -> minimal element of its class
-            rows = []
-            for e in elems:
-                if e in seen:
+            try:
+                moves = _conjugation_positions(elems, self._gen_raws(), n)
+            except KeyError:
+                raise RuntimeError("a conjugate of an element lies outside the group") from None
+            label = [-1] * len(elems)  # position -> the number of its class
+            rows = []  # (element order, size, representative, number), one per class
+            for start in range(len(elems)):
+                if label[start] >= 0:
                     continue
-                orbit = {e}
-                queue = [e]
-                while queue:
-                    a = queue.pop()
-                    for g in gens:
-                        b = _raw_conj(a, g)
-                        if b not in orbit:
-                            orbit.add(b)
-                            queue.append(b)
-                rep = min(orbit)
-                seen.update(dict.fromkeys(orbit, rep))
-                rows.append((rep, len(orbit), _raw_order(e, n)))
+                k = len(rows)
+                label[start] = k
+                orbit = [start]
+                for a in orbit:
+                    for move in moves:
+                        b = move[a]
+                        if label[b] < 0:
+                            label[b] = k
+                            orbit.append(b)
+                rows.append((_raw_order(elems[start], n), len(orbit), min(elems[i] for i in orbit), k))
             if sum(r[1] for r in rows) != self.order:
                 raise RuntimeError("class sizes do not sum to the group order")
-            rows.sort(key=lambda r: (r[2], r[1], r[0]))
-            rank = {r[0]: i for i, r in enumerate(rows)}
-            # keyed on the enumerated elements, so the conjugates above can be freed
-            index = {e: rank[seen[e]] for e in elems}
+            rows.sort()  # representatives differ, so numbers are never compared
+            rank = [0] * len(rows)  # class number -> position in the sorted table
+            for i, row in enumerate(rows):
+                rank[row[3]] = i
             self._classes = ConjugacyClassTable(
                 self,
                 tuple(
                     ConjugacyClass(Permutation._from_raw(rep, n), size, ordr)
-                    for rep, size, ordr in rows
+                    for ordr, size, rep, _ in rows
                 ),
-                index,
+                dict(zip(elems, map(rank.__getitem__, label))),
             )
         return self._classes
 

@@ -316,6 +316,15 @@ def _rep_indices(G: PermGroup, config: RunConfig) -> list[int]:
     return sorted(out)
 
 
+def _require_a_match(config: RunConfig, selected: dict[str, list]):
+    """ValueError when the orders selector picked no class representative in
+    any group the run built, so a run that would check nothing fails instead
+    of reporting a pass. selected maps each built group to what it picked."""
+    if config.selector == "orders" and selected and not any(selected.values()):
+        orders = " or ".join(map(str, config.orders))
+        raise ValueError(f"no class representative of order {orders} in {', '.join(selected)}")
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -481,7 +490,7 @@ def run_conjecture_scan(config: RunConfig | None = None) -> ConjectureScanReport
     skipped with hypothesis_not_triggered markers."""
     config = config or RunConfig()
     started = _utc_now()
-    tasks: list[tuple] = []
+    selected: dict[str, list[int]] = {}  # insoluble group -> its chosen class positions
     skipped: list[ConjectureScanRecord] = []
     for name in config.groups:
         if catalog.group_spec(name).flags.get("soluble", False):
@@ -494,11 +503,10 @@ def run_conjecture_scan(config: RunConfig | None = None) -> ConjectureScanReport
                     )
                 )
             continue
-        G = catalog.build_named_group(name, config.cap)
-        tasks.extend(
-            (_scan_records_for_rep, name, rep_idx, config.cap)
-            for rep_idx in _rep_indices(G, config)
-        )
+        selected[name] = _rep_indices(catalog.build_named_group(name, config.cap), config)
+    _require_a_match(config, selected)
+    tasks = [(_scan_records_for_rep, name, rep_idx, config.cap)
+             for name, indices in selected.items() for rep_idx in indices]
     records = list(skipped)
     for chunk, _ in pool_map(_run_task, tasks, config.resolved_workers()):
         records.extend(chunk)
@@ -567,6 +575,7 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
             (_lemma_task, name, rep_idx, config.seed, config.cap, rep_idx == 1)
             for rep_idx in indices
         ]))
+    _require_a_match(config, dict(group_tasks))
 
     # report section (a FullSuiteReport field) -> its tasks, in report order
     sections: dict[str, list[tuple]] = {

@@ -1,6 +1,7 @@
 """Subgroup computations that the package no longer needs, kept here as
 oracles for the tests: the lower central series, and the centralizer and
-normalizer found by scanning every element of the ambient group.
+normalizer found by scanning every element of the ambient group; and the
+conjugacy classes found by conjugating with every element of the group.
 
 The series shares no code with analysis.is_nilpotent, which counts elements
 of prime-power order instead of walking normal closures of commutators.
@@ -9,6 +10,7 @@ of prime-power order instead of walking normal closures of commutators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from grouplab.analysis import _normal_closure_raws, _require_subgroup
 from grouplab.perm import (
@@ -78,3 +80,40 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
         if all(H._chain.contains(_raw_mult(_raw_mult(g_inv, h), g)) for h in h_gens):
             keep.append(g)
     return _group_from_raws(G, keep)
+
+
+def conjugacy_classes_by_brute_force(G: PermGroup) -> tuple[list, dict]:
+    """(classes, index) from the image lists of G's elements alone, in plain
+    tuple arithmetic on 0-based images: each element not yet placed is
+    conjugated by every element of G, which gives its whole class.
+
+    classes lists (minimal member, size, element order), sorted by element
+    order, then size, then minimal member; index maps every element to the
+    position of its class in that list."""
+    elems = [tuple(v - 1 for v in p.images) for p in G.elements()]
+    n = G.degree
+    identity = tuple(range(n))
+    before_inverse = []  # for each g, the gather that reads an image list at g^-1
+    for g in elems:
+        inv = [0] * n
+        for i in range(n):
+            inv[g[i]] = i
+        before_inverse.append(itemgetter(*inv))
+    placed: dict = {}  # element -> its minimal class member
+    rows = []
+    for x in elems:
+        if x in placed:
+            continue
+        # g^-1 x g sends g[i] to g[x[i]], so it sends j to g[x[g^-1[j]]]
+        after_x = itemgetter(*x)  # g -> the image list of j -> g[x[j]]
+        members = {read(after_x(g)) for g, read in zip(elems, before_inverse)}
+        order, power = 1, x
+        while power != identity:
+            power = itemgetter(*power)(x)  # x^k, then x: p -> x[power[p]]
+            order += 1
+        rep = min(members)
+        placed.update(dict.fromkeys(members, rep))
+        rows.append((rep, len(members), order))
+    rows.sort(key=lambda r: (r[2], r[1], r[0]))
+    position = {r[0]: i for i, r in enumerate(rows)}
+    return rows, {e: position[rep] for e, rep in placed.items()}

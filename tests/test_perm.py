@@ -20,6 +20,7 @@ from grouplab import (
     closure_test,
     parse_permutation,
 )
+from grouplab.catalog import TABLE1_NAMES
 from grouplab.perm import (
     OrderReached,
     _Chain,
@@ -29,6 +30,7 @@ from grouplab.perm import (
     _raw_inv,
     _raw_mult,
 )
+from oracles import conjugacy_classes_by_brute_force
 from test_group_facts import LABELS, group
 
 perms = st.integers(3, 8).flatmap(
@@ -255,6 +257,22 @@ def test_conjugacy_classes_partition():
         assert len(members) == c.size
         # representative is the canonical minimum of its class
         assert min(m._raw for m in members) == c.representative._raw
+
+
+@pytest.mark.parametrize(
+    "name",
+    TABLE1_NAMES + ("SL2:7", "S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4", "dihedral_300"),
+)
+def test_class_table_matches_conjugation_by_every_element(name):
+    # the table conjugates by the generators on element positions, in bytes
+    # up to 256 points and by tuples above (dihedral_300); the oracle
+    # conjugates by every element of G in plain tuple arithmetic
+    G = dihedral_300() if name == "dihedral_300" else build_named_group(name)
+    table = G.conjugacy_classes()
+    rows, index = conjugacy_classes_by_brute_force(G)
+    assert [(tuple(c.representative._raw), c.size, c.element_order) for c in table] == rows
+    assert list(table._index) == G._elements_raw()
+    assert {tuple(e): i for e, i in table._index.items()} == index
 
 
 @pytest.mark.parametrize("name", ["S:4", "PGL2:7", "D:20 x S:4", "dihedral_300"])

@@ -12,9 +12,10 @@ import time
 from pathlib import Path
 
 import pytest
+from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 import grouplab
-from grouplab import FactoredInteger, build_named_group, catalog
+from grouplab import FactoredInteger, build_named_group, catalog, parse_permutation
 from grouplab import analysis as analysis_mod
 from grouplab import sol as sol_mod
 from grouplab import suite as suite_mod
@@ -631,6 +632,37 @@ def test_cli_scan_counterexample_exits_two(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_a8_is_a_counterexample_to_scan_question_1(capsys):
+    # question 1: is Sol a subgroup whenever |Sol| is a power of 2? In A:8,
+    # 160 elements over the default cap, Sol((3,4)(5,6,7,8)) has 1024 = 2^10
+    # elements, more than the Sylow 2-subgroup's 64
+    assert main(["scan", "--groups", "A:8", "--cap", "20160", "--workers", "1",
+                 "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["counterexamples"] == 1
+    [record] = [r for r in doc["records"] if r["status"] == "COUNTEREXAMPLE"]
+    witness = {"group": "A:8", "element": "(3,4)(5,6,7,8)", "sol_order": 1024}
+    assert record == {
+        "group": "A:8", "representative": "(3,4)(5,6,7,8)", "x_order": 4,
+        "sol_order": {"value": 1024, "factors": {"2": 10}}, "conjecture": 1,
+        "status": "COUNTEREXAMPLE", "witness": witness,
+    }
+    # the certificate that Sol is not closed: a and b lie in Sol, a*b does not
+    G = build_named_group("A:8", 20160)
+    x, a, b, ab = (parse_permutation(c, 8) for c in
+                   ("(3,4)(5,6,7,8)", "(6,7,8)", "(4,5)(6,8)", "(4,5)(6,7)"))
+    assert a * b == ab and all(G.contains(g) for g in (x, a, b, ab))
+    result = sol_mod.solubilizer(G, x)
+    assert result.order.value == 1024 and not result.is_subgroup
+    assert a in result.members and b in result.members and ab not in result.members
+    # and by sympy alone, which multiplies left to right as grouplab does
+    X, A, B, AB = (SPerm([v - 1 for v in g.images]) for g in (x, a, b, ab))
+    assert A * B == AB
+    assert PermutationGroup([X, A]).is_solvable and PermutationGroup([X, B]).is_solvable
+    H = PermutationGroup([X, AB])
+    assert H.order() == 360 and not H.is_solvable
+
+
 def test_flipped_pair_verdict_fails_the_checks_of_a_soluble_group(monkeypatch, capsys):
     # one wrong pair answer at one representative of a soluble G, where every
     # pair is decided from x and y without a walk: the containment spot check
@@ -729,6 +761,27 @@ def test_cli_orders_flag_switches_selector(capsys):
     doc = json.loads(capsys.readouterr().out)
     reps = {r["x_order"] for r in doc["records"]}
     assert reps == {5}
+
+
+def test_an_orders_selector_that_matches_no_class_is_one_error_line(capsys):
+    # A:5 has no element of order 7, so the run would check nothing
+    for command in ("suite", "scan"):
+        assert main([command, "--groups", "A:5", "--orders", "7", "--workers", "1"]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no class representative of order 7 in A:5\n"
+    assert main(["scan", "--groups", "A:5,S:5", "--orders", "7,11"]) == 1
+    assert capsys.readouterr().err == "error: no class representative of order 7 or 11 in A:5, S:5\n"
+    # a group without the orders is allowed while another group has them
+    for command in ("suite", "scan"):
+        assert main([command, "--groups", "A:5,PSL2:7", "--orders", "7", "--workers", "1",
+                     "--format", "json"]) == 0, command
+        doc = json.loads(capsys.readouterr().out)
+        if command == "scan":
+            assert {(r["group"], r["x_order"]) for r in doc["records"]} == {("PSL2:7", 7)}
+        else:
+            assert [(g["group"], g["representatives"]) for g in doc["groups"]] == [
+                ("A:5", 0), ("PSL2:7", 2)]
 
 
 def test_cli_out_writes_file(tmp_path, capsys):
