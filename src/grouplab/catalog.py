@@ -6,6 +6,13 @@ Name grammar (the CLI's group-selection language):
     PSL2:11  PGL2:7  PGammaL2:9  SL2:7
     products joined with " x ", e.g. "C:2 x PGL2:7"
 
+PSL2:q, PGL2:q and PGammaL2:q take q = p^k under the one rule of fields.
+They and M10 act on the projective line over GF(q) (Huppert, Endliche
+Gruppen I, II.8), and their generators are read off the power table of
+GF(q). M10 is PSL(2,9) and one more generator, Frobenius followed by scaling
+by a non-square: PGammaL(2,9)/PSL(2,9) is C2 x C2, and M10 is the overgroup
+of index 2 in the coset of the diagonal and field automorphisms.
+
 Every constructor validates its result (order, plus any declared flags)
 before returning; a validation failure is a construction bug and raises.
 """
@@ -13,12 +20,13 @@ before returning; a validation failure is a construction bug and raises.
 from __future__ import annotations
 
 import re
+from functools import partial
 from math import factorial
 from typing import Callable, NamedTuple
 
 from . import analysis
-from .fields import SmallField, field_arithmetic
-from .perm import DEFAULT_CAP, FactoredInteger, PermGroup, Permutation, _order_histogram, is_prime
+from .fields import power_table, prime_power
+from .perm import DEFAULT_CAP, FactoredInteger, PermGroup, Permutation, is_prime
 
 
 class GroupSpec(NamedTuple):
@@ -37,11 +45,6 @@ def _spec(name: str, degree: int, order: int, **flags) -> GroupSpec:
     return GroupSpec(
         name, degree, FactoredInteger.from_int(order), tuple(sorted(flags.items()))
     )
-
-
-def _psl_order(q: int) -> int:
-    d = 2 if q % 2 else 1
-    return q * (q * q - 1) // d
 
 
 # The fourteen insoluble groups of order <= 2000 (excluding order 1920) with
@@ -64,11 +67,7 @@ TABLE1: tuple[GroupSpec, ...] = (
 )
 
 TABLE1_NAMES: tuple[str, ...] = tuple(s.name for s in TABLE1)
-
-# degree 32, order 14880; opt-in for the 2-subgroup exploration, not a Table-1 row
-PSL31_SPEC: GroupSpec = _spec(
-    "PSL2:31", 32, 14880, soluble=False, simple=True, trivial_fitting=True
-)
+_TABLE1_SPECS = dict(zip(TABLE1_NAMES, TABLE1))
 
 _FAMILY_RE = re.compile(r"^(S|A|C|D|SD|Q|PSL2|PGL2|PGammaL2|SL2):(\d+)$")
 
@@ -76,94 +75,82 @@ _FAMILY_RE = re.compile(r"^(S|A|C|D|SD|Q|PSL2|PGL2|PGammaL2|SL2):(\d+)$")
 def group_spec(name: str) -> GroupSpec:
     """Resolve a canonical name to its GroupSpec (degree, order, flags)."""
     name = name.strip()
-    if " x " in name:
-        parts = [group_spec(p) for p in name.split(" x ")]
-        degree = sum(p.degree for p in parts)
-        order = 1
-        for p in parts:
-            order *= p.expected_order.value
-        soluble = all(p.flags.get("soluble", False) for p in parts)
-        canonical = " x ".join(p.name for p in parts)
-        return _spec(canonical, degree, order, soluble=soluble)
+    if " x " not in name:
+        return _parse(name)[0]
+    parts = [group_spec(p) for p in name.split(" x ")]
+    degree = sum(p.degree for p in parts)
+    order = 1
+    for p in parts:
+        order *= p.expected_order.value
+    soluble = all(p.flags.get("soluble", False) for p in parts)
+    canonical = " x ".join(p.name for p in parts)
+    return _spec(canonical, degree, order, soluble=soluble)
+
+
+def _parse(name: str) -> tuple[GroupSpec, Callable[[], list[Permutation]]]:
+    """The spec of a name without " x ", and the constructor of its generators.
+    A Table-1 row keeps its recorded flags."""
     if name == "M10":
-        return next(s for s in TABLE1 if s.name == "M10")
+        return _TABLE1_SPECS[name], partial(_projective_line_gens, 3, 2, "M10")
     if name == "C7:C3":
-        return _spec("C7:C3", 7, 21, soluble=True)
+        return _spec(name, 7, 21, soluble=True), _c7c3_gens
     m = _FAMILY_RE.match(name)
     if not m:
         raise ValueError(f"unknown group name: {name!r}")
-    family, param = m.group(1), int(m.group(2))
-    for s in TABLE1:
-        if s.name == name:
-            return s
-    if name == "PSL2:31":
-        return PSL31_SPEC
+    family, n = m.group(1), int(m.group(2))
     if family == "S":
-        if param < 1:
+        if n < 1:
             raise ValueError("S:n needs n >= 1")
-        flags = {"soluble": True} if param <= 4 else {"soluble": False, "simple": False}
-        return _spec(name, param, factorial(param), **flags)
-    if family == "A":
-        if param < 3:
+        flags = {"soluble": True} if n <= 4 else {"soluble": False, "simple": False}
+        spec, gens = _spec(name, n, factorial(n), **flags), partial(_sym_gens, n)
+    elif family == "A":
+        if n < 3:
             raise ValueError("A:n needs n >= 3")
-        flags = {"soluble": True} if param <= 4 else {"soluble": False, "simple": True}
-        return _spec(name, param, factorial(param) // 2, **flags)
-    if family == "C":
-        if param < 1:
+        flags = {"soluble": True} if n <= 4 else {"soluble": False, "simple": True}
+        spec, gens = _spec(name, n, factorial(n) // 2, **flags), partial(_alt_gens, n)
+    elif family == "C":
+        if n < 1:
             raise ValueError("C:n needs n >= 1")
-        return _spec(name, max(param, 1), param, soluble=True)
-    if family == "D":
-        if param < 6 or param % 2:
+        spec, gens = _spec(name, n, n, soluble=True), partial(_cyclic_gens, n)
+    elif family == "D":
+        if n < 6 or n % 2:
             raise ValueError("D:m needs an even order m >= 6")
-        return _spec(name, param // 2, param, soluble=True)
-    if family == "SD":
-        if param < 16 or param & (param - 1):
+        spec, gens = _spec(name, n // 2, n, soluble=True), partial(_dihedral_gens, n)
+    elif family == "SD":
+        if n < 16 or n & (n - 1):
             raise ValueError("SD:m needs a 2-power order m >= 16")
-        return _spec(name, param // 2, param, soluble=True)
-    if family == "Q":
-        if param < 8 or param & (param - 1):
+        spec, gens = _spec(name, n // 2, n, soluble=True), partial(_semidihedral_gens, n)
+    elif family == "Q":
+        if n < 8 or n & (n - 1):
             raise ValueError("Q:m needs a 2-power order m >= 8")
-        return _spec(name, param, param, soluble=True)
-    if family in ("PSL2", "PGL2", "PGammaL2"):
-        q = param
-        f = _field_for(q)
-        base = _psl_order(q)
+        spec, gens = _spec(name, n, n, soluble=True), partial(_quaternion_gens, n)
+    elif family == "SL2":
+        if not is_prime(n) or n < 5:
+            raise ValueError("SL2:p needs a prime p >= 5")
+        spec = _spec(name, n * n - 1, n * (n * n - 1), soluble=False, simple=False)
+        gens = partial(_sl2_gens, n)
+    else:
+        q = n
+        p, k = prime_power(q)
         if family == "PSL2":
-            order = base
+            order = q * (q * q - 1) // (2 if p > 2 else 1)
             flags = {"soluble": False, "simple": q >= 4, "trivial_fitting": True}
         elif family == "PGL2":
             order = q * (q * q - 1)
             # even q: every scalar is a square, so PGL coincides with PSL
-            flags = {"soluble": False, "simple": f.p == 2, "trivial_fitting": True}
+            flags = {"soluble": False, "simple": p == 2, "trivial_fitting": True}
         else:
-            order = q * (q * q - 1) * f.k
-            if f.k == 1:
+            if k == 1:
                 raise ValueError("PGammaL2:q needs a proper prime power q")
+            order = q * (q * q - 1) * k
             flags = {"soluble": False, "simple": False, "trivial_fitting": True}
-        return _spec(name, q + 1, order, **flags)
-    if family == "SL2":
-        p = param
-        if not is_prime(p) or p < 5:
-            raise ValueError("SL2:p needs a prime p >= 5")
-        return _spec(name, p * p - 1, p * (p * p - 1), soluble=False, simple=False)
-    raise ValueError(f"unknown group name: {name!r}")
-
-
-def _field_for(q: int) -> SmallField:
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        for k in (1, 2, 3):
-            if p**k == q:
-                return field_arithmetic(p, k)
-    raise ValueError(f"{q} is not a prime power with exponent <= 3")
+        spec = _spec(name, q + 1, order, **flags)
+        gens = partial(_projective_line_gens, p, k, family)
+    return _TABLE1_SPECS.get(name, spec), gens
 
 
 def _one_based(images0: list[int]) -> Permutation:
     return Permutation([i + 1 for i in images0])
-
-
-def _compose0(a: list[int], b: list[int]) -> list[int]:
-    # apply a, then b
-    return [b[v] for v in a]
 
 
 def _sym_gens(n: int) -> list[Permutation]:
@@ -239,63 +226,36 @@ def _c7c3_gens() -> list[Permutation]:
     return [_one_based(rot), _one_based(aut)]
 
 
-def _projective_line_maps(f: SmallField):
-    """0-based image tables on 1 + q points: index 0 is the point at infinity,
-    index 1+e is the field element e."""
-    q = f.q
+def _projective_line_gens(p: int, k: int, family: str) -> list[Permutation]:
+    """Generators of PSL2, PGL2, PGammaL2 or M10 on the 1 + q points of the
+    projective line over GF(q): point 1 is infinity, point 2 + z the field
+    element z. With exp = [g^0, ..., g^(q-2)] and log its inverse, all mod
+    m = q - 1: scaling by g^j sends z to exp[log z + j], -1/z is
+    exp[h - log z] with h = log(-1), Frobenius is exp[p log z], and z + 1
+    adds one to the lowest base-p digit of z."""
+    exp = power_table(p, k)
+    q = p**k
+    m = q - 1
+    log = [0] * q
+    for i, z in enumerate(exp):
+        log[z] = i
 
-    def on_line(inf_to: int | None, elem_map: Callable[[int], int | None]) -> list[int]:
-        # encode infinity as None inside the callbacks
-        images = [0] * (q + 1)
-        images[0] = 0 if inf_to is None else 1 + inf_to
-        for e in range(q):
-            img = elem_map(e)
-            images[1 + e] = 0 if img is None else 1 + img
-        return images
+    def on_logs(f: Callable[[int], int]) -> Permutation:
+        # infinity and 0 fixed, z != 0 sent to exp[f(log z)]
+        return _one_based([0, 1] + [1 + exp[f(log[z]) % m] for z in range(1, q)])
 
-    shift = on_line(None, lambda e: f.add(e, 1))
-
-    def scale(c: int) -> list[int]:
-        return on_line(None, lambda e: f.mul(c, e))
-
-    neg_recip = on_line(0, lambda e: None if e == 0 else f.neg(f.inv(e)))
-    frob = on_line(None, f.frobenius)
-    return shift, scale, neg_recip, frob
-
-
-def _psl_family_gens(q: int, kind: str) -> list[Permutation]:
-    f = _field_for(q)
-    shift, scale, neg_recip, frob = _projective_line_maps(f)
-    g = f.generator()
-    sq_scale = scale(g if f.p == 2 else f.mul(g, g))
-    psl = [shift, sq_scale, neg_recip]
-    if kind == "PSL2":
-        tables = psl
-    elif kind == "PGL2":
-        tables = [shift, scale(g), neg_recip]
-    elif kind == "PGammaL2":
-        tables = [shift, scale(g), neg_recip, frob]
-    else:
-        raise ValueError(kind)
-    return [_one_based(t) for t in tables]
-
-
-def _m10_gens() -> list[Permutation]:
-    """M10 = the index-2 overgroup of PSL(2,9) in PGammaL(2,9) generated by
-    (Frobenius) * (non-square scalar); selected by order and order spectrum
-    rather than pinned generator words."""
-    f = field_arithmetic(3, 2)
-    shift, scale, neg_recip, frob = _projective_line_maps(f)
-    g = f.generator()
-    psl = [shift, scale(f.mul(g, g)), neg_recip]
-    want = frozenset({1, 2, 3, 4, 5, 8})
-    for nonsq in [a for a in range(1, 9) if not f.is_square(a)]:
-        for cand in (_compose0(frob, scale(nonsq)), _compose0(scale(nonsq), frob)):
-            gens = [_one_based(t) for t in psl + [cand]]
-            H = PermGroup(gens)
-            if H.order == 720 and {o for o, _ in _order_histogram(H)} == want:
-                return gens
-    raise RuntimeError("no candidate produced the M10 order spectrum")
+    shift = _one_based([0] + [1 + z - z % p + (z + 1) % p for z in range(q)])
+    h = m // 2 if p > 2 else 0
+    neg_recip = _one_based([1, 0] + [1 + exp[(h - log[z]) % m] for z in range(1, q)])
+    psl = [shift, on_logs(lambda i: i + (2 if p > 2 else 1)), neg_recip]
+    if family == "PSL2":
+        return psl
+    if family == "M10":
+        # PGammaL(2,9)/PSL(2,9) is C2 x C2, and M10 is the overgroup of index 2
+        # in the diagonal-times-field coset: Frobenius, then scaling by g
+        return psl + [on_logs(lambda i: p * i + 1)]
+    pgl = [shift, on_logs(lambda i: i + 1), neg_recip]
+    return pgl if family == "PGL2" else pgl + [on_logs(lambda i: p * i)]
 
 
 def _sl2_gens(p: int) -> list[Permutation]:
@@ -357,36 +317,10 @@ def build_named_group(name: str, cap: int = DEFAULT_CAP) -> PermGroup:
             for part in parts[1:]:
                 G, _, _ = direct_product(G, build_named_group(part, cap))
         else:
-            G = PermGroup(_gens_for(spec.name), cap)
+            G = PermGroup(_parse(spec.name)[1](), cap)
         _validate_build(spec, G)
     _BUILD_CACHE[key] = G
     return G
-
-
-def _gens_for(name: str) -> list[Permutation]:
-    if name == "M10":
-        return _m10_gens()
-    if name == "C7:C3":
-        return _c7c3_gens()
-    family, param = name.split(":")
-    n = int(param)
-    if family == "S":
-        return _sym_gens(n)
-    if family == "A":
-        return _alt_gens(n)
-    if family == "C":
-        return _cyclic_gens(n)
-    if family == "D":
-        return _dihedral_gens(n)
-    if family == "SD":
-        return _semidihedral_gens(n)
-    if family == "Q":
-        return _quaternion_gens(n)
-    if family in ("PSL2", "PGL2", "PGammaL2"):
-        return _psl_family_gens(n, family)
-    if family == "SL2":
-        return _sl2_gens(n)
-    raise ValueError(f"unknown group name: {name!r}")
 
 
 def _validate_build(spec: GroupSpec, G: PermGroup):

@@ -103,7 +103,8 @@ def _load_config(args) -> suite.RunConfig:
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    if data.get("orders") and "selector" not in data:
+    # an explicit --orders always selects by order; so do orders in a file without a selector
+    if getattr(args, "orders", None) is not None or (data.get("orders") and "selector" not in data):
         data["selector"] = "orders"
     return suite.RunConfig.from_json(data)
 

@@ -1,14 +1,19 @@
-"""Small finite fields GF(p^k), k <= 3, with fixed moduli.
+"""The power tables of the small finite fields GF(q), q = p^k.
 
-Elements are encoded as integers 0..p^k-1: the base-p digits of the code are
-the polynomial coefficients, least significant first. Fixing the modulus per
-(p, k) makes every downstream permutation bit-reproducible.
+One rule bounds the fields here: p prime, k <= 3 and q <= 1024.
+
+An element is encoded as an integer 0..q-1 whose base-p digits are its
+polynomial coefficients, least significant first, modulo a pinned modulus:
+the one in _FIXED_MODULI, otherwise the smallest-encoded irreducible. The
+field's whole multiplicative structure is the table [g^0, ..., g^(q-2)] of
+the smallest-encoded primitive element g: products, inverses and Frobenius
+are sums, negations and multiples of logarithms modulo q - 1. Fixing the
+modulus and g makes every downstream permutation bit-reproducible.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .perm import is_prime
 
@@ -19,131 +24,61 @@ _FIXED_MODULI = {
 }
 
 _SIZE_LIMIT = 1024
+_RULE = f"p^k with p prime, k <= 3 and p^k <= {_SIZE_LIMIT}"
 
 
-class SmallField(NamedTuple):
-    p: int
-    k: int
-    modulus: tuple[int, ...]  # c_0..c_{k-1} of t^k + c_{k-1} t^{k-1} + ... + c_0
-
-    @property
-    def q(self) -> int:
-        return self.p**self.k
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, ds) -> int:
-        out = 0
-        for c in reversed(ds):
-            out = out * self.p + c
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        conv = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % self.p
-        # fold t^d down using t^k = -modulus
-        for d in range(2 * self.k - 2, self.k - 1, -1):
-            c = conv[d]
-            if c:
-                conv[d] = 0
-                for i, m in enumerate(self.modulus):
-                    conv[d - self.k + i] = (conv[d - self.k + i] - c * m) % self.p
-        return self._undigits(conv[: self.k])
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("field inverse of zero")
-        return self.pow(a, self.q - 2)
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
-    def mult_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        o = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            o += 1
-        return o
-
-    def generator(self) -> int:
-        """Smallest-encoded generator of the multiplicative group."""
-        for a in range(1, self.q):
-            if self.mult_order(a) == self.q - 1:
-                return a
-        raise RuntimeError("multiplicative group is not cyclic; field is broken")
-
-    def is_square(self, a: int) -> bool:
-        if a == 0 or self.p == 2:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
-
-    def elements(self) -> range:
-        return range(self.q)
-
-
-def _is_irreducible(p: int, k: int, modulus: tuple[int, ...]) -> bool:
-    # degree 2 or 3: reducible iff it has a root
-    for a in range(p):
-        acc = pow(a, k, p)
-        for i, m in enumerate(modulus):
-            acc = (acc + m * pow(a, i, p)) % p
-        if acc == 0:
-            return False
-    return True
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, if q is a field size allowed here."""
+    if 2 <= q <= _SIZE_LIMIT:
+        for k in (1, 2, 3):
+            p = round(q ** (1 / k))
+            if p**k == q and is_prime(p):
+                return p, k
+    raise ValueError(f"{q} is not {_RULE}")
 
 
 @lru_cache(maxsize=None)
-def field_arithmetic(p: int, k: int = 1) -> SmallField:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 1 <= k <= 3:
-        raise ValueError("extension degree must be 1, 2, or 3")
-    if p**k > _SIZE_LIMIT:
-        raise ValueError(f"field size {p**k} exceeds limit {_SIZE_LIMIT}")
-    if k == 1:
-        return SmallField(p, 1, ())
-    fixed = _FIXED_MODULI.get((p, k))
-    if fixed is not None:
-        return SmallField(p, k, fixed)
-    for code in range(1, p**k):
-        modulus = _digits_of(code, p, k)
-        if _is_irreducible(p, k, modulus):
-            return SmallField(p, k, modulus)
-    raise RuntimeError(f"no irreducible polynomial found for GF({p}^{k})")
+def power_table(p: int, k: int = 1) -> tuple[int, ...]:
+    """[g^0, ..., g^(q-2)] for the smallest-encoded primitive element g of GF(p^k)."""
+    if not is_prime(p) or k not in (1, 2, 3) or p**k > _SIZE_LIMIT:
+        raise ValueError(f"GF({p}^{k}) is not a field of size {_RULE}")
+    modulus = () if k == 1 else _FIXED_MODULI.get((p, k)) or next(
+        m for m in (_digits(code, p, k) for code in range(1, p**k)) if _is_irreducible(p, m)
+    )
+    for g in range(1, p**k):
+        table = [1]
+        x = g
+        while x != 1:
+            table.append(x)
+            x = _mul(x, g, p, modulus)
+        if len(table) == p**k - 1:
+            return tuple(table)
+    raise RuntimeError(f"GF({p}^{k}) has no primitive element; its modulus is reducible")
 
 
-def _digits_of(code: int, p: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
+def _digits(code: int, p: int, k: int) -> tuple[int, ...]:
+    return tuple(code // p**i % p for i in range(k))
+
+
+def _is_irreducible(p: int, modulus: tuple[int, ...]) -> bool:
+    # degree 2 or 3: reducible iff it has a root
+    k = len(modulus)
+    return all((a**k + sum(m * a**i for i, m in enumerate(modulus))) % p for a in range(p))
+
+
+def _mul(a: int, b: int, p: int, modulus: tuple[int, ...]) -> int:
+    """The product of two encoded elements modulo t^k + c_{k-1} t^{k-1} + ... + c_0."""
+    if not modulus:
+        return a * b % p
+    k = len(modulus)
+    da, db = _digits(a, p, k), _digits(b, p, k)
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            conv[i + j] += x * y
+    # fold t^d down using t^k = -(c_0 + ... + c_{k-1} t^{k-1})
+    for d in range(2 * k - 2, k - 1, -1):
+        c = conv[d]
+        for i, m in enumerate(modulus):
+            conv[d - k + i] -= c * m
+    return sum(c % p * p**i for i, c in enumerate(conv[:k]))

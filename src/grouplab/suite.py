@@ -222,6 +222,12 @@ class RunConfig(_RunConfigFields):
             raise ValueError("selector 'orders' requires a nonempty order list")
         if self.selector == "explicit" and not self.elements:
             raise ValueError("selector 'explicit' requires explicit elements")
+        if self.orders and self.selector != "orders":
+            raise ValueError(f"orders are only read under selector 'orders', not {self.selector!r}")
+        if self.elements and self.selector != "explicit":
+            raise ValueError(
+                f"elements are only read under selector 'explicit', not {self.selector!r}"
+            )
         named: set[str] = set()
         for name in self.groups:
             spec = catalog.group_spec(name)

@@ -1,4 +1,7 @@
-"""Named-group construction: orders, flags, spectra, and the name grammar."""
+"""Named-group construction: orders, flags, spectra, the name grammar, and
+the generator tables of the projective-line groups, pinned bit for bit."""
+
+import hashlib
 
 import pytest
 
@@ -12,7 +15,7 @@ from grouplab import (
     is_soluble,
     quotient_group,
 )
-from grouplab.catalog import PSL31_SPEC, catalog_row
+from grouplab.catalog import _parse, catalog_row
 
 EXPECTED_ORDERS = {
     "A:5": 60,
@@ -149,9 +152,97 @@ def test_sl2_values():
 
 
 def test_psl2_31_spec():
-    # order only; the degree-32 build itself is exercised in the suite tests
-    assert PSL31_SPEC.expected_order.value == 14880
-    assert group_spec("PSL2:31").expected_order.value == 14880
+    # the spec only; the degree-32 build itself is exercised in the suite tests
+    spec = group_spec("PSL2:31")
+    assert (spec.degree, spec.expected_order.value) == (32, 14880)
+    assert spec.flags == {"soluble": False, "simple": True, "trivial_fitting": True}
+
+
+# sha256 of the generator image tables, as built by the SmallField arithmetic
+# and the M10 order-spectrum search that the power-table construction replaced:
+# every PSL2/PGL2/PGammaL2 name with q = p^k, p <= 31, k <= 3, q <= 1024, and M10
+GENERATOR_DIGESTS = {
+    "PSL2:2": "25dd81baaef34db7",
+    "PGL2:2": "25dd81baaef34db7",
+    "PSL2:3": "c3370637654d096a",
+    "PGL2:3": "2d8e473e32525a80",
+    "PSL2:4": "47a482fc10b74e47",
+    "PGL2:4": "47a482fc10b74e47",
+    "PGammaL2:4": "308438f727c51466",
+    "PSL2:5": "c53a9043d60628ce",
+    "PGL2:5": "0455e86bf79a01ad",
+    "PSL2:7": "7f4eb7edfa4756e0",
+    "PGL2:7": "38fd75021ba46e4c",
+    "PSL2:8": "ced5cb7287f0632e",
+    "PGL2:8": "ced5cb7287f0632e",
+    "PGammaL2:8": "9a6a388fe2650e6d",
+    "PSL2:9": "a95a0d880662dc05",
+    "PGL2:9": "c7f06bca569e4644",
+    "PGammaL2:9": "aacbd1032e47c14f",
+    "PSL2:11": "f8f7c565d33f2a43",
+    "PGL2:11": "d0425567e1402f1d",
+    "PSL2:13": "999200d985eb4f53",
+    "PGL2:13": "7b7e2e582609f1fe",
+    "PSL2:17": "a63856e69e3a3b59",
+    "PGL2:17": "f79b09cc0218948d",
+    "PSL2:19": "2dfbbed7d4b20461",
+    "PGL2:19": "90cee9235dd4bb61",
+    "PSL2:23": "96ba8a3429d5c4cd",
+    "PGL2:23": "626f63ac88864b87",
+    "PSL2:25": "9eef04d414b679de",
+    "PGL2:25": "1c1b9db639482e3f",
+    "PGammaL2:25": "2659032d1e14894c",
+    "PSL2:27": "98fe47912233feeb",
+    "PGL2:27": "7ec9b906298fad5b",
+    "PGammaL2:27": "323bf7afebdd27c1",
+    "PSL2:29": "73ffd6184adf003b",
+    "PGL2:29": "b3d070f2f10b0eaa",
+    "PSL2:31": "ecbcc0769441a49d",
+    "PGL2:31": "7da0dce0a1a7241d",
+    "PSL2:49": "9560d5d0998508dc",
+    "PGL2:49": "68d5c0b892aa34b1",
+    "PGammaL2:49": "b6741a7a921aa4ff",
+    "PSL2:121": "59ff63db2bf1850c",
+    "PGL2:121": "015ffd3880750504",
+    "PGammaL2:121": "541a9eae86674348",
+    "PSL2:125": "402eaf16f5e22130",
+    "PGL2:125": "d5582dc1debfd487",
+    "PGammaL2:125": "263de94eb23ba0da",
+    "PSL2:169": "ece4f9ee58610cca",
+    "PGL2:169": "633fe6b4becb9cf9",
+    "PGammaL2:169": "dc036c72d8e0466b",
+    "PSL2:289": "0aa25218dd141433",
+    "PGL2:289": "ad17e455296a161c",
+    "PGammaL2:289": "644c96dc665ff338",
+    "PSL2:343": "38d338a2b7903895",
+    "PGL2:343": "a89da8268937940d",
+    "PGammaL2:343": "0d2d587c4d4d721d",
+    "PSL2:361": "fd7016bcb3a8907a",
+    "PGL2:361": "395727e4fe52cf9f",
+    "PGammaL2:361": "db7cd84a19e6df82",
+    "PSL2:529": "13d1ac1d80e7071e",
+    "PGL2:529": "03e0ff5ba7df2fcb",
+    "PGammaL2:529": "f6d190ec934a23d4",
+    "PSL2:841": "81c928eb689f4d3c",
+    "PGL2:841": "086d850da3576473",
+    "PGammaL2:841": "0c5a03eeef4006fd",
+    "PSL2:961": "ae591e5983338fdf",
+    "PGL2:961": "fbe1d5b2192321fa",
+    "PGammaL2:961": "b1d41902953fb139",
+    "M10": "d811f571676ef287",
+}
+
+
+def generator_digest(gens):
+    text = ";".join(",".join(map(str, g.images)) for g in gens)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", GENERATOR_DIGESTS)
+def test_projective_line_generators_are_bit_for_bit(name):
+    spec, gens = _parse(name)
+    assert spec == group_spec(name)
+    assert generator_digest(gens()) == GENERATOR_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

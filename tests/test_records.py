@@ -9,7 +9,6 @@ import pytest
 from grouplab import FactoredInteger
 from grouplab.analysis import RadicalCertificate
 from grouplab.catalog import GroupSpec
-from grouplab.fields import SmallField
 from grouplab.perm import ConjugacyClass
 from grouplab.sol import (
     CheckRecord,
@@ -32,7 +31,6 @@ RECORDS = {
     "grouplab.perm": (FactoredInteger, ConjugacyClass),
     "grouplab.analysis": (RadicalCertificate,),
     "grouplab.catalog": (GroupSpec,),
-    "grouplab.fields": (SmallField,),
     "grouplab.sol": (
         StructureTag,
         SolResult,
@@ -58,8 +56,8 @@ def _instance(cls):
     return RunConfig() if cls is RunConfig else cls._make(range(len(cls._fields)))
 
 
-def test_seventeen_records_keep_their_modules():
-    assert len(ALL_RECORDS) == 17
+def test_sixteen_records_keep_their_modules():
+    assert len(ALL_RECORDS) == 16
     for module, classes in RECORDS.items():
         for cls in classes:
             assert cls.__module__ == module

@@ -1,0 +1,70 @@
+"""Guralnick and Wilson's 11/30 bound as a one-sided oracle on every Sol.
+
+P(G) = sum over the class representatives x_i of |C_i| |Sol_G(x_i)| / |G|^2 is
+the share of ordered pairs of G that generate a soluble subgroup. An insoluble
+G has P(G) <= 11/30 (Guralnick and Wilson, "The probability of generating a
+finite soluble group", Proc. London Math. Soc. (3) 81, 2000), with equality at
+A5. So at A5 one element wrongly added to a single Sol breaks the bound. The
+exact values are pinned, and two identities cross-check them:
+P(G) = P(G/N) for a soluble normal N, and P(A x B) = P(A) P(B).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from grouplab import TABLE1_NAMES, build_named_group, solubilizer
+
+SHARES = {
+    "A:5": Fraction(11, 30),
+    "S:5": Fraction(11, 30),
+    "PSL2:7": Fraction(9, 28),
+    "SL2:7": Fraction(9, 28),
+    "PGL2:7": Fraction(3, 14),
+    "C:2 x PGL2:7": Fraction(3, 14),
+    "A:6": Fraction(1, 5),
+    "S:6": Fraction(1, 5),
+    "PSL2:8": Fraction(13, 84),
+    "PGammaL2:8": Fraction(13, 84),
+    "PSL2:11": Fraction(19, 165),
+    "PGL2:11": Fraction(19, 165),
+    "PGL2:9": Fraction(3, 20),
+    "M10": Fraction(3, 20),
+    "PGammaL2:9": Fraction(3, 20),
+    "PSL2:13": Fraction(17, 182),
+}
+
+
+def soluble_pair_share(G, sol_order=lambda G, x: solubilizer(G, x).order.value):
+    classes = G.conjugacy_classes().classes
+    pairs = sum(c.size * sol_order(G, c.representative) for c in classes)
+    return Fraction(pairs, G.order**2)
+
+
+def test_the_pinned_groups_are_the_catalog_and_two_more():
+    assert set(SHARES) == set(TABLE1_NAMES) | {"SL2:7", "C:2 x PGL2:7"}
+
+
+@pytest.mark.parametrize("name", SHARES)
+def test_insoluble_groups_meet_the_eleven_thirtieths_bound(name):
+    share = soluble_pair_share(build_named_group(name))
+    assert share <= Fraction(11, 30)
+    assert share == SHARES[name]
+
+
+def test_quotient_and_product_identities():
+    # SL(2,7)/Z = PSL(2,7) with Z of order 2, and P(C2) = 1
+    assert SHARES["SL2:7"] == SHARES["PSL2:7"]
+    assert SHARES["C:2 x PGL2:7"] == SHARES["PGL2:7"] * soluble_pair_share(build_named_group("C:2"))
+
+
+def test_one_element_added_to_a_sol_at_a5_breaks_the_bound():
+    G = build_named_group("A:5")
+    five_cycle = next(c.representative for c in G.conjugacy_classes().classes
+                      if c.element_order == 5)
+
+    def one_too_many(G, x):
+        return solubilizer(G, x).order.value + (x == five_cycle)
+
+    assert soluble_pair_share(G) == Fraction(11, 30)
+    assert soluble_pair_share(G, one_too_many) > Fraction(11, 30)

@@ -82,6 +82,18 @@ def test_config_rejects_wrong_types(fields):
         RunConfig(**fields)
 
 
+def test_config_rejects_orders_or_elements_its_selector_ignores():
+    for selector in ("all_class_reps", "explicit"):
+        with pytest.raises(ValueError, match="orders are only read under selector 'orders'"):
+            RunConfig(selector=selector, orders=(5,), elements=("(1,2,3)",))
+    for selector in ("all_class_reps", "orders"):
+        with pytest.raises(ValueError, match="elements are only read under selector 'explicit'"):
+            RunConfig(selector=selector, orders=(5,) * (selector == "orders"),
+                      elements=("(1,2,3)",))
+    with pytest.raises(ValueError, match="orders are only read"):
+        RunConfig.from_json({"groups": ["A:5"], "selector": "all_class_reps", "orders": [5]})
+
+
 def test_config_json_round_trip():
     cfg = RunConfig(groups=("A:5", "PSL2:7"), selector="orders", orders=(2, 5), workers=3)
     assert RunConfig.from_json(cfg.to_json()) == cfg
@@ -761,6 +773,38 @@ def test_cli_orders_flag_switches_selector(capsys):
     doc = json.loads(capsys.readouterr().out)
     reps = {r["x_order"] for r in doc["records"]}
     assert reps == {5}
+
+
+def test_cli_orders_flag_beats_the_selector_of_a_config_file(tmp_path, capsys):
+    # a report's config block, saved without out, is a config file that sets
+    # the selector; an explicit --orders still selects by order
+    assert main(["suite", "--groups", "A:5", "--workers", "1", "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config.pop("out") is None and config["selector"] == "all_class_reps"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["suite", "--config", str(cfg), "--orders", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["config"]["selector"], doc["config"]["orders"]) == ("orders", [5])
+    assert doc["groups"][0]["representatives"] == 2  # the two classes of 5-cycles
+    # a file whose orders its own selector would ignore is one error line
+    cfg.write_text(json.dumps({**config, "orders": [5]}))
+    assert main(["suite", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: orders are only read under selector 'orders', not 'all_class_reps'\n"
+    )
+
+
+def test_cli_projective_group_outside_the_field_rule_is_one_error_line(capsys):
+    for q in (16, 1031):
+        assert main(["sol", "--group", f"PSL2:{q}", "--order", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {q} is not p^k with p prime, k <= 3 and p^k <= 1024\n"
+    assert main(["sol", "--group", "PSL2:37", "--order", "2", "--cap", "30000"]) == 0
+    assert "group: PSL2:37 (order 2^2*3^2*19*37)" in capsys.readouterr().out
 
 
 def test_an_orders_selector_that_matches_no_class_is_one_error_line(capsys):
