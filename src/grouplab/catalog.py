@@ -134,7 +134,7 @@ def _parse(name: str) -> tuple[GroupSpec, Callable[[], list[Permutation]]]:
         p, k = prime_power(q)
         if family == "PSL2":
             order = q * (q * q - 1) // (2 if p > 2 else 1)
-            flags = {"soluble": False, "simple": q >= 4, "trivial_fitting": True}
+            flags = {"soluble": False, "simple": True, "trivial_fitting": True}
         elif family == "PGL2":
             order = q * (q * q - 1)
             # even q: every scalar is a square, so PGL coincides with PSL
@@ -144,6 +144,8 @@ def _parse(name: str) -> tuple[GroupSpec, Callable[[], list[Permutation]]]:
                 raise ValueError("PGammaL2:q needs a proper prime power q")
             order = q * (q * q - 1) * k
             flags = {"soluble": False, "simple": False, "trivial_fitting": True}
+        if q <= 3:  # PSL2:2 = PGL2:2 = S3, PSL2:3 = A4 and PGL2:3 = S4
+            flags = {"soluble": True, "simple": False, "trivial_fitting": False}
         spec = _spec(name, q + 1, order, **flags)
         gens = partial(_projective_line_gens, p, k, family)
     return _TABLE1_SPECS.get(name, spec), gens

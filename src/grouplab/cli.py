@@ -35,10 +35,13 @@ def _comma_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, seeded_pool: bool = True):
+    """The flags every command takes; --workers and --seed only when
+    seeded_pool, since catalog starts no pool and records no seed."""
     p.add_argument("--cap", type=int, default=None, help="element enumeration cap")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (0 = all cores)")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed, recorded in reports")
+    if seeded_pool:
+        p.add_argument("--workers", type=int, default=None, help="worker processes (0 = all cores)")
+        p.add_argument("--seed", type=int, default=None, help="sampling seed, recorded in reports")
     p.add_argument("--format", choices=("text", "json", "csv"), default=None)
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--config", default=None, help="JSON file with RunConfig fields")
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cat = sub.add_parser("catalog", help="list and validate the group catalog")
     p_cat.add_argument("--include-psl31", action="store_true", default=None)
-    _add_common(p_cat)
+    _add_common(p_cat, seeded_pool=False)
     return parser
 
 
@@ -93,8 +96,8 @@ def _load_config(args) -> suite.RunConfig:
         "groups": getattr(args, "groups", None),
         "orders": getattr(args, "orders", None),
         "cap": args.cap,
-        "workers": args.workers,
-        "seed": args.seed,
+        "workers": getattr(args, "workers", None),
+        "seed": getattr(args, "seed", None),
         "format": args.format,
         "out": args.out,
         "include_psl31": getattr(args, "include_psl31", None),
@@ -157,23 +160,23 @@ def cmd_sol(args) -> int:
 
 def cmd_table1(args) -> int:
     config = _load_config(args)
-    report = suite.run_table1(config)
-    _emit(suite.render(report.to_json(), config.format), config.out)
-    return 0 if report.all_ok else 1
+    doc = suite.run_table1(config)
+    _emit(suite.render(doc, config.format), config.out)
+    return 0 if doc["all_ok"] else 1
 
 
 def cmd_scan(args) -> int:
     config = _load_config(args)
-    report = suite.run_conjecture_scan(config)
-    _emit(suite.render(report.to_json(), config.format), config.out)
-    return 2 if report.counterexamples else 0
+    doc = suite.run_conjecture_scan(config)
+    _emit(suite.render(doc, config.format), config.out)
+    return 2 if doc["counterexamples"] else 0
 
 
 def cmd_suite(args) -> int:
     config = _load_config(args)
-    report = suite.run_full_suite(config)
-    _emit(suite.render(report.to_json(), config.format), config.out)
-    return 0 if report.all_passed else 1
+    doc = suite.run_full_suite(config)
+    _emit(suite.render(doc, config.format), config.out)
+    return 0 if doc["all_passed"] else 1
 
 
 def cmd_catalog(args) -> int:

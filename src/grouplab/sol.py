@@ -791,7 +791,7 @@ class QuotientCheckReport(NamedTuple):
     witness: dict | None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "rep": self.rep,
             "n_order": self.n_order,
             "n_soluble": self.n_soluble,
@@ -799,6 +799,9 @@ class QuotientCheckReport(NamedTuple):
             "quotient_sol_order": self.quotient_sol_order,
             "passed": self.passed,
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation) -> QuotientCheckReport:

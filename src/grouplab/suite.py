@@ -2,6 +2,10 @@
 regression suite, and the conjecture falsification scan, with deterministic
 JSON/CSV/text rendering.
 
+Each runner returns its report as the JSON document itself: a dict of plain
+JSON values whose keys are in report order, which render() prints as json,
+csv or text and from which the CLI reads its exit code.
+
 Reports are deterministic for a fixed (config, seed): everything that varies
 between runs (timestamps, wall times) lives under the "meta" key and nowhere
 else.
@@ -279,29 +283,6 @@ class RunConfig(_RunConfigFields):
         return cls(**known)
 
 
-class ConjectureScanRecord(NamedTuple):
-    group: str
-    representative: str
-    x_order: int
-    sol_order: FactoredInteger
-    conjecture: int
-    status: str  # hypothesis_not_triggered | verified | COUNTEREXAMPLE
-    witness: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "group": self.group,
-            "representative": self.representative,
-            "x_order": self.x_order,
-            "sol_order": self.sol_order.to_json(),
-            "conjecture": self.conjecture,
-            "status": self.status,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
 # ----------------------------------------------------------------- helpers
 
 
@@ -396,45 +377,50 @@ def _table1_row(name: str, cap: int) -> dict:
     return dict(items)
 
 
-class Table1Report(NamedTuple):
-    rows: tuple[dict, ...]
-    seed: int
-    meta: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r["ok"] for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "table1",
-            "seed": self.seed,
-            "all_ok": self.all_ok,
-            "rows": list(self.rows),
-            "meta": self.meta,
-        }
-
-
-def run_table1(config: RunConfig | None = None) -> Table1Report:
+def run_table1(config: RunConfig | None = None) -> dict:
     """Reproduce the 14-row trivial-Fitting table: order, insolubility,
-    |Fit(G)| = 1 and |R(G)| = 1 for every catalog group."""
+    |Fit(G)| = 1 and |R(G)| = 1 for every catalog group. Returns the report's
+    JSON document."""
     config = config or RunConfig()
     started = _utc_now()
     tasks = [(_table1_row, name, config.cap) for name in catalog.TABLE1_NAMES]
     results = pool_map(_run_task, tasks, config.resolved_workers())
-    meta = {
-        "started": started,
-        "finished": _utc_now(),
-        "wall_times": {row["group"]: round(seconds, 3) for row, seconds in results},
+    rows = [row for row, _ in results]
+    return {
+        "schema": SCHEMA,
+        "kind": "table1",
+        "seed": config.seed,
+        "all_ok": all(r["ok"] for r in rows),
+        "rows": rows,
+        "meta": {
+            "started": started,
+            "finished": _utc_now(),
+            "wall_times": {row["group"]: round(seconds, 3) for row, seconds in results},
+        },
     }
-    return Table1Report(tuple(row for row, _ in results), config.seed, meta)
 
 
 # -------------------------------------------------------------------- scan
 
 
-def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[ConjectureScanRecord]:
+def _scan_record(group: str, rep: str, x_order: int, sol_order: FactoredInteger, conj: int,
+                 status: str, witness: dict | None = None) -> dict:
+    """One record of the scan's document; status is hypothesis_not_triggered,
+    verified or COUNTEREXAMPLE, and witness is left out when there is none."""
+    record = {
+        "group": group,
+        "representative": rep,
+        "x_order": x_order,
+        "sol_order": sol_order.to_json(),
+        "conjecture": conj,
+        "status": status,
+    }
+    if witness is not None:
+        record["witness"] = witness
+    return record
+
+
+def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[dict]:
     G = catalog.build_named_group(name, cap)
     cls = G.conjugacy_classes().classes[rep_idx]
     x = cls.representative
@@ -444,9 +430,8 @@ def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[ConjectureS
     records = []
 
     def emit(conj: int, status: str, witness: dict | None = None):
-        records.append(
-            ConjectureScanRecord(name, rep, cls.element_order, result.order, conj, status, witness)
-        )
+        records.append(_scan_record(name, rep, cls.element_order, result.order, conj, status,
+                                    witness))
 
     counterexample = {"group": name, "element": rep, "sol_order": s}
 
@@ -470,54 +455,38 @@ def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[ConjectureS
     return records
 
 
-class ConjectureScanReport(NamedTuple):
-    records: tuple[ConjectureScanRecord, ...]
-    seed: int
-    meta: dict
-
-    @property
-    def counterexamples(self) -> list[ConjectureScanRecord]:
-        return [r for r in self.records if r.status == "COUNTEREXAMPLE"]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "conjecture_scan",
-            "seed": self.seed,
-            "counterexamples": len(self.counterexamples),
-            "records": [r.to_json() for r in self.records],
-            "meta": self.meta,
-        }
-
-
-def run_conjecture_scan(config: RunConfig | None = None) -> ConjectureScanReport:
+def run_conjecture_scan(config: RunConfig | None = None) -> dict:
     """Falsification scan for the three open conjectures over every selected
     class representative. Soluble groups satisfy all three trivially and are
-    skipped with hypothesis_not_triggered markers."""
+    skipped with hypothesis_not_triggered markers. Returns the report's JSON
+    document, whose counterexamples is the number of COUNTEREXAMPLE records."""
     config = config or RunConfig()
     started = _utc_now()
     selected: dict[str, list[int]] = {}  # insoluble group -> its chosen class positions
-    skipped: list[ConjectureScanRecord] = []
+    records: list[dict] = []  # the soluble groups' markers come first
     for name in config.groups:
         if catalog.group_spec(name).flags.get("soluble", False):
             one = FactoredInteger.from_int(1)
-            for conj in (1, 2, 3):
-                skipped.append(
-                    ConjectureScanRecord(
-                        name, "", 0, one, conj, "hypothesis_not_triggered",
-                        {"reason": "soluble ambient group"},
-                    )
-                )
+            records.extend(
+                _scan_record(name, "", 0, one, conj, "hypothesis_not_triggered",
+                             {"reason": "soluble ambient group"})
+                for conj in (1, 2, 3)
+            )
             continue
         selected[name] = _rep_indices(catalog.build_named_group(name, config.cap), config)
     _require_a_match(config, selected)
     tasks = [(_scan_records_for_rep, name, rep_idx, config.cap)
              for name, indices in selected.items() for rep_idx in indices]
-    records = list(skipped)
     for chunk, _ in pool_map(_run_task, tasks, config.resolved_workers()):
         records.extend(chunk)
-    meta = {"started": started, "finished": _utc_now()}
-    return ConjectureScanReport(tuple(records), config.seed, meta)
+    return {
+        "schema": SCHEMA,
+        "kind": "conjecture_scan",
+        "seed": config.seed,
+        "counterexamples": sum(r["status"] == "COUNTEREXAMPLE" for r in records),
+        "records": records,
+        "meta": {"started": started, "finished": _utc_now()},
+    }
 
 
 # -------------------------------------------------------------- full suite
@@ -529,41 +498,11 @@ def run_conjecture_scan(config: RunConfig | None = None) -> ConjectureScanReport
 _QUOTIENT_SECTIONS = (("SL2:7", "center"), ("S:5", "derived"))
 
 
-class FullSuiteReport(NamedTuple):
-    config: RunConfig
-    groups: tuple[dict, ...]
-    quotient_checks: tuple[dict, ...]
-    product_checks: tuple[dict, ...]
-    exploration: tuple[dict, ...]
-    meta: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            all(g["all_passed"] for g in self.groups)
-            and all(q["passed"] for q in self.quotient_checks)
-            and all(p["passed"] for p in self.product_checks)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "full_suite",
-            "seed": self.config.seed,
-            "config": self.config.to_json(),
-            "all_passed": self.all_passed,
-            "groups": list(self.groups),
-            "quotient_checks": list(self.quotient_checks),
-            "product_checks": list(self.product_checks),
-            "exploration": list(self.exploration),
-            "meta": self.meta,
-        }
-
-
-def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
+def run_full_suite(config: RunConfig | None = None) -> dict:
     """The full regression battery: every lemma item and theorem instance at
     every selected representative of every selected group, plus the quotient
-    and direct-product exercises, assembled in catalog order."""
+    and direct-product exercises, assembled in catalog order. Returns the
+    report's JSON document."""
     config = config or RunConfig()
     started = _utc_now()
     walls: dict[str, float] = {}
@@ -583,7 +522,7 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
         ]))
     _require_a_match(config, dict(group_tasks))
 
-    # report section (a FullSuiteReport field) -> its tasks, in report order
+    # report section (a key of the document) -> its tasks, in report order
     sections: dict[str, list[tuple]] = {
         "quotient_checks": [],
         "product_checks": [(_product_task, m, config.cap)
@@ -631,10 +570,21 @@ def run_full_suite(config: RunConfig | None = None) -> FullSuiteReport:
                 "theorem_checks": [r.to_json() for r in theorem_records],
             }
         )
-    done = {key: tuple(take(key, tasks)) if tasks else () for key, tasks in sections.items()}
-
-    meta = {"started": started, "finished": _utc_now(), "wall_times": walls}
-    return FullSuiteReport(config, tuple(groups), meta=meta, **done)
+    done = {key: take(key, tasks) if tasks else [] for key, tasks in sections.items()}
+    return {
+        "schema": SCHEMA,
+        "kind": "full_suite",
+        "seed": config.seed,
+        "config": config.to_json(),
+        "all_passed": (
+            all(g["all_passed"] for g in groups)
+            and all(q["passed"] for q in done["quotient_checks"])
+            and all(p["passed"] for p in done["product_checks"])
+        ),
+        "groups": groups,
+        **done,
+        "meta": {"started": started, "finished": _utc_now(), "wall_times": walls},
+    }
 
 
 # --------------------------------------------------------------- rendering
@@ -813,7 +763,7 @@ _LAYOUTS = {
 
 
 def render(doc: dict, fmt: str) -> str:
-    """A report's JSON document (``report.to_json()``) as json, csv or text."""
+    """A report's JSON document, as a runner returns it, as json, csv or text."""
     if fmt == "json":
         return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     lines, rows = _LAYOUTS[doc["kind"]](doc)

@@ -150,13 +150,13 @@ def test_criterion_07_a5_involutions(announce):
 
 def test_criterion_08_table1(announce):
     t0 = time.perf_counter()
-    report = run_table1(RunConfig(workers=0))
+    doc = run_table1(RunConfig(workers=0))
     elapsed = time.perf_counter() - t0
-    ok = report.all_ok and len(report.rows) == 14 and elapsed < 180.0
+    ok = doc["all_ok"] and len(doc["rows"]) == 14 and elapsed < 180.0
     announce(8, ok, f"14 rows, {elapsed:.1f}s")
-    assert len(report.rows) == 14
-    assert report.all_ok
-    for row in report.rows:
+    assert len(doc["rows"]) == 14
+    assert doc["all_ok"]
+    for row in doc["rows"]:
         assert row["insoluble"]
         assert row["fitting_order"] == 1
     assert elapsed < 180.0, f"took {elapsed:.1f}s"
@@ -212,23 +212,23 @@ def test_criterion_10_default_suite_gate(announce):
     }
     t0 = time.perf_counter()
     config = RunConfig()  # all available cores
-    report = run_full_suite(config)
+    doc = run_full_suite(config)
     elapsed = time.perf_counter() - t0
     gate_failures = [
         c
-        for g in report.groups
+        for g in doc["groups"]
         for c in g["lemma_checks"]
         if c["item"] in gate and not c["passed"]
     ]
     ok = not gate_failures and elapsed < 300.0
     announce(
-        10, ok, f"{len(report.groups)} groups, {elapsed:.1f}s, {config.resolved_workers()} workers"
+        10, ok, f"{len(doc['groups'])} groups, {elapsed:.1f}s, {config.resolved_workers()} workers"
     )
     assert not gate_failures, gate_failures
-    assert report.all_passed
+    assert doc["all_passed"]
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
     triggered = collections.Counter()
-    for g in report.groups:
+    for g in doc["groups"]:
         for c in g["lemma_checks"] + g["theorem_checks"]:
             triggered[c["item"]] += c["triggered"]
     assert dict(triggered) == TRIGGER_COUNTS
@@ -248,11 +248,11 @@ def test_criterion_11_sl27_center_quotient(announce):
 
 
 def test_criterion_12_conjecture_scan_clean(announce):
-    report = run_conjecture_scan(RunConfig())
-    exit_code = 2 if report.counterexamples else 0
+    doc = run_conjecture_scan(RunConfig())
+    exit_code = 2 if doc["counterexamples"] else 0
     announce(12, exit_code == 0,
-             f"{len(report.records)} records, {len(report.counterexamples)} counterexamples")
-    assert not report.counterexamples
+             f"{len(doc['records'])} records, {doc['counterexamples']} counterexamples")
+    assert not doc["counterexamples"]
     assert exit_code == 0
 
 

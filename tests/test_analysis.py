@@ -446,8 +446,8 @@ def run_screened_suite(monkeypatch):
     """The suite on three insoluble groups with cold groups and one worker,
     so that every count of work done in it repeats exactly."""
     monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
-    report = run_full_suite(RunConfig(groups=("S:6", "PGL2:11", "PGammaL2:8"), workers=1))
-    assert report.all_passed
+    doc = run_full_suite(RunConfig(groups=("S:6", "PGL2:11", "PGammaL2:8"), workers=1))
+    assert doc["all_passed"]
 
 
 def test_suite_walk_count_stays_screened(monkeypatch):
@@ -675,8 +675,8 @@ def test_soluble_suite_walks_only_wide_orbits(monkeypatch, name):
 
     monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
     monkeypatch.setattr(analysis_mod, "_residual_raw", counting)
-    report = run_full_suite(RunConfig(groups=(name,), workers=1))
-    assert report.all_passed
+    doc = run_full_suite(RunConfig(groups=(name,), workers=1))
+    assert doc["all_passed"]
     bounds = SOLUBLE_SUITE_WALKS[name]
     assert all(degrees[d] <= bounds.get(d, 0) for d in degrees), dict(degrees)
 
@@ -715,8 +715,8 @@ def test_soluble_suite_tests_each_restricted_pair_once(monkeypatch, name):
     monkeypatch.setattr(catalog_mod, "_BUILD_CACHE", {})
     monkeypatch.setattr(analysis_mod, "_soluble_raw", test)
     monkeypatch.setattr(analysis_mod, "_pair_verdict", verdict)
-    report = run_full_suite(RunConfig(groups=(name,), workers=1, seed=11))
-    assert report.all_passed
+    doc = run_full_suite(RunConfig(groups=(name,), workers=1, seed=11))
+    assert doc["all_passed"]
     assert len(tests) == len(keys) == SOLUBLE_SUITE_PAIR_TESTS[name], (len(tests), len(keys))
 
 

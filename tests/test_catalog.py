@@ -85,6 +85,16 @@ def test_pgl_equals_psl_for_even_q():
     assert build_named_group("PGL2:8").order == build_named_group("PSL2:8").order
 
 
+def test_small_projective_groups_are_soluble():
+    # PSL(2,2) = PGL(2,2) = S3, PSL(2,3) = A4 and PGL(2,3) = S4, whose Fitting
+    # subgroups are C3, V4, C3 and V4
+    for name, order, fitting in [("PSL2:2", 6, 3), ("PSL2:3", 12, 4), ("PGL2:2", 6, 3),
+                                 ("PGL2:3", 24, 4)]:
+        row = catalog_row(name)
+        assert (row["order"]["value"], row["insoluble"], row["fitting_order"]) == (
+            order, False, fitting), name
+
+
 def test_projective_groups_are_2_transitive():
     # orbit of (point1, point2) under the action has size n(n-1)
     G = build_named_group("PSL2:7")

@@ -19,13 +19,7 @@ from grouplab.sol import (
     SolResult,
     StructureTag,
 )
-from grouplab.suite import (
-    ConjectureScanRecord,
-    ConjectureScanReport,
-    FullSuiteReport,
-    RunConfig,
-    Table1Report,
-)
+from grouplab.suite import RunConfig
 
 RECORDS = {
     "grouplab.perm": (FactoredInteger, ConjugacyClass),
@@ -40,13 +34,7 @@ RECORDS = {
         QuotientCheckReport,
         ProductCheckReport,
     ),
-    "grouplab.suite": (
-        RunConfig,
-        ConjectureScanRecord,
-        Table1Report,
-        ConjectureScanReport,
-        FullSuiteReport,
-    ),
+    "grouplab.suite": (RunConfig,),
 }
 ALL_RECORDS = [cls for group in RECORDS.values() for cls in group]
 
@@ -56,8 +44,8 @@ def _instance(cls):
     return RunConfig() if cls is RunConfig else cls._make(range(len(cls._fields)))
 
 
-def test_sixteen_records_keep_their_modules():
-    assert len(ALL_RECORDS) == 16
+def test_twelve_records_keep_their_modules():
+    assert len(ALL_RECORDS) == 12
     for module, classes in RECORDS.items():
         for cls in classes:
             assert cls.__module__ == module
@@ -79,11 +67,6 @@ POOL_RECORDS = [
     CheckRecord("sol_pq", "(1,2)(3,4)", False, False, {"g": "(1,3)", "companion": True}),
     QuotientCheckReport("(1,2)", 2, True, 24, 12, True, None),
     ProductCheckReport("(1,2,3,4,5)", 6, 10, 60, True),
-    ConjectureScanRecord("A:5", "(1,2,3)", 3, FactoredInteger.from_int(12), 1, "verified"),
-    ConjectureScanRecord(
-        "S:4", "", 0, FactoredInteger.from_int(1), 2, "hypothesis_not_triggered",
-        {"reason": "soluble ambient group"},
-    ),
     FactoredInteger.from_int(720),
 ]
 

@@ -71,7 +71,7 @@ def rep_of_order(G, k):
 def suite_group(name, seed=0):
     """The suite report's section for one group: the lemma and theorem
     records checked at every class representative."""
-    return run_full_suite(RunConfig(groups=(name,), workers=1, seed=seed)).groups[0]
+    return run_full_suite(RunConfig(groups=(name,), workers=1, seed=seed))["groups"][0]
 
 
 def sol_orders_by_class(G):
@@ -747,12 +747,12 @@ def test_core_check_requires_involution():
 
 @pytest.mark.parametrize("name", ["A:5", "PSL2:7", "PGL2:7", "C:6", "S:4"])
 def test_lemma_suite_passes(name):
-    report = run_full_suite(RunConfig(groups=(name,), workers=1, seed=11))
-    group = report.groups[0]
+    doc = run_full_suite(RunConfig(groups=(name,), workers=1, seed=11))
+    group = doc["groups"][0]
     failures = [c for c in group["lemma_checks"] if not c["passed"]]
     assert not failures, failures
     assert group["group"] == name
-    assert report.to_json()["seed"] == 11
+    assert doc["seed"] == 11
 
 
 def test_lemma_suite_soluble_group_degenerates():

@@ -15,14 +15,12 @@ import pytest
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 import grouplab
-from grouplab import FactoredInteger, build_named_group, catalog, parse_permutation
+from grouplab import build_named_group, catalog, parse_permutation
 from grouplab import analysis as analysis_mod
 from grouplab import sol as sol_mod
 from grouplab import suite as suite_mod
 from grouplab.cli import build_parser, main
 from grouplab.suite import (
-    ConjectureScanRecord,
-    ConjectureScanReport,
     RunConfig,
     render,
     run_conjecture_scan,
@@ -116,19 +114,19 @@ def test_full_suite_json_is_deterministic_across_runs_and_workers():
     cfg1 = RunConfig(groups=("A:5", "PSL2:7"), workers=2)
     first = run_full_suite(cfg1)
     second = run_full_suite(cfg1)
-    doc1 = json.loads(render(first.to_json(), "json"))
-    doc2 = json.loads(render(second.to_json(), "json"))
+    doc1 = json.loads(render(first, "json"))
+    doc2 = json.loads(render(second, "json"))
     assert doc1.pop("meta") != {} and doc2.pop("meta") != {}
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
     # worker count must not leak into the content
     serial = run_full_suite(RunConfig(groups=("A:5", "PSL2:7"), workers=1))
-    assert serial.groups == first.groups
-    assert serial.product_checks == first.product_checks
-    assert serial.exploration == first.exploration
+    assert serial["groups"] == first["groups"]
+    assert serial["product_checks"] == first["product_checks"]
+    assert serial["exploration"] == first["exploration"]
 
 
-def _without_meta(report) -> dict:
-    doc = json.loads(render(report.to_json(), "json"))
+def _without_meta(doc: dict) -> dict:
+    doc = json.loads(render(doc, "json"))
     doc.pop("meta")
     return doc
 
@@ -155,12 +153,12 @@ def test_full_suite_runs_every_section_through_one_pool():
 
 
 def test_runners_time_every_group_and_section_in_meta():
-    report = run_full_suite(RunConfig(groups=("A:5",), product_powers=1, workers=1))
-    walls = report.meta["wall_times"]
+    doc = run_full_suite(RunConfig(groups=("A:5",), product_powers=1, workers=1))
+    walls = doc["meta"]["wall_times"]
     assert set(walls) == {"prepare:A:5", "checks", "checks:A:5", "checks:product_checks"}
     assert all(seconds >= 0 for seconds in walls.values())
     table1 = run_table1(RunConfig(workers=1))
-    assert list(table1.meta["wall_times"]) == [row["group"] for row in table1.rows]
+    assert list(table1["meta"]["wall_times"]) == [row["group"] for row in table1["rows"]]
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -368,7 +366,7 @@ def test_cli_import_generates_no_code():
 
 def test_scan_records_are_deterministic():
     cfg = RunConfig(groups=("A:5",), workers=2)
-    assert run_conjecture_scan(cfg).records == run_conjecture_scan(cfg).records
+    assert run_conjecture_scan(cfg)["records"] == run_conjecture_scan(cfg)["records"]
 
 
 # ---------------------------------------------------------------- formats
@@ -378,9 +376,37 @@ def _parse_csv(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
 
 
+# each runner's document, keys in report order
+DOCUMENT_KEYS = {
+    "table1": ["schema", "kind", "seed", "all_ok", "rows", "meta"],
+    "conjecture_scan": ["schema", "kind", "seed", "counterexamples", "records", "meta"],
+    "full_suite": ["schema", "kind", "seed", "config", "all_passed", "groups",
+                   "quotient_checks", "product_checks", "exploration", "meta"],
+}
+SCAN_RECORD_KEYS = ["group", "representative", "x_order", "sol_order", "conjecture", "status"]
+
+
+def test_runners_return_their_json_documents():
+    # the document is the report: plain JSON values (a tuple would not equal
+    # the list it prints as), keys in report order
+    docs = [
+        run_table1(RunConfig(workers=2)),
+        run_conjecture_scan(RunConfig(groups=("A:5", "C:6"), workers=2)),
+        run_full_suite(RunConfig(groups=("A:5",), product_powers=1, workers=2)),
+    ]
+    for doc in docs:
+        assert doc == json.loads(render(doc, "json"))
+        assert list(doc) == DOCUMENT_KEYS[doc["kind"]]
+    scan = docs[1]
+    assert scan["counterexamples"] == 0
+    for record in scan["records"]:
+        assert list(record) == SCAN_RECORD_KEYS + ["witness"] * ("witness" in record)
+    assert [r["group"] for r in scan["records"] if "witness" in r] == ["C:6"] * 3
+
+
 def test_csv_shape_for_scan():
-    report = run_conjecture_scan(RunConfig(groups=("A:5", "C:6"), workers=2))
-    rows = _parse_csv(render(report.to_json(), "csv"))
+    doc = run_conjecture_scan(RunConfig(groups=("A:5", "C:6"), workers=2))
+    rows = _parse_csv(render(doc, "csv"))
     assert rows[0] == ["group", "representative", "check", "status", "detail"]
     assert all(len(r) == 5 for r in rows)
     # 5 classes in A5 and the C:6 skip markers, three conjectures each
@@ -388,11 +414,11 @@ def test_csv_shape_for_scan():
 
 
 def test_scan_skips_soluble_groups_with_markers():
-    report = run_conjecture_scan(RunConfig(groups=("C:6",), workers=1))
-    assert len(report.records) == 3
-    assert {r.status for r in report.records} == {"hypothesis_not_triggered"}
-    assert {r.representative for r in report.records} == {""}
-    assert not report.counterexamples
+    doc = run_conjecture_scan(RunConfig(groups=("C:6",), workers=1))
+    assert len(doc["records"]) == 3
+    assert {r["status"] for r in doc["records"]} == {"hypothesis_not_triggered"}
+    assert {r["representative"] for r in doc["records"]} == {""}
+    assert not doc["counterexamples"]
 
 
 def test_explicit_selector_resolves_elements_to_classes():
@@ -400,15 +426,15 @@ def test_explicit_selector_resolves_elements_to_classes():
     elements = ("(2,4,3)", "(1,5)(2,4)", "(1,2,3)")
     cfg = RunConfig(groups=("A:5",), selector="explicit", elements=elements)
     assert suite_mod._rep_indices(build_named_group("A:5"), cfg) == [1, 2]
-    assert len(run_conjecture_scan(cfg).records) == 6
+    assert len(run_conjecture_scan(cfg)["records"]) == 6
     outside = RunConfig(groups=("A:5",), selector="explicit", elements=("(1,2)",))
     with pytest.raises(ValueError):
         run_conjecture_scan(outside)
 
 
 def test_csv_shape_for_suite():
-    report = run_full_suite(RunConfig(groups=("A:5",), workers=2))
-    rows = _parse_csv(render(report.to_json(), "csv"))
+    doc = run_full_suite(RunConfig(groups=("A:5",), workers=2))
+    rows = _parse_csv(render(doc, "csv"))
     assert rows[0] == ["group", "representative", "check", "status", "detail"]
     assert all(len(r) == 5 for r in rows)
     lemma_rows = [r for r in rows[1:] if r[0] == "A:5"]
@@ -418,11 +444,11 @@ def test_csv_shape_for_suite():
 
 def test_table1_report():
     report = run_table1(RunConfig(workers=0))
-    assert report.all_ok
-    assert len(report.rows) == 14
-    text = render(report.to_json(), "text")
+    assert report["all_ok"]
+    assert len(report["rows"]) == 14
+    text = render(report, "text")
     assert "all rows pass" in text
-    doc = json.loads(render(report.to_json(), "json"))
+    doc = json.loads(render(report, "json"))
     assert doc["schema"] == "grouplab-report/1"
     assert doc["kind"] == "table1"
     assert all("_wall" not in row for row in doc["rows"])
@@ -430,10 +456,10 @@ def test_table1_report():
 
 def test_empty_group_list_gives_empty_reports():
     scan = run_conjecture_scan(RunConfig(groups=(), workers=1))
-    assert scan.records == () and not scan.counterexamples
+    assert scan["records"] == [] and not scan["counterexamples"]
     full = run_full_suite(RunConfig(groups=(), workers=1))
-    assert full.all_passed
-    assert full.groups == () and full.quotient_checks == ()
+    assert full["all_passed"]
+    assert full["groups"] == [] and full["quotient_checks"] == []
 
 
 # -------------------------------------------------------------- CLI: sol
@@ -618,23 +644,48 @@ def test_cli_catalog_csv(capsys):
     assert len(rows) == 15
 
 
+def test_cli_catalog_takes_no_workers_or_seed(tmp_path, capsys):
+    # catalog starts no pool and records no seed, so the flags are usage
+    # errors; a config file that holds the fields still loads
+    for flag in ("--workers", "--seed"):
+        assert main(["catalog", flag, "2"]) == 1
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"workers": 7, "seed": 99}))
+    assert main(["catalog", "--config", str(path), "--format", "csv"]) == 0
+    assert len(_parse_csv(capsys.readouterr().out)) == 15
+
+
+def test_cli_small_projective_groups_are_soluble(capsys):
+    # PSL2:3 is A4: sol runs, and scan skips it as a soluble ambient group
+    assert main(["sol", "--group", "PSL2:3", "--order", "2"]) == 0
+    assert "structure: A4" in capsys.readouterr().out
+    assert main(["scan", "--groups", "PSL2:3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["group"], r["status"]) for r in doc["records"]] == [
+        ("PSL2:3", "hypothesis_not_triggered")] * 3
+
+
 def test_cli_scan_counterexample_exits_two(monkeypatch, capsys):
     witness = {"group": "A:5", "element": "(1,2,3,4,5)", "sol_order": 27}
-    fake = ConjectureScanReport(
-        records=(
-            ConjectureScanRecord(
-                group="A:5",
-                representative="(1,2,3,4,5)",
-                x_order=5,
-                sol_order=FactoredInteger.from_int(27),
-                conjecture=2,
-                status="COUNTEREXAMPLE",
-                witness=witness,
-            ),
-        ),
-        seed=0,
-        meta={},
-    )
+    fake = {
+        "schema": suite_mod.SCHEMA,
+        "kind": "conjecture_scan",
+        "seed": 0,
+        "counterexamples": 1,
+        "records": [
+            {
+                "group": "A:5",
+                "representative": "(1,2,3,4,5)",
+                "x_order": 5,
+                "sol_order": {"value": 27, "factors": {"3": 3}},
+                "conjecture": 2,
+                "status": "COUNTEREXAMPLE",
+                "witness": witness,
+            },
+        ],
+        "meta": {},
+    }
     monkeypatch.setattr(suite_mod, "run_conjecture_scan", lambda config=None: fake)
     assert main(["scan"]) == 2
     out = capsys.readouterr().out
@@ -716,6 +767,32 @@ def test_flipped_pair_verdict_fails_the_checks_of_a_soluble_group(monkeypatch, c
     # the witness replays: sol on that group and element exits 0
     assert main(["sol", "--group", "C7:C3 x S:4", "--element", failed[0]["rep"]]) == 0
     capsys.readouterr()
+
+
+def test_failed_quotient_check_keeps_its_witness(monkeypatch, capsys):
+    # one failing quotient check at one representative of SL2:7: its record
+    # carries the witness, every other quotient record still prints and
+    # passes without one, and suite exits 1
+    rep = build_named_group("SL2:7").conjugacy_classes().classes[1].representative
+    witness = {"projected": 1, "quotient_sol": 2, "sol": 3, "n": 2}
+    real = sol_mod.quotient_sol_check
+
+    def failing(G, N, x):
+        report = real(G, N, x)
+        if G is build_named_group("SL2:7") and x == rep:
+            return report._replace(passed=False, witness=witness)
+        return report
+
+    monkeypatch.setattr(sol_mod, "quotient_sol_check", failing)
+    assert main(["suite", "--workers", "1", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["all_passed"]
+    records = doc["quotient_checks"]
+    assert len(records) == 11 + 7  # the classes of SL2:7 and of S:5
+    failed = [q for q in records if not q["passed"]]
+    assert [(q["group"], q["rep"], q["witness"]) for q in failed] == [
+        ("SL2:7", rep.cycle_string(), witness)]
+    assert not any("witness" in q for q in records if q["passed"])
 
 
 # --------------------------------------------------------- config and out
