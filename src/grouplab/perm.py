@@ -644,6 +644,18 @@ class PermGroup:
             self._elements = self._chain.elements_raw()
         return self._elements
 
+    def _element_set(self) -> frozenset:
+        """The elements as one frozenset of raw tables, built on the first
+        request; RuntimeError if it does not hold |G| elements."""
+
+        def compute() -> frozenset:
+            raws = frozenset(self._elements_raw())
+            if len(raws) != self.order:
+                raise RuntimeError(f"element listing holds {len(raws)} of {self.order} elements")
+            return raws
+
+        return self._memo("element_set", compute)
+
     def elements(self) -> list[Permutation]:
         """All elements, in deterministic transversal-product order."""
         return [Permutation._from_raw(r, self._degree) for r in self._elements_raw()]

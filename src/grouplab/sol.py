@@ -17,7 +17,9 @@ The per-element layer conjugates x by no more of G than it must:
 * Sol(x) is listed in blocks of double cosets <x> b <x>, one pair test per
   block: <x, p b q> = <x, b> for p, q in <x>. A double coset is the union of
   the cosets <x> b x^j, and each coset is one product: the elements of
-  <x> b, laid end to end, times x^j (_sol_verdicts).
+  <x> b, laid end to end, times x^j (_sol_verdicts). When G is soluble or
+  x lies in R(G), G is one block: Sol(x) is G's element set, built once
+  per group, after one pair test (_solubilizer_search).
 * For |x| prime, ell = |x| whenever it is defined: <x> meet <z> is 1 or <x>
   (ell_invariant). For composite |x| each z in x^G is powered only until a
   power lies in <x>: the least such exponent is the index of <x> meet <z> in
@@ -167,7 +169,7 @@ def _normalizer_scan(G: PermGroup, xraw) -> tuple[frozenset, list]:
             if any(_raw_conj(xraw, s) not in cyclic for s in G._gen_raws()):
                 raise RuntimeError(f"normalizer scan: |N_G(<x>)| = |G| = {order}, "
                                    "but a generator of G does not normalize <x>")
-            return frozenset(G._elements_raw()), G._gen_raws()
+            return G._element_set(), G._gen_raws()
         closure = set(powers)
         members = powers[:]  # the closure K, coset by coset
         gens = [_table(xraw)]  # K's generators, padded as right operands
@@ -199,6 +201,12 @@ def _normalizer_scan(G: PermGroup, xraw) -> tuple[frozenset, list]:
     return G._memo(("ncyc", xraw), compute)
 
 
+def _within(part: frozenset, whole: frozenset) -> bool:
+    """part <= whole; a group's memoized element set is not walked against
+    itself."""
+    return part is whole or part <= whole
+
+
 def _coprime_powers(y, ident, mult) -> list:
     """The y^m with gcd(m, |y|) = 1, that is the generators of <y>."""
     powers = [y]
@@ -209,18 +217,15 @@ def _coprime_powers(y, ident, mult) -> list:
     return [powers[k - 1] for k in range(1, order + 1) if gcd(k, order) == 1]
 
 
-def _sol_verdicts(G: PermGroup, xraw, one_block: bool) -> dict:
+def _sol_verdicts(G: PermGroup, xraw) -> dict:
     """{y: <x, y> is soluble} for every element y, one pair test per block.
 
-    one_block: every <x, y> is soluble, because G is soluble or x lies in
-    R(G), where <x, y> <= R(G)<y>, which is soluble. Then G is one block, and
-    the first element's pair test, which is still run, gives every verdict.
-    Otherwise, with N = N_G(<x>), the verdict of y holds on the block made of
-    the double cosets <x> b <x>, b in Y, where Y is the closure under
-    N-conjugation of the powers y^m with gcd(m, |y|) = 1: <x, p*b*q> = <x, b>
-    for p, q in <x>, <x, b^g> = <x, b>^g because x^g generates <x>, and
-    <x, y^m> = <x, y>. So no two elements of one orbit of y -> x*y, y -> y^-1
-    and y -> y^g (g in N) are tested.
+    With N = N_G(<x>), the verdict of y holds on the block made of the double
+    cosets <x> b <x>, b in Y, where Y is the closure under N-conjugation of
+    the powers y^m with gcd(m, |y|) = 1: <x, p*b*q> = <x, b> for p, q in <x>,
+    <x, b^g> = <x, b>^g because x^g generates <x>, and <x, y^m> = <x, y>. So
+    no two elements of one orbit of y -> x*y, y -> y^-1 and y -> y^g (g in N)
+    are tested.
 
     Elements are visited in enumeration order, and each one without a verdict
     is tested. Its block is listed one double coset at a time. The double
@@ -235,8 +240,6 @@ def _sol_verdicts(G: PermGroup, xraw, one_block: bool) -> dict:
     of N, maps every double coset to itself and is not needed.
     """
     elements = G._elements_raw()
-    if one_block:
-        return dict.fromkeys(elements, analysis.pair_soluble(G, xraw, elements[0]))
     n = G.degree
     # the composer, picked once, as _Chain does
     mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
@@ -277,17 +280,40 @@ def solubilizer(G: PermGroup, x: Permutation) -> SolResult:
 
 
 def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
+    """Sol(x) from its pair tests, then the invariants.
+
+    When G is soluble or x lies in R(G), every <x, y> is soluble, since
+    <x, y> <= R(G)<y>, and Sol(x) = G (Guralnick, Kunyavskii, Plotkin and
+    Shalev, *J. Algebra*, 2006). The pair test of the first element is still
+    run: if it passes, Sol is G's memoized element set, shared by every such
+    x; if it fails, Sol is empty and the containment invariants raise.
+    Otherwise the blocks of _sol_verdicts give every verdict.
+    """
     n = G.degree
     xraw = x._raw
     soluble = analysis.is_soluble(G)
     radical = analysis.soluble_radical(G).radical
-    verdict = _sol_verdicts(G, xraw, soluble or radical.contains(x))
-    if len(verdict) != G.order:
-        raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
-    member_set = frozenset(filter(verdict.__getitem__, G._elements_raw()))
+    if soluble or radical.contains(x):
+        one_block = analysis.pair_soluble(G, xraw, G._elements_raw()[0])
+        member_set = G._element_set() if one_block else frozenset()
+    else:
+        verdict = _sol_verdicts(G, xraw)
+        if len(verdict) != G.order:
+            raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
+        member_set = frozenset(filter(verdict.__getitem__, G._elements_raw()))
+
+    norm_set = _normalizer_scan(G, xraw)[0]
+
+    # containment invariants, before anything reads Sol's size
+    if not _cyclic_raws(xraw, n) <= member_set:
+        raise RuntimeError("solubilizer does not contain the cyclic subgroup")
+    if not _within(norm_set, member_set):
+        raise RuntimeError("solubilizer does not contain the normalizer")
+    if not _within(radical._element_set(), member_set):
+        raise RuntimeError("solubilizer does not contain the soluble radical")
+
     members = ElementSet._from_raws(G, member_set)
     order = FactoredInteger.from_int(len(member_set))
-
     if len(member_set) == G.order:
         is_sub, subgroup = True, G  # Sol = G: no closure test, no second chain
     else:
@@ -298,17 +324,9 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
     if is_sub and len(member_set) <= 64:
         structure = identify_small_group(subgroup)
 
-    norm_set = _normalizer_scan(G, xraw)[0]
+    # divisibility invariants
     classes = G.conjugacy_classes()
     cent_order = G.order // classes.classes[classes.class_index(x)].size  # |G| / |x^G|
-
-    # containment and divisibility invariants
-    if not _cyclic_raws(xraw, n) <= member_set:
-        raise RuntimeError("solubilizer does not contain the cyclic subgroup")
-    if not norm_set <= member_set:
-        raise RuntimeError("solubilizer does not contain the normalizer")
-    if not set(radical._elements_raw()) <= member_set:
-        raise RuntimeError("solubilizer does not contain the soluble radical")
     for d in (x.order(), cent_order, radical.order):
         if order.value % d:
             raise RuntimeError(f"divisor invariant broken: {d} does not divide {order.value}")
@@ -330,6 +348,23 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
         normalizer_order=FactoredInteger.from_int(len(norm_set)),
         centralizer_order=FactoredInteger.from_int(cent_order),
     )
+
+
+def _non_closure_pair(members: ElementSet) -> tuple[Permutation, Permutation] | None:
+    """The first pair of members (a, b) with a*b outside them, taking a in
+    sorted order and, for each a, b in sorted order; None when the members
+    are closed under products, which for a finite set holding 1, as Sol
+    does, makes them a subgroup."""
+    n = members.ambient.degree
+    raws = members._raws
+    ordered = sorted(raws)
+    mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+    tables = [_table(b) for b in ordered]
+    for a in ordered:
+        for b, table in zip(ordered, tables):
+            if mult(a, table) not in raws:
+                return Permutation._from_raw(a, n), Permutation._from_raw(b, n)
+    return None
 
 
 # ---------------------------------------------------------------- structure
@@ -574,8 +609,8 @@ def lemma_checks_for_rep(
     cyc = _cyclic_raws(xraw, n)
     contained = (
         cyc <= sol_set
-        and norm_set <= sol_set
-        and sol_set.issuperset(radical._elements_raw())
+        and _within(norm_set, sol_set)
+        and _within(radical._element_set(), sol_set)
     )
     spot_ok = all(analysis.pair_soluble(G, xraw, y) == (y in sol_set) for y in sample)
     record("containment", contained and spot_ok, {"rep": rep})
@@ -641,7 +676,7 @@ def lemma_checks_for_rep(
     if p is not None and x_order == max(
         c.element_order for c in classes if prime_power_base(c.element_order) == p
     ):
-        holds = sol.members._raws == norm_set or sol_order > p * x_order
+        holds = sol_order > p * x_order or sol_set == norm_set
         record(
             "exponent_dichotomy",
             holds,
@@ -771,7 +806,7 @@ def sol_core_check(G: PermGroup, x: Permutation, seed: int = 0) -> CoreCheckRepo
         return CoreCheckReport(x.cycle_string(), False, ok, None, None, companion, witness)
 
     core = analysis.core(G, sol.subgroup)
-    core_set = set(core._elements_raw())
+    core_set = core._element_set()
     class_raws = G.conjugacy_classes().class_members(x)._raws
     if ok and not class_raws <= core_set:
         ok = False

@@ -434,16 +434,22 @@ def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[dict]:
                                     witness))
 
     counterexample = {"group": name, "element": rep, "sol_order": s}
+    base = prime_power_base(s)
 
     # C1: |Sol| = 2^n implies Sol is a subgroup
-    if prime_power_base(s) == 2:
-        emit(1, "verified" if result.is_subgroup else "COUNTEREXAMPLE",
-             None if result.is_subgroup else counterexample)
-    else:
+    if base != 2:
         emit(1, "hypothesis_not_triggered")
+    elif result.is_subgroup:
+        emit(1, "verified")
+    else:
+        # a, b in Sol with a*b outside it: the certificate that Sol is not closed
+        pair = sol._non_closure_pair(result.members)
+        if pair is None:
+            raise RuntimeError(f"Sol at {rep} in {name} failed the closure test but is closed")
+        certificate = {"a": pair[0].cycle_string(), "b": pair[1].cycle_string()}
+        emit(1, "COUNTEREXAMPLE", {**counterexample, "certificate": certificate})
 
     # C2: |Sol| is never a power of an odd prime
-    base = prime_power_base(s)
     odd_power = base is not None and base != 2
     emit(2, "COUNTEREXAMPLE" if odd_power else "verified", counterexample if odd_power else None)
 
@@ -602,6 +608,12 @@ def _detail(d: dict, skip=()) -> str:
     return ";".join(parts)
 
 
+def _witness_detail(record: dict) -> str:
+    """A record's witness as witness.key=value pairs; "" for a record without
+    one, as every passing record is."""
+    return ";".join(f"witness.{k}={v}" for k, v in (record.get("witness") or {}).items())
+
+
 def _table1_layout(doc: dict) -> tuple[list[str], list[list]]:
     lines = [f"{'group':14s} {'order':>8s} {'insoluble':>9s} {'|Fit|':>6s} {'|R|':>4s} ok"]
     rows = []
@@ -665,19 +677,16 @@ def _suite_layout(doc: dict) -> tuple[list[str], list[list]]:
                 status = (
                     "pass" if c["passed"] else "FAIL"
                 ) if c["triggered"] else "not_triggered"
-                rows.append([g["group"], c["rep"], f"{section}:{c['item']}", status, ""])
+                rows.append([g["group"], c["rep"], f"{section}:{c['item']}", status,
+                             _witness_detail(c)])
     for q in doc["quotient_checks"]:
         status = "pass" if q["passed"] else "FAIL"
         lines.append(f"quotient {q['group']}/{q['kernel']} at {q['rep']}: {status}")
-        rows.append(
-            [
-                q["group"],
-                q["rep"],
-                f"quotient:{q['kernel']}",
-                status,
-                _detail(q, skip=("group", "rep", "kernel", "passed")),
-            ]
-        )
+        detail = _detail(q, skip=("group", "rep", "kernel", "passed"))
+        if not q["passed"]:
+            lines.append(f"  FAIL quotient:{q['kernel']} at {q['rep']}: {q.get('witness')}")
+            detail = ";".join(filter(None, (detail, _witness_detail(q))))
+        rows.append([q["group"], q["rep"], f"quotient:{q['kernel']}", status, detail])
     for p in doc["product_checks"]:
         status = "pass" if p["passed"] else "FAIL"
         lines.append(f"product {p['product']} at {p['rep']}: |Sol|={p['sol_in_product']} {status}")

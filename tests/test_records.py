@@ -6,10 +6,10 @@ import pickle
 
 import pytest
 
-from grouplab import FactoredInteger
+from grouplab import FactoredInteger, suite
 from grouplab.analysis import RadicalCertificate
 from grouplab.catalog import GroupSpec
-from grouplab.perm import ConjugacyClass
+from grouplab.perm import DEFAULT_CAP, ConjugacyClass
 from grouplab.sol import (
     CheckRecord,
     CoreCheckReport,
@@ -62,12 +62,31 @@ def test_record_attributes_are_read_only(cls):
     assert record == _instance(cls)
 
 
+# one small task of each kind that a runner hands to suite.pool_map, with the
+# function that runs it; what it returns is what crosses the pool
+POOL_TASKS = [
+    (suite._lemma_task, "A:5", 1, 0, DEFAULT_CAP, True),
+    (suite._quotient_task, "SL2:7", "center", 1, DEFAULT_CAP),
+    (suite._product_task, 1, DEFAULT_CAP),
+    (suite._explore_task, "A:5", 2, DEFAULT_CAP),
+    (suite._table1_row, "A:5", DEFAULT_CAP),
+    (suite._scan_records_for_rep, "A:5", 2, DEFAULT_CAP),
+]
+
+
+def _shape(value):
+    """value's type, and those of everything it holds, as one nested tuple."""
+    if isinstance(value, dict):
+        return dict, tuple((k, _shape(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_shape, value))
+    return type(value)
+
+
+# the records inside what _lemma_task returns, one with each optional field set
 POOL_RECORDS = [
     CheckRecord("containment", "(1,2,3)", True),
     CheckRecord("sol_pq", "(1,2)(3,4)", False, False, {"g": "(1,3)", "companion": True}),
-    QuotientCheckReport("(1,2)", 2, True, 24, 12, True, None),
-    ProductCheckReport("(1,2,3,4,5)", 6, 10, 60, True),
-    FactoredInteger.from_int(720),
 ]
 
 
@@ -76,6 +95,14 @@ def test_records_that_cross_the_pool_pickle_round_trip(record):
     back = pickle.loads(pickle.dumps(record))
     assert type(back) is type(record)
     assert back == record
+
+
+@pytest.mark.parametrize("task", POOL_TASKS, ids=lambda task: task[0].__name__)
+def test_task_results_pickle_round_trip(task):
+    result, _ = suite._run_task(task)
+    back = pickle.loads(pickle.dumps(result))
+    assert back == result
+    assert _shape(back) == _shape(result)
 
 
 def test_check_record_defaults():

@@ -240,6 +240,43 @@ def test_radical_element_is_one_block(monkeypatch, name, in_radical):
     assert one_block == in_radical
 
 
+@pytest.mark.parametrize("name", ["S:4", "C7:C3 x S:4", "C:2 x A:5"])
+def test_failed_one_block_pair_test_breaks_the_containment_invariant(monkeypatch, name):
+    # the one pair test of a one-block Sol still decides it: answered False,
+    # Sol is empty and solubilizer raises, at every representative of a
+    # soluble G and at the identity and central involution of C2 x A5
+    G = PermGroup(list(g(name).generators))
+    radical = analysis.soluble_radical(G).radical
+    classes = G.conjugacy_classes()
+    reps = [x for x in classes.representatives() if radical.contains(x)]
+    assert len(reps) == {"C:2 x A:5": 2}.get(name, len(classes))
+    monkeypatch.setattr(analysis, "pair_soluble", lambda G, x, y: False)
+    for x in reps:
+        with pytest.raises(RuntimeError, match="does not contain"):
+            solubilizer(G, x)
+
+
+@pytest.mark.parametrize("name", ["S:4", "C7:C3 x S:4", "D:20 x S:4"])
+def test_one_block_sol_is_the_groups_one_element_set(name):
+    # every representative of a soluble G shares one frozenset of |G|
+    # elements, memoized on G, in place of a set of its own
+    G = PermGroup(list(g(name).generators))
+    assert "element_set" not in G._cache
+    members = [solubilizer(G, x).members._raws for x in G.conjugacy_classes().representatives()]
+    whole = G._element_set()
+    assert all(m is whole for m in members)
+    assert whole == frozenset(G._elements_raw()) and len(whole) == G.order
+
+
+def test_element_set_checks_its_size():
+    # the memo is checked once, when built: a listing with a repeat is not G
+    G = PermGroup(list(g("S:4").generators))
+    listing = G._elements_raw()
+    G._elements = listing[:-1] + listing[:1]
+    with pytest.raises(RuntimeError, match="23 of 24"):
+        G._element_set()
+
+
 def test_solubilizer_above_byte_degree():
     # tuple tables past degree 256: the same Sol as on the small degree, for
     # an insoluble G (blocks) and a soluble one (one block)

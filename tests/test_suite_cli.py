@@ -704,20 +704,29 @@ def test_a8_is_a_counterexample_to_scan_question_1(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["counterexamples"] == 1
     [record] = [r for r in doc["records"] if r["status"] == "COUNTEREXAMPLE"]
-    witness = {"group": "A:8", "element": "(3,4)(5,6,7,8)", "sol_order": 1024}
+    witness = {"group": "A:8", "element": "(3,4)(5,6,7,8)", "sol_order": 1024,
+               "certificate": {"a": "(6,7,8)", "b": "(4,5)(6,8)"}}
     assert record == {
         "group": "A:8", "representative": "(3,4)(5,6,7,8)", "x_order": 4,
         "sol_order": {"value": 1024, "factors": {"2": 10}}, "conjecture": 1,
         "status": "COUNTEREXAMPLE", "witness": witness,
     }
-    # the certificate that Sol is not closed: a and b lie in Sol, a*b does not
+    # the record's certificate that Sol is not closed: a and b lie in Sol,
+    # a*b does not
     G = build_named_group("A:8", 20160)
-    x, a, b, ab = (parse_permutation(c, 8) for c in
-                   ("(3,4)(5,6,7,8)", "(6,7,8)", "(4,5)(6,8)", "(4,5)(6,7)"))
+    x, a, b = (parse_permutation(c, 8) for c in
+               ("(3,4)(5,6,7,8)", *witness["certificate"].values()))
+    ab = parse_permutation("(4,5)(6,7)", 8)
     assert a * b == ab and all(G.contains(g) for g in (x, a, b, ab))
     result = sol_mod.solubilizer(G, x)
     assert result.order.value == 1024 and not result.is_subgroup
     assert a in result.members and b in result.members and ab not in result.members
+    # and it is the first such pair in member order: the identity and (6,7,8)
+    # come first, and (6,7,8) times each member before b stays in Sol
+    members = list(result.members)
+    assert members[:2] == [G.identity(), a]
+    before_b = members[: members.index(b)]
+    assert all(a * c in result.members for c in before_b) and len(before_b) == 12
     # and by sympy alone, which multiplies left to right as grouplab does
     X, A, B, AB = (SPerm([v - 1 for v in g.images]) for g in (x, a, b, ab))
     assert A * B == AB
@@ -793,6 +802,63 @@ def test_failed_quotient_check_keeps_its_witness(monkeypatch, capsys):
     assert [(q["group"], q["rep"], q["witness"]) for q in failed] == [
         ("SL2:7", rep.cycle_string(), witness)]
     assert not any("witness" in q for q in records if q["passed"])
+
+
+def test_failed_records_show_their_witness_in_text_and_csv(monkeypatch, capsys):
+    # a failing quotient check at one representative of SL2:7, and a failing
+    # lemma and theorem record at one representative of A:5: the text prints
+    # each witness under its FAIL line, the CSV puts it into the row's
+    # detail, every passing row keeps its detail, and suite exits 1
+    clean = {}
+    for fmt in ("text", "csv"):
+        assert main(["suite", "--workers", "1", "--format", fmt]) == 0
+        clean[fmt] = capsys.readouterr().out
+    qrep = build_named_group("SL2:7").conjugacy_classes().classes[1].representative
+    lrep = build_named_group("A:5").conjugacy_classes().classes[1].representative
+    q_witness = {"projected": 1, "quotient_sol": 2, "sol": 3, "n": 2}
+    real_quotient, real_lemma = sol_mod.quotient_sol_check, sol_mod.lemma_checks_for_rep
+
+    def failing_quotient(G, N, x):
+        report = real_quotient(G, N, x)
+        if G is build_named_group("SL2:7") and x == qrep:
+            return report._replace(passed=False, witness=q_witness)
+        return report
+
+    def failing_lemma(G, rep_idx, name="", *args, **kwargs):
+        lemma, theorem = real_lemma(G, rep_idx, name, *args, **kwargs)
+        if name == "A:5" and rep_idx == 1:
+            lemma[0] = lemma[0]._replace(passed=False, witness={"x_order": 2, "sol": 7})
+            theorem[0] = theorem[0]._replace(passed=False, triggered=True, witness={"sol": 7})
+        return lemma, theorem
+
+    monkeypatch.setattr(sol_mod, "quotient_sol_check", failing_quotient)
+    monkeypatch.setattr(sol_mod, "lemma_checks_for_rep", failing_lemma)
+    q, l = qrep.cycle_string(), lrep.cycle_string()
+    assert main(["suite", "--workers", "1", "--format", "text"]) == 1
+    text = capsys.readouterr().out.splitlines()
+    lines = [f"  FAIL order_divides at {l}: {{'x_order': 2, 'sol': 7}}",
+             f"  FAIL sol_2p at {l}: {{'sol': 7}}",
+             f"quotient SL2:7/center at {q}: FAIL",
+             f"  FAIL quotient:center at {q}: {q_witness}"]
+    assert all(line in text for line in lines)
+    assert [line for line in text if line not in lines] == [
+        line.replace("pass", "FAIL (2)") if line.startswith("A:5 ") else line
+        for line in clean["text"].replace("all passed", "FAILURES PRESENT").splitlines()
+        if line != f"quotient SL2:7/center at {q}: pass"
+    ]
+
+    assert main(["suite", "--workers", "1", "--format", "csv"]) == 1
+    rows, clean_rows = _parse_csv(capsys.readouterr().out), _parse_csv(clean["csv"])
+    failed = [row for row in rows if row[3] == "FAIL"]
+    assert failed == [
+        ["A:5", l, "lemma:order_divides", "FAIL", "witness.x_order=2;witness.sol=7"],
+        ["A:5", l, "theorem:sol_2p", "FAIL", "witness.sol=7"],
+        ["SL2:7", q, "quotient:center", "FAIL",
+         next(r[4] for r in clean_rows if r[:3] == ["SL2:7", q, "quotient:center"])
+         + ";witness.projected=1;witness.quotient_sol=2;witness.sol=3;witness.n=2"],
+    ]
+    assert [row for row in rows if row[3] != "FAIL"] == [
+        row for row in clean_rows if row[:3] not in [r[:3] for r in failed]]
 
 
 # --------------------------------------------------------- config and out
