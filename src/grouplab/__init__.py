@@ -38,11 +38,6 @@ from .perm import (
     parse_permutation,
 )
 from .sol import (
-    CheckRecord,
-    CoreCheckReport,
-    EllReport,
-    ProductCheckReport,
-    QuotientCheckReport,
     SolResult,
     StructureTag,
     direct_product_sol_check,

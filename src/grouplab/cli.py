@@ -144,14 +144,13 @@ def cmd_sol(args) -> int:
             )
             return 1
     result = sol.solubilizer(G, x)
-    ell = sol.ell_invariant(G, x, result)
     report = {
         "schema": suite.SCHEMA,
         "kind": "sol",
         "seed": config.seed,
         "group": args.group,
         "result": result.to_json(),
-        "ell": ell.to_json(),
+        "ell": sol.ell_invariant(G, x, result),
         "meta": {"finished": datetime.now(timezone.utc).isoformat()},
     }
     _emit(suite.render(report, config.format), config.out)

@@ -24,6 +24,11 @@ The per-element layer conjugates x by no more of G than it must:
   (ell_invariant). For composite |x| each z in x^G is powered only until a
   power lies in <x>: the least such exponent is the index of <x> meet <z> in
   <x> (_least_class_index).
+
+The checks (ell_invariant, lemma_checks_for_rep, sol_core_check,
+quotient_sol_check, direct_product_sol_check) return their report records:
+dicts of plain JSON values, keys in report order, that the runners put into
+their documents as they are. A record's witness is there only when it failed.
 """
 
 from __future__ import annotations
@@ -463,24 +468,6 @@ def identify_small_group(H: PermGroup) -> StructureTag:
 # ------------------------------------------------------------ ell invariant
 
 
-class EllReport(NamedTuple):
-    x_order: int
-    ell: int | None
-    # normalizer_equals_sol | strict_bound | undefined (N_G(<x>) = G) | violated
-    dichotomy: str
-    sol_order: int
-    normalizer_order: int
-
-    def to_json(self) -> dict:
-        return {
-            "x_order": self.x_order,
-            "ell": self.ell,
-            "dichotomy": self.dichotomy,
-            "sol_order": self.sol_order,
-            "normalizer_order": self.normalizer_order,
-        }
-
-
 def _least_class_index(G: PermGroup, x: Permutation) -> int:
     """min over z in x^G outside <x> of |<x> : <x> meet <z>|, for
     N_G(<x>) != G, so that some such z exists.
@@ -504,9 +491,12 @@ def _least_class_index(G: PermGroup, x: Permutation) -> int:
     return least
 
 
-def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) -> EllReport:
+def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) -> dict:
     """ell = min over y outside N_G(<x>) of the index |<x> : <x> meet <x^y>|,
-    and which arm of the dichotomy (N = Sol, or |Sol| > ell*|x|) holds.
+    and which arm of the dichotomy (N = Sol, or |Sol| > ell*|x|) holds, as
+    the report record {x_order, ell, dichotomy, sol_order, normalizer_order}.
+    dichotomy is normalizer_equals_sol, strict_bound or violated; it is
+    undefined, with ell None, when N_G(<x>) = G.
 
     <x> meet <x^y> depends only on z = x^y, and y lies outside N_G(<x>)
     exactly when z is not in <x>, so the class x^G holds every index needed.
@@ -519,42 +509,27 @@ def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) ->
     if sol is None:
         sol = solubilizer(G, x)
     norm_set = _normalizer_scan(G, x._raw)[0]
-    if len(norm_set) == G.order:
-        return EllReport(x.order(), None, "undefined", sol.order.value, len(norm_set))
     x_order = x.order()
-    ell = x_order if is_prime(x_order) else _least_class_index(G, x)
-    if sol.members._raws == norm_set:
-        status = "normalizer_equals_sol"
-    elif sol.order.value > ell * x_order:
-        status = "strict_bound"
+    if len(norm_set) == G.order:
+        ell, status = None, "undefined"
     else:
-        status = "violated"
-    return EllReport(x.order(), ell, status, sol.order.value, len(norm_set))
+        ell = x_order if is_prime(x_order) else _least_class_index(G, x)
+        if sol.members._raws == norm_set:
+            status = "normalizer_equals_sol"
+        elif sol.order.value > ell * x_order:
+            status = "strict_bound"
+        else:
+            status = "violated"
+    return {
+        "x_order": x_order,
+        "ell": ell,
+        "dichotomy": status,
+        "sol_order": sol.order.value,
+        "normalizer_order": len(norm_set),
+    }
 
 
 # ----------------------------------------------------------- check reports
-
-
-class CheckRecord(NamedTuple):
-    """One verified statement instance: an item id, the element it was
-    checked at, the outcome, and a concrete witness when it failed."""
-
-    item: str
-    rep: str
-    passed: bool
-    triggered: bool = True
-    witness: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "item": self.item,
-            "rep": self.rep,
-            "passed": self.passed,
-            "triggered": self.triggered,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def _sampled_elements(G: PermGroup, label: str, seed: int, count: int = 8) -> list:
@@ -567,11 +542,12 @@ def _sampled_elements(G: PermGroup, label: str, seed: int, count: int = 8) -> li
 
 def lemma_checks_for_rep(
     G: PermGroup, rep_idx: int, name: str = "", seed: int = 0, full_equivariance: bool = False
-) -> tuple[list[CheckRecord], list[CheckRecord]]:
+) -> tuple[list[dict], list[dict]]:
     """Every lemma-level check at one conjugacy-class representative, and
-    the theorem-instance checks there (none for a soluble G). All of them
-    are proved facts: a failure means the implementation is wrong, and the
-    record carries the witness."""
+    the theorem-instance checks there (none for a soluble G), as report
+    records {item, rep, passed, triggered}. All of them are proved facts: a
+    failure means the implementation is wrong, and its record carries a
+    witness."""
     n = G.degree
     ident = _raw_identity(n)
     insoluble = not analysis.is_soluble(G)
@@ -588,10 +564,12 @@ def lemma_checks_for_rep(
     sol_order = sol.order.value
     norm_set = _normalizer_scan(G, xraw)[0]
     sample = _sampled_elements(G, f"{name}:{rep_idx}", seed)
-    checks: list[CheckRecord] = []
+    checks: list[dict] = []
 
     def record(item: str, passed: bool, witness: dict | None = None, triggered: bool = True):
-        checks.append(CheckRecord(item, rep, passed, triggered, None if passed else witness))
+        checks.append({"item": item, "rep": rep, "passed": passed, "triggered": triggered})
+        if not passed:
+            checks[-1]["witness"] = witness
 
     # (2) |x| divides |Sol|
     record("order_divides", sol_order % x_order == 0, {"x_order": x_order, "sol": sol_order})
@@ -605,15 +583,20 @@ def lemma_checks_for_rep(
     )
 
     # (1) <x> + N_G(<x>) + R(G) inside Sol; membership spot-check of the
-    # union-of-soluble-subgroups description
+    # union-of-soluble-subgroups description. The witness names the first
+    # part outside Sol and the first sampled y whose pair verdict disagrees
+    # with its membership
     cyc = _cyclic_raws(xraw, n)
-    contained = (
-        cyc <= sol_set
-        and _within(norm_set, sol_set)
-        and _within(radical._element_set(), sol_set)
-    )
-    spot_ok = all(analysis.pair_soluble(G, xraw, y) == (y in sol_set) for y in sample)
-    record("containment", contained and spot_ok, {"rep": rep})
+    parts = (("<x>", cyc), ("N_G(<x>)", norm_set), ("R(G)", radical._element_set()))
+    outside = next((label for label, part in parts if not _within(part, sol_set)), None)
+    witness = {} if outside is None else {"not_in_sol": outside}
+    for y in sample:
+        verdict = analysis.pair_soluble(G, xraw, y)
+        if verdict != (y in sol_set):
+            y_text = Permutation._from_raw(y, n).cycle_string()
+            witness.update(y=y_text, pair_soluble=verdict, in_sol=not verdict)
+            break
+    record("containment", not witness, witness)
 
     # (5) |R(G)| divides |Sol|
     record(
@@ -664,8 +647,8 @@ def lemma_checks_for_rep(
     ell = ell_invariant(G, x, sol)
     record(
         "normalizer_dichotomy",
-        ell.dichotomy != "violated",
-        {"ell": ell.ell, "sol": sol_order, "normalizer": ell.normalizer_order},
+        ell["dichotomy"] != "violated",
+        {"ell": ell["ell"], "sol": sol_order, "normalizer": ell["normalizer_order"]},
     )
 
     # when |x| equals the exponent of its Sylow p-subgroup the same
@@ -723,9 +706,9 @@ def lemma_checks_for_rep(
         core_rep = sol_core_check(G, x, seed=seed)
         record(
             "involution_class_in_core",
-            core_rep.passed,
-            core_rep.witness,
-            triggered=core_rep.applicable,
+            core_rep["passed"],
+            core_rep.get("witness"),
+            triggered=core_rep["applicable"],
         )
     else:
         record("involution_class_in_core", True, triggered=False)
@@ -772,20 +755,13 @@ def lemma_checks_for_rep(
     return checks[:lemma_count], checks[lemma_count:]
 
 
-class CoreCheckReport(NamedTuple):
-    rep: str
-    applicable: bool  # Sol is a subgroup, so the lemma's hypothesis holds
-    passed: bool
-    core_order: int | None
-    class_size: int | None
-    companion_checked: int
-    witness: dict | None
-
-
-def sol_core_check(G: PermGroup, x: Permutation, seed: int = 0) -> CoreCheckReport:
+def sol_core_check(G: PermGroup, x: Permutation, seed: int = 0) -> dict:
     """For an involution with Sol a subgroup: x^G sits inside Core_G(Sol).
     The companion fact x in Sol_G(x^g) (as <x, x^g> is cyclic or dihedral)
-    is verified for sampled g regardless of subgroup-ness."""
+    is verified for sampled g regardless of subgroup-ness. Returns the record
+    {rep, applicable, passed, core_order, class_size, companion_checked},
+    where applicable says that Sol is a subgroup, so that the lemma's
+    hypothesis holds, and core_order and class_size are None when it is not."""
     if x.order() != 2:
         raise ValueError("the core check applies to involutions only")
     n = G.degree
@@ -794,53 +770,35 @@ def sol_core_check(G: PermGroup, x: Permutation, seed: int = 0) -> CoreCheckRepo
 
     companion = 0
     witness = None
-    ok = True
     for g in _sampled_elements(G, f"core:{x.cycle_string()}", seed):
         companion += 1
         if not analysis.pair_soluble(G, xraw, _raw_conj(xraw, g)):
-            ok = False
             witness = {"g": Permutation._from_raw(g, n).cycle_string(), "companion": True}
             break
 
-    if not sol.is_subgroup:
-        return CoreCheckReport(x.cycle_string(), False, ok, None, None, companion, witness)
-
-    core = analysis.core(G, sol.subgroup)
-    core_set = core._element_set()
-    class_raws = G.conjugacy_classes().class_members(x)._raws
-    if ok and not class_raws <= core_set:
-        ok = False
-        witness = {"core_order": core.order, "class_size": len(class_raws)}
-    return CoreCheckReport(
-        x.cycle_string(), True, ok, core.order, len(class_raws), companion, witness
-    )
-
-
-class QuotientCheckReport(NamedTuple):
-    rep: str
-    n_order: int
-    n_soluble: bool
-    sol_order: int
-    quotient_sol_order: int
-    passed: bool
-    witness: dict | None
-
-    def to_json(self) -> dict:
-        out = {
-            "rep": self.rep,
-            "n_order": self.n_order,
-            "n_soluble": self.n_soluble,
-            "sol_order": self.sol_order,
-            "quotient_sol_order": self.quotient_sol_order,
-            "passed": self.passed,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+    core_order = class_size = None
+    if sol.is_subgroup:
+        core = analysis.core(G, sol.subgroup)
+        class_raws = G.conjugacy_classes().class_members(x)._raws
+        core_order, class_size = core.order, len(class_raws)
+        if witness is None and not class_raws <= core._element_set():
+            witness = {"core_order": core_order, "class_size": class_size}
+    report = {
+        "rep": x.cycle_string(),
+        "applicable": sol.is_subgroup,
+        "passed": witness is None,
+        "core_order": core_order,
+        "class_size": class_size,
+        "companion_checked": companion,
+    }
+    if witness is not None:
+        report["witness"] = witness
+    return report
 
 
-def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation) -> QuotientCheckReport:
-    """Sol in the quotient versus the projected Sol.
+def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation) -> dict:
+    """Sol in the quotient versus the projected Sol, as the record {rep,
+    n_order, n_soluble, sol_order, quotient_sol_order, passed}.
 
     For soluble N the two agree exactly and |Sol| is divisible by |N|; for an
     insoluble N only the containment (projected Sol inside quotient Sol) is
@@ -851,54 +809,37 @@ def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation) -> QuotientCh
     sol_q = solubilizer(Q, project(x))
     projected = frozenset(project(y)._raw for y in sol_g.members)
     n_soluble = analysis.is_soluble(N)
-    witness: dict | None = None
     if n_soluble:
         passed = (
             projected == sol_q.members._raws
             and sol_g.order.value % N.order == 0
             and sol_q.order.value == sol_g.order.value // N.order
         )
-        if not passed:
-            witness = {
-                "projected": len(projected),
-                "quotient_sol": sol_q.order.value,
-                "sol": sol_g.order.value,
-                "n": N.order,
-            }
+        witness = {
+            "projected": len(projected),
+            "quotient_sol": sol_q.order.value,
+            "sol": sol_g.order.value,
+            "n": N.order,
+        }
     else:
         passed = projected <= sol_q.members._raws
-        if not passed:
-            witness = {"projected": len(projected), "quotient_sol": sol_q.order.value}
-    return QuotientCheckReport(
-        x.cycle_string(),
-        N.order,
-        n_soluble,
-        sol_g.order.value,
-        sol_q.order.value,
-        passed,
-        witness,
-    )
+        witness = {"projected": len(projected), "quotient_sol": sol_q.order.value}
+    report = {
+        "rep": x.cycle_string(),
+        "n_order": N.order,
+        "n_soluble": n_soluble,
+        "sol_order": sol_g.order.value,
+        "quotient_sol_order": sol_q.order.value,
+        "passed": passed,
+    }
+    if not passed:
+        report["witness"] = witness
+    return report
 
 
-class ProductCheckReport(NamedTuple):
-    rep: str
-    factor_order: int
-    sol_in_factor: int
-    sol_in_product: int
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "rep": self.rep,
-            "factor_order": self.factor_order,
-            "sol_in_factor": self.sol_in_factor,
-            "sol_in_product": self.sol_in_product,
-            "passed": self.passed,
-        }
-
-
-def direct_product_sol_check(A: PermGroup, H: PermGroup, x: Permutation) -> ProductCheckReport:
-    """Sol_{A x H}(x) = A x Sol_H(x), checked as literal sets."""
+def direct_product_sol_check(A: PermGroup, H: PermGroup, x: Permutation) -> dict:
+    """Sol_{A x H}(x) = A x Sol_H(x), checked as literal sets; the record
+    {rep, factor_order, sol_in_factor, sol_in_product, passed}."""
     G, embed_left, embed_right = catalog.direct_product(A, H)
     x_in_g = embed_right(x)
     sol_h = solubilizer(H, x)
@@ -912,6 +853,10 @@ def direct_product_sol_check(A: PermGroup, H: PermGroup, x: Permutation) -> Prod
         expected == sol_g.members._raws
         and sol_g.order.value == A.order * sol_h.order.value
     )
-    return ProductCheckReport(
-        x.cycle_string(), A.order, sol_h.order.value, sol_g.order.value, passed
-    )
+    return {
+        "rep": x.cycle_string(),
+        "factor_order": A.order,
+        "sol_in_factor": sol_h.order.value,
+        "sol_in_product": sol_g.order.value,
+        "passed": passed,
+    }

@@ -257,19 +257,7 @@ class RunConfig(_RunConfigFields):
         return self.workers if self.workers > 0 else available_workers()
 
     def to_json(self) -> dict:
-        return {
-            "groups": list(self.groups),
-            "selector": self.selector,
-            "orders": list(self.orders),
-            "elements": list(self.elements),
-            "cap": self.cap,
-            "workers": self.workers,
-            "seed": self.seed,
-            "format": self.format,
-            "out": self.out,
-            "include_psl31": self.include_psl31,
-            "product_powers": self.product_powers,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -333,8 +321,7 @@ def _quotient_task(name: str, mode: str, rep_idx: int, cap: int) -> dict:
     G = catalog.build_named_group(name, cap)
     N = analysis.center(G) if mode == "center" else analysis.derived_subgroup(G)
     x = G.conjugacy_classes().classes[rep_idx].representative
-    report = sol.quotient_sol_check(G, N, x)
-    return {**report.to_json(), "group": name, "kernel": mode}
+    return {**sol.quotient_sol_check(G, N, x), "group": name, "kernel": mode}
 
 
 def _product_task(m: int, cap: int) -> dict:
@@ -342,8 +329,7 @@ def _product_task(m: int, cap: int) -> dict:
     x8 = next(c.representative for c in pgl.conjugacy_classes().classes
               if c.element_order == 8)
     A = catalog.build_named_group(f"C:{2 ** m}", cap)
-    report = sol.direct_product_sol_check(A, pgl, x8)
-    return {**report.to_json(), "product": f"C:{2 ** m} x PGL2:7"}
+    return {**sol.direct_product_sol_check(A, pgl, x8), "product": f"C:{2 ** m} x PGL2:7"}
 
 
 def _explore_task(name: str, rep_idx: int, cap: int) -> dict:
@@ -561,19 +547,17 @@ def run_full_suite(config: RunConfig | None = None) -> dict:
 
     groups: list[dict] = []
     for name, tasks in group_tasks:
-        lemma_records: list[sol.CheckRecord] = []
-        theorem_records: list[sol.CheckRecord] = []
-        for lemma, thm in take(name, tasks):
-            lemma_records.extend(lemma)
-            theorem_records.extend(thm)
+        pairs = take(name, tasks)  # a (lemma records, theorem records) pair per rep
+        lemma_records = [r for lemma, _ in pairs for r in lemma]
+        theorem_records = [r for _, theorem in pairs for r in theorem]
         groups.append(
             {
                 "group": name,
                 "order": catalog.group_spec(name).expected_order.to_json(),
                 "representatives": len(tasks),
-                "all_passed": all(r.passed for r in lemma_records + theorem_records),
-                "lemma_checks": [r.to_json() for r in lemma_records],
-                "theorem_checks": [r.to_json() for r in theorem_records],
+                "all_passed": all(r["passed"] for r in lemma_records + theorem_records),
+                "lemma_checks": lemma_records,
+                "theorem_checks": theorem_records,
             }
         )
     done = {key: take(key, tasks) if tasks else [] for key, tasks in sections.items()}
@@ -674,9 +658,8 @@ def _suite_layout(doc: dict) -> tuple[list[str], list[list]]:
             lines.append(f"  FAIL {c['item']} at {c['rep']}: {c.get('witness')}")
         for section, key in (("lemma", "lemma_checks"), ("theorem", "theorem_checks")):
             for c in g[key]:
-                status = (
-                    "pass" if c["passed"] else "FAIL"
-                ) if c["triggered"] else "not_triggered"
+                # a failed record is FAIL whether or not it triggered
+                status = ("pass" if c["triggered"] else "not_triggered") if c["passed"] else "FAIL"
                 rows.append([g["group"], c["rep"], f"{section}:{c['item']}", status,
                              _witness_detail(c)])
     for q in doc["quotient_checks"]:

@@ -10,21 +10,16 @@ from grouplab import perm
 
 PUBLIC_NAMES = [
     "CapExceededError",
-    "CheckRecord",
     "ConjugacyClass",
     "ConjugacyClassTable",
-    "CoreCheckReport",
     "DEFAULT_CAP",
     "DegreeMismatchError",
     "ElementSet",
-    "EllReport",
     "FactoredInteger",
     "GroupSpec",
     "ParseError",
     "PermGroup",
     "Permutation",
-    "ProductCheckReport",
-    "QuotientCheckReport",
     "RadicalCertificate",
     "SolResult",
     "StructureTag",

@@ -674,16 +674,16 @@ def test_identify_rejects_large_input():
 def test_ell_a5_five_cycle():
     a5 = g("A:5")
     rep = ell_invariant(a5, rep_of_order(a5, 5))
-    assert rep.ell == 5
-    assert rep.dichotomy == "normalizer_equals_sol"
+    assert rep["ell"] == 5
+    assert rep["dichotomy"] == "normalizer_equals_sol"
 
 
 def test_ell_s7_double_transposition():
     s7 = g("S:7")
     rep = ell_invariant(s7, parse_permutation("(1,2)(3,4)", 7))
-    assert rep.ell == 2
-    assert rep.dichotomy == "strict_bound"
-    assert rep.sol_order > rep.ell * rep.x_order
+    assert rep["ell"] == 2
+    assert rep["dichotomy"] == "strict_bound"
+    assert rep["sol_order"] > rep["ell"] * rep["x_order"]
 
 
 def ell_by_full_scan(G, x):
@@ -708,8 +708,8 @@ def test_ell_over_class_matches_full_group_scan(name):
         x = c.representative
         expected = ell_by_full_scan(G, x)
         rep = ell_invariant(G, x)
-        assert rep.ell == expected, (name, x)
-        assert (rep.dichotomy == "undefined") == (expected is None)
+        assert rep["ell"] == expected, (name, x)
+        assert (rep["dichotomy"] == "undefined") == (expected is None)
 
 
 def power_raws(z):
@@ -750,8 +750,8 @@ def test_least_class_index_matches_the_intersection_formula():
 def test_ell_undefined_when_normalizer_is_everything():
     c6 = g("C:6")
     rep = ell_invariant(c6, parse_permutation("(1,2,3,4,5,6)", 6))
-    assert rep.ell is None
-    assert rep.dichotomy == "undefined"
+    assert rep["ell"] is None
+    assert rep["dichotomy"] == "undefined"
 
 
 # -------------------------------------------------------------- core check
@@ -760,17 +760,17 @@ def test_ell_undefined_when_normalizer_is_everything():
 def test_core_check_inapplicable_for_non_subgroup_sol():
     a5 = g("A:5")
     rep = sol_core_check(a5, rep_of_order(a5, 2))
-    assert not rep.applicable
-    assert rep.passed
-    assert rep.companion_checked > 0
+    assert not rep["applicable"]
+    assert rep["passed"]
+    assert rep["companion_checked"] > 0
 
 
 def test_core_check_applicable_in_soluble_ambient():
     s4 = g("S:4")
     rep = sol_core_check(s4, rep_of_order(s4, 2))
-    assert rep.applicable
-    assert rep.passed
-    assert rep.core_order == 24
+    assert rep["applicable"]
+    assert rep["passed"]
+    assert rep["core_order"] == 24
 
 
 def test_core_check_requires_involution():
@@ -869,17 +869,17 @@ def test_quotient_check_sl27_center():
     Z = center(G)
     x = rep_of_order(G, 7)
     rep = quotient_sol_check(G, Z, x)
-    assert rep.passed
-    assert rep.n_soluble
-    assert rep.sol_order == rep.quotient_sol_order * 2
+    assert rep["passed"]
+    assert rep["n_soluble"]
+    assert rep["sol_order"] == rep["quotient_sol_order"] * 2
 
 
 def test_quotient_check_insoluble_kernel_containment():
     s5 = g("S:5")
     a5 = derived_subgroup(s5)
     rep = quotient_sol_check(s5, a5, parse_permutation("(1,2)", 5))
-    assert rep.passed
-    assert not rep.n_soluble
+    assert rep["passed"]
+    assert not rep["n_soluble"]
 
 
 def test_quotient_check_rejects_non_normal():
@@ -894,9 +894,9 @@ def test_product_check_c2_a5():
     H = g("A:5")
     x = rep_of_order(H, 5)
     rep = direct_product_sol_check(A, H, x)
-    assert rep.passed
-    assert rep.sol_in_factor == 10
-    assert rep.sol_in_product == 20
+    assert rep["passed"]
+    assert rep["sol_in_factor"] == 10
+    assert rep["sol_in_product"] == 20
 
 
 # ------------------------------------------------------------- invariants

@@ -768,7 +768,7 @@ def test_flipped_pair_verdict_fails_the_checks_of_a_soluble_group(monkeypatch, c
     failed = [c for c in records if not c["passed"]]
     flipped_keys = [(c["item"], c["rep"]) for c in failed]
     assert flipped_keys == [("containment", "(9,10,11)"), ("conjugation_equivariance", "(9,10,11)")]
-    assert failed[0]["witness"] == {"rep": "(9,10,11)"}
+    assert failed[0]["witness"] == {"y": "(1,2,3,4,5,6,7)", "pair_soluble": False, "in_sol": True}
     assert failed[1]["witness"] == {"g": "(1,2,3,4,5,6,7)"}
     assert [c for c in records if c["passed"]] == [
         c for c in clean_records if (c["item"], c["rep"]) not in flipped_keys
@@ -776,6 +776,75 @@ def test_flipped_pair_verdict_fails_the_checks_of_a_soluble_group(monkeypatch, c
     # the witness replays: sol on that group and element exits 0
     assert main(["sol", "--group", "C7:C3 x S:4", "--element", failed[0]["rep"]]) == 0
     capsys.readouterr()
+
+
+def test_containment_witness_names_the_sampled_member_dropped_from_sol(monkeypatch, capsys):
+    # Sol at A:5's first 5-cycle class with one sampled member outside <x>
+    # dropped: the containment record names that y, with its pair verdict
+    # and its membership, and N_G(<x>) as the part of Sol's lower bound now
+    # outside it; every other record still prints, suite exits 1, and the
+    # witness replays
+    G = build_named_group("A:5")
+    rep_idx, x = next((i, c.representative) for i, c in
+                      enumerate(G.conjugacy_classes().classes) if c.element_order == 5)
+    real = sol_mod.solubilizer
+    members = real(G, x).members._raws  # Sol = N_G(<x>), dihedral of order 10
+    powers = sol_mod._cyclic_raws(x._raw, G.degree)
+    dropped = next(y for y in sol_mod._sampled_elements(G, f"A:5:{rep_idx}", 0)
+                   if y in members and y not in powers)  # an involution of N_G(<x>)
+    y_text = grouplab.Permutation._from_raw(dropped, G.degree).cycle_string()
+
+    def injected(H, z):
+        result = real(H, z)
+        if H is G and z == x:
+            return result._replace(members=grouplab.ElementSet._from_raws(G, members - {dropped}))
+        return result
+
+    args = ["suite", "--groups", "A:5", "--workers", "1", "--format", "json"]
+    assert main(args) == 0
+    clean = json.loads(capsys.readouterr().out)["groups"][0]
+    monkeypatch.setattr(sol_mod, "solubilizer", injected)
+    assert main(args) == 1
+    monkeypatch.undo()
+    group = json.loads(capsys.readouterr().out)["groups"][0]
+    assert len(group["lemma_checks"]) == len(clean["lemma_checks"])
+    [record] = [c for c in group["lemma_checks"] if c["item"] == "containment" and not c["passed"]]
+    assert record["rep"] == x.cycle_string()
+    assert record["witness"] == {"not_in_sol": "N_G(<x>)", "y": y_text, "pair_soluble": True,
+                                 "in_sol": False}
+    assert main(["sol", "--group", "A:5", "--element", record["rep"]]) == 0
+    capsys.readouterr()
+
+
+def test_a_failed_record_that_did_not_trigger_is_fail_in_csv_and_text(monkeypatch, capsys):
+    # the companion check of involution_class_in_core fails at A:5's
+    # involution, where Sol is not a subgroup, so its record fails with
+    # triggered false: the CSV status and the text both read FAIL, and suite
+    # exits 1
+    G = build_named_group("A:5")
+    x = G.conjugacy_classes().classes[1].representative
+    witness = {"g": "(1,2,3)", "companion": True}
+    real = sol_mod.sol_core_check
+
+    def failing(H, y, seed=0):
+        report = real(H, y, seed)
+        if H is G and y == x:
+            assert not report["applicable"]
+            return {**report, "passed": False, "witness": witness}
+        return report
+
+    monkeypatch.setattr(sol_mod, "sol_core_check", failing)
+    args = ["suite", "--groups", "A:5", "--workers", "1", "--format"]
+    rep = x.cycle_string()
+    assert main(args + ["csv"]) == 1
+    failed = [row for row in _parse_csv(capsys.readouterr().out) if row[3] == "FAIL"]
+    assert failed == [["A:5", rep, "lemma:involution_class_in_core", "FAIL",
+                       "witness.g=(1,2,3);witness.companion=True"]]
+    assert main(args + ["text"]) == 1
+    text = capsys.readouterr().out.splitlines()
+    assert text[0].endswith("FAIL (1)")
+    assert f"  FAIL involution_class_in_core at {rep}: {witness}" in text
+    assert text[-1] == "suite: FAILURES PRESENT"
 
 
 def test_failed_quotient_check_keeps_its_witness(monkeypatch, capsys):
@@ -789,7 +858,7 @@ def test_failed_quotient_check_keeps_its_witness(monkeypatch, capsys):
     def failing(G, N, x):
         report = real(G, N, x)
         if G is build_named_group("SL2:7") and x == rep:
-            return report._replace(passed=False, witness=witness)
+            return {**report, "passed": False, "witness": witness}
         return report
 
     monkeypatch.setattr(sol_mod, "quotient_sol_check", failing)
@@ -821,14 +890,14 @@ def test_failed_records_show_their_witness_in_text_and_csv(monkeypatch, capsys):
     def failing_quotient(G, N, x):
         report = real_quotient(G, N, x)
         if G is build_named_group("SL2:7") and x == qrep:
-            return report._replace(passed=False, witness=q_witness)
+            return {**report, "passed": False, "witness": q_witness}
         return report
 
     def failing_lemma(G, rep_idx, name="", *args, **kwargs):
         lemma, theorem = real_lemma(G, rep_idx, name, *args, **kwargs)
         if name == "A:5" and rep_idx == 1:
-            lemma[0] = lemma[0]._replace(passed=False, witness={"x_order": 2, "sol": 7})
-            theorem[0] = theorem[0]._replace(passed=False, triggered=True, witness={"sol": 7})
+            lemma[0] = {**lemma[0], "passed": False, "witness": {"x_order": 2, "sol": 7}}
+            theorem[0] = {**theorem[0], "passed": False, "triggered": True, "witness": {"sol": 7}}
         return lemma, theorem
 
     monkeypatch.setattr(sol_mod, "quotient_sol_check", failing_quotient)
