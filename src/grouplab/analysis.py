@@ -61,10 +61,12 @@ from .perm import (
     PermGroup,
     Permutation,
     _Chain,
+    _composer,
     _group_from_raws,
     _order_histogram,
     _raw_commutator,
     _raw_conj,
+    _raw_from,
     _raw_identity,
     _raw_mult,
     _raw_order,
@@ -171,15 +173,14 @@ def _relabel(n: int, points: list) -> Callable:
             label[p] = i
         return lambda g: bytes(pick(g)).translate(label)
     label = dict(zip(points, range(m)))
-    raw = bytes if m <= _BYTES_DEGREE else tuple
-    return lambda g: raw(map(label.__getitem__, pick(g)))
+    return lambda g: _raw_from(map(label.__getitem__, pick(g)), m)
 
 
 def _fewer_than_60(n: int, x, y) -> bool:
     """Has <x, y>, on n points, fewer than 60 elements? The powers of x are
     listed first, then the rest breadth-first under right multiplication by y
     and x; the listing stops at the 60th element."""
-    mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+    mult = _composer(n)
     tx, ty = _table(x), _table(y)
     ident = _raw_identity(n)
     listed = [ident]

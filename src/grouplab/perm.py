@@ -80,6 +80,17 @@ def _raw_mult(a, b):
     return itemgetter(*a)(b)
 
 
+def _composer(n: int):
+    """The product with a padded right operand (_table) at degree n, for a
+    loop to pick once: bytes.translate up to 256 points, _raw_mult above."""
+    return bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+
+
+def _raw_from(images: Iterable[int], n: int):
+    """The raw table of n 0-based images: bytes up to 256 points, a tuple above."""
+    return bytes(images) if n <= _BYTES_DEGREE else tuple(images)
+
+
 def _inv_table(a, n: int):
     """The inverse of a, padded as _table pads."""
     if type(a) is bytes:
@@ -214,7 +225,7 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images must be a rearrangement of 1..n")
         zero = [v - 1 for v in images]
-        self._raw = bytes(zero) if n <= _BYTES_DEGREE else tuple(zero)
+        self._raw = _raw_from(zero, n)
         self._degree = n
 
     @classmethod
@@ -347,8 +358,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         for a, b in zip(points, points[1:]):
             mapping[a - 1] = b - 1
         mapping[points[-1] - 1] = points[0] - 1
-    raw = bytes(mapping) if degree <= _BYTES_DEGREE else tuple(mapping)
-    return Permutation._from_raw(raw, degree)
+    return Permutation._from_raw(_raw_from(mapping, degree), degree)
 
 
 class _Chain:
@@ -374,7 +384,7 @@ class _Chain:
         # the composer, picked once: one C call on bytes tables. Its right
         # operands, the strong generators and the transversal inverses, are
         # stored padded (_table); everything else is n entries long.
-        self.mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+        self.mult = _composer(n)
         self.base: list[int] = []
         self.sgens: list[list] = []  # sgens[i]: strong generators fixing base[:i], padded
         self.trans: list[dict] = []  # trans[i]: {point: (t, padded t_inv)}, base[i]^t = point

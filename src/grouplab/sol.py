@@ -40,11 +40,11 @@ from typing import NamedTuple
 
 from . import analysis, catalog
 from .perm import (
-    _BYTES_DEGREE,
     ElementSet,
     FactoredInteger,
     PermGroup,
     Permutation,
+    _composer,
     _group_from_raws,
     _order_histogram,
     _raw_conj,
@@ -90,17 +90,24 @@ class SolResult(NamedTuple):
     order: FactoredInteger
     is_subgroup: bool
     subgroup: PermGroup | None
-    structure: StructureTag | None
     normalizer_order: FactoredInteger
     centralizer_order: FactoredInteger
 
+    @property
+    def structure(self) -> StructureTag | None:
+        """Sol's label if it is a subgroup of at most 64 elements, computed on read."""
+        if self.subgroup is None or self.subgroup.order > 64:
+            return None
+        return identify_small_group(self.subgroup)
+
     def to_json(self) -> dict:
+        structure = self.structure
         return {
             "element": self.x.cycle_string(),
             "element_order": self.x.order(),
             "order": self.order.to_json(),
             "is_subgroup": self.is_subgroup,
-            "structure": self.structure.to_json() if self.structure else None,
+            "structure": structure.to_json() if structure else None,
             "normalizer_order": self.normalizer_order.to_json(),
             "centralizer_order": self.centralizer_order.to_json(),
         }
@@ -162,7 +169,7 @@ def _normalizer_scan(G: PermGroup, xraw) -> tuple[frozenset, list]:
 
     def compute() -> tuple[frozenset, list]:
         n = G.degree
-        mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+        mult = _composer(n)
         ident = _raw_identity(n)
         powers = _power_list(xraw, n)
         cyclic = frozenset(powers)
@@ -246,8 +253,7 @@ def _sol_verdicts(G: PermGroup, xraw) -> dict:
     """
     elements = G._elements_raw()
     n = G.degree
-    # the composer, picked once, as _Chain does
-    mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+    mult = _composer(n)
     ident = _raw_identity(n)
     powers = _power_list(xraw, n)
     joined = _joined(powers)
@@ -325,9 +331,6 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
         is_sub = closure_test(members)
         # closed, so its order is its size and the chain can stop there
         subgroup = _group_from_raws(G, sorted(member_set), len(member_set)) if is_sub else None
-    structure = None
-    if is_sub and len(member_set) <= 64:
-        structure = identify_small_group(subgroup)
 
     # divisibility invariants
     classes = G.conjugacy_classes()
@@ -349,7 +352,6 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
         order=order,
         is_subgroup=is_sub,
         subgroup=subgroup,
-        structure=structure,
         normalizer_order=FactoredInteger.from_int(len(norm_set)),
         centralizer_order=FactoredInteger.from_int(cent_order),
     )
@@ -363,7 +365,7 @@ def _non_closure_pair(members: ElementSet) -> tuple[Permutation, Permutation] | 
     n = members.ambient.degree
     raws = members._raws
     ordered = sorted(raws)
-    mult = bytes.translate if n <= _BYTES_DEGREE else _raw_mult
+    mult = _composer(n)
     tables = [_table(b) for b in ordered]
     for a in ordered:
         for b, table in zip(ordered, tables):

@@ -6,6 +6,11 @@ Each runner returns its report as the JSON document itself: a dict of plain
 JSON values whose keys are in report order, which render() prints as json,
 csv or text and from which the CLI reads its exit code.
 
+The runners give pool_map one task per group or report section, so that a
+group's solubilizers share one process, and each task returns a finished part
+of the document: a suite group's groups[] entry, a section's or a scanned
+group's records, or a Table 1 row.
+
 Reports are deterministic for a fixed (config, seed): everything that varies
 between runs (timestamps, wall times) lives under the "meta" key and nowhere
 else.
@@ -20,6 +25,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from typing import NamedTuple
 
 from . import analysis, catalog, sol
@@ -312,35 +318,46 @@ def _run_task(task: tuple) -> tuple:
     return result, time.monotonic() - started
 
 
-def _lemma_task(name: str, rep_idx: int, seed: int, cap: int, full: bool):
+def _group_task(name: str, indices: list[int], seed: int, cap: int) -> dict:
+    """One group's finished groups[] entry: the battery at each selected class
+    representative, in one process, with the one full Sol(x^g) = Sol(x)^g
+    recomputation at index 1, the first class past the identity's."""
     G = catalog.build_named_group(name, cap)
-    return sol.lemma_checks_for_rep(G, rep_idx, name, seed, full_equivariance=full)
+    pairs = [sol.lemma_checks_for_rep(G, i, name, seed, full_equivariance=i == 1) for i in indices]
+    lemma_records = [r for lemma, _ in pairs for r in lemma]
+    theorem_records = [r for _, theorem in pairs for r in theorem]
+    return {
+        "group": name,
+        "order": catalog.group_spec(name).expected_order.to_json(),
+        "representatives": len(indices),
+        "all_passed": all(r["passed"] for r in lemma_records + theorem_records),
+        "lemma_checks": lemma_records,
+        "theorem_checks": theorem_records,
+    }
 
 
-def _quotient_task(name: str, mode: str, rep_idx: int, cap: int) -> dict:
+def _quotient_task(name: str, mode: str, cap: int) -> list[dict]:
+    """One quotient section's records, a record per class, with N built once."""
     G = catalog.build_named_group(name, cap)
     N = analysis.center(G) if mode == "center" else analysis.derived_subgroup(G)
-    x = G.conjugacy_classes().classes[rep_idx].representative
-    return {**sol.quotient_sol_check(G, N, x), "group": name, "kernel": mode}
+    return [{**sol.quotient_sol_check(G, N, cls.representative), "group": name, "kernel": mode}
+            for cls in G.conjugacy_classes().classes]
 
 
-def _product_task(m: int, cap: int) -> dict:
+def _product_task(m: int, cap: int) -> list[dict]:
     pgl = catalog.build_named_group("PGL2:7", cap)
     x8 = next(c.representative for c in pgl.conjugacy_classes().classes
               if c.element_order == 8)
     A = catalog.build_named_group(f"C:{2 ** m}", cap)
-    return {**sol.direct_product_sol_check(A, pgl, x8), "product": f"C:{2 ** m} x PGL2:7"}
+    return [{**sol.direct_product_sol_check(A, pgl, x8), "product": f"C:{2 ** m} x PGL2:7"}]
 
 
-def _explore_task(name: str, rep_idx: int, cap: int) -> dict:
+def _explore_task(name: str, indices: list[int], cap: int) -> list[dict]:
     G = catalog.build_named_group(name, cap)
-    cls = G.conjugacy_classes().classes[rep_idx]
-    result = sol.solubilizer(G, cls.representative)
-    return {
-        **result.to_json(),
-        "is_two_group": prime_power_base(result.order.value) == 2,
-        "group": name,
-    }
+    classes = G.conjugacy_classes().classes
+    results = [sol.solubilizer(G, classes[i].representative) for i in indices]
+    return [{**r.to_json(), "is_two_group": prime_power_base(r.order.value) == 2, "group": name}
+            for r in results]
 
 
 # ------------------------------------------------------------------ table1
@@ -406,44 +423,43 @@ def _scan_record(group: str, rep: str, x_order: int, sol_order: FactoredInteger,
     return record
 
 
-def _scan_records_for_rep(name: str, rep_idx: int, cap: int) -> list[dict]:
+def _scan_group_task(name: str, indices: list[int], cap: int) -> list[dict]:
+    """One insoluble group's scan records, three per selected representative."""
     G = catalog.build_named_group(name, cap)
-    cls = G.conjugacy_classes().classes[rep_idx]
-    x = cls.representative
-    rep = x.cycle_string()
-    result = sol.solubilizer(G, x)
-    s = result.order.value
     records = []
+    for rep_idx in indices:
+        cls = G.conjugacy_classes().classes[rep_idx]
+        rep = cls.representative.cycle_string()
+        result = sol.solubilizer(G, cls.representative)
+        s = result.order.value
+        emit = partial(_scan_record, name, rep, cls.element_order, result.order)
+        counterexample = {"group": name, "element": rep, "sol_order": s}
+        base = prime_power_base(s)
 
-    def emit(conj: int, status: str, witness: dict | None = None):
-        records.append(_scan_record(name, rep, cls.element_order, result.order, conj, status,
-                                    witness))
+        # C1: |Sol| = 2^n implies Sol is a subgroup
+        if base != 2:
+            records.append(emit(1, "hypothesis_not_triggered"))
+        elif result.is_subgroup:
+            records.append(emit(1, "verified"))
+        else:
+            # a, b in Sol with a*b outside it: the certificate that Sol is not closed
+            pair = sol._non_closure_pair(result.members)
+            if pair is None:
+                raise RuntimeError(f"Sol at {rep} in {name} failed the closure test but is closed")
+            certificate = {"a": pair[0].cycle_string(), "b": pair[1].cycle_string()}
+            records.append(emit(1, "COUNTEREXAMPLE",
+                                {**counterexample, "certificate": certificate}))
 
-    counterexample = {"group": name, "element": rep, "sol_order": s}
-    base = prime_power_base(s)
+        # C2: |Sol| is never a power of an odd prime
+        odd_power = base is not None and base != 2
+        records.append(emit(2, "COUNTEREXAMPLE" if odd_power else "verified",
+                            counterexample if odd_power else None))
 
-    # C1: |Sol| = 2^n implies Sol is a subgroup
-    if base != 2:
-        emit(1, "hypothesis_not_triggered")
-    elif result.is_subgroup:
-        emit(1, "verified")
-    else:
-        # a, b in Sol with a*b outside it: the certificate that Sol is not closed
-        pair = sol._non_closure_pair(result.members)
-        if pair is None:
-            raise RuntimeError(f"Sol at {rep} in {name} failed the closure test but is closed")
-        certificate = {"a": pair[0].cycle_string(), "b": pair[1].cycle_string()}
-        emit(1, "COUNTEREXAMPLE", {**counterexample, "certificate": certificate})
-
-    # C2: |Sol| is never a power of an odd prime
-    odd_power = base is not None and base != 2
-    emit(2, "COUNTEREXAMPLE" if odd_power else "verified", counterexample if odd_power else None)
-
-    # C3: |N_G(<x>)| divides |Sol|
-    n_order = result.normalizer_order.value
-    divides = s % n_order == 0
-    emit(3, "verified" if divides else "COUNTEREXAMPLE",
-         None if divides else {**counterexample, "normalizer_order": n_order})
+        # C3: |N_G(<x>)| divides |Sol|
+        n_order = result.normalizer_order.value
+        divides = s % n_order == 0
+        records.append(emit(3, "verified" if divides else "COUNTEREXAMPLE",
+                            None if divides else {**counterexample, "normalizer_order": n_order}))
     return records
 
 
@@ -467,8 +483,7 @@ def run_conjecture_scan(config: RunConfig | None = None) -> dict:
             continue
         selected[name] = _rep_indices(catalog.build_named_group(name, config.cap), config)
     _require_a_match(config, selected)
-    tasks = [(_scan_records_for_rep, name, rep_idx, config.cap)
-             for name, indices in selected.items() for rep_idx in indices]
+    tasks = [(_scan_group_task, name, indices, config.cap) for name, indices in selected.items()]
     for chunk, _ in pool_map(_run_task, tasks, config.resolved_workers()):
         records.extend(chunk)
     return {
@@ -497,70 +512,40 @@ def run_full_suite(config: RunConfig | None = None) -> dict:
     report's JSON document."""
     config = config or RunConfig()
     started = _utc_now()
-    walls: dict[str, float] = {}
+    walls: dict[str, float] = {}  # seconds, rounded to the ms in the report
 
-    group_tasks: list[tuple[str, list[tuple]]] = []
+    selected: dict[str, list[int]] = {}  # group -> its chosen class positions
     for name in config.group_names():
         t0 = time.monotonic()
-        G = catalog.build_named_group(name, config.cap)
-        indices = _rep_indices(G, config)
-        walls[f"prepare:{name}"] = round(time.monotonic() - t0, 3)
-        # the one full Sol(x^g) = Sol(x)^g recomputation per group runs at the
-        # first non-identity class, which is index 1: classes are sorted by
-        # element order and the identity is the only element of order 1
-        group_tasks.append((name, [
-            (_lemma_task, name, rep_idx, config.seed, config.cap, rep_idx == 1)
-            for rep_idx in indices
-        ]))
-    _require_a_match(config, dict(group_tasks))
+        selected[name] = _rep_indices(catalog.build_named_group(name, config.cap), config)
+        walls[f"prepare:{name}"] = time.monotonic() - t0
+    _require_a_match(config, selected)
 
-    # report section (a key of the document) -> its tasks, in report order
-    sections: dict[str, list[tuple]] = {
-        "quotient_checks": [],
-        "product_checks": [(_product_task, m, config.cap)
-                           for m in range(1, config.product_powers + 1)],
-        "exploration": [],
-    }
+    # (key, task) in report order: a group's task returns its groups[] entry
+    # and is keyed by its name, a section's task a list of its records
+    tasks = [(name, (_group_task, name, indices, config.seed, config.cap))
+             for name, indices in selected.items()]
     if config.selector == "all_class_reps" and tuple(config.groups) == catalog.TABLE1_NAMES:
-        for name, mode in _QUOTIENT_SECTIONS:
-            G = catalog.build_named_group(name, config.cap)
-            sections["quotient_checks"].extend(
-                (_quotient_task, name, mode, rep_idx, config.cap)
-                for rep_idx in range(len(G.conjugacy_classes().classes))
-            )
-    if config.include_psl31:
-        G = catalog.build_named_group("PSL2:31", config.cap)
-        sections["exploration"].extend(
-            (_explore_task, "PSL2:31", rep_idx, config.cap) for rep_idx in _rep_indices(G, config)
-        )
+        tasks += [("quotient_checks", (_quotient_task, name, mode, config.cap))
+                  for name, mode in _QUOTIENT_SECTIONS]
+    tasks += [("product_checks", (_product_task, m, config.cap))
+              for m in range(1, config.product_powers + 1)]
+    if config.include_psl31:  # then group_names() holds PSL2:31
+        tasks.append(("exploration", (_explore_task, "PSL2:31", selected["PSL2:31"], config.cap)))
 
     t0 = time.monotonic()
-    all_tasks = [t for _, tasks in group_tasks + list(sections.items()) for t in tasks]
-    results = iter(pool_map(_run_task, all_tasks, config.resolved_workers()))
-    walls["checks"] = round(time.monotonic() - t0, 3)
-
-    def take(key: str, tasks: list) -> list:
-        """The next len(tasks) results, with their summed seconds under checks:<key>."""
-        timed = [next(results) for _ in tasks]
-        walls[f"checks:{key}"] = round(sum(seconds for _, seconds in timed), 3)
-        return [payload for payload, _ in timed]
+    results = pool_map(_run_task, [task for _, task in tasks], config.resolved_workers())
+    walls["checks"] = time.monotonic() - t0
 
     groups: list[dict] = []
-    for name, tasks in group_tasks:
-        pairs = take(name, tasks)  # a (lemma records, theorem records) pair per rep
-        lemma_records = [r for lemma, _ in pairs for r in lemma]
-        theorem_records = [r for _, theorem in pairs for r in theorem]
-        groups.append(
-            {
-                "group": name,
-                "order": catalog.group_spec(name).expected_order.to_json(),
-                "representatives": len(tasks),
-                "all_passed": all(r["passed"] for r in lemma_records + theorem_records),
-                "lemma_checks": lemma_records,
-                "theorem_checks": theorem_records,
-            }
-        )
-    done = {key: take(key, tasks) if tasks else [] for key, tasks in sections.items()}
+    sections = {key: [] for key in ("quotient_checks", "product_checks", "exploration")}
+    for (key, _), (result, seconds) in zip(tasks, results):
+        walls[f"checks:{key}"] = walls.get(f"checks:{key}", 0.0) + seconds
+        if key in sections:
+            sections[key] += result
+        else:
+            groups.append(result)
+    walls = {key: round(seconds, 3) for key, seconds in walls.items()}
     return {
         "schema": SCHEMA,
         "kind": "full_suite",
@@ -568,11 +553,11 @@ def run_full_suite(config: RunConfig | None = None) -> dict:
         "config": config.to_json(),
         "all_passed": (
             all(g["all_passed"] for g in groups)
-            and all(q["passed"] for q in done["quotient_checks"])
-            and all(p["passed"] for p in done["product_checks"])
+            and all(q["passed"] for q in sections["quotient_checks"])
+            and all(p["passed"] for p in sections["product_checks"])
         ),
         "groups": groups,
-        **done,
+        **sections,
         "meta": {"started": started, "finished": _utc_now(), "wall_times": walls},
     }
 

@@ -50,12 +50,12 @@ def test_record_attributes_are_read_only(cls):
 # one small task of each kind that a runner hands to suite.pool_map, with the
 # function that runs it; what it returns is what crosses the pool
 POOL_TASKS = [
-    (suite._lemma_task, "A:5", 1, 0, DEFAULT_CAP, True),
-    (suite._quotient_task, "SL2:7", "center", 1, DEFAULT_CAP),
+    (suite._group_task, "A:5", [0, 1, 2], 0, DEFAULT_CAP),
+    (suite._quotient_task, "SL2:7", "center", DEFAULT_CAP),
     (suite._product_task, 1, DEFAULT_CAP),
-    (suite._explore_task, "A:5", 2, DEFAULT_CAP),
+    (suite._explore_task, "A:5", [1, 2], DEFAULT_CAP),
     (suite._table1_row, "A:5", DEFAULT_CAP),
-    (suite._scan_records_for_rep, "A:5", 2, DEFAULT_CAP),
+    (suite._scan_group_task, "A:5", [1, 2], DEFAULT_CAP),
 ]
 
 

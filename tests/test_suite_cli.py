@@ -225,7 +225,8 @@ def test_task_error_at_two_workers_exits_one_as_at_one(monkeypatch, capsys, fork
     monkeypatch.setattr(sol_mod, "lemma_checks_for_rep", injected)
     runs = []
     for workers in ("1", "2"):
-        code = main(["suite", "--groups", "A:5", "--workers", workers])
+        # two groups, so that two workers fork: each group is one task
+        code = main(["suite", "--groups", "A:5,S:5", "--workers", workers])
         runs.append((code, capsys.readouterr()))
     assert runs[0] == runs[1]
     assert runs[0][0] == 1 and runs[0][1].err == "error: injected\n"
@@ -307,12 +308,18 @@ def test_worker_errors_that_do_not_pickle_or_are_not_exceptions(forked):
     assert len(forked) == 4 and _all_reaped(forked)
 
 
-def _logged(path, i):
+def _append(path, line: str):
+    """One write to a file opened for appending, so that the lines that
+    several processes write stay whole."""
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
     try:
-        os.write(fd, b"%d\n" % i)
+        os.write(fd, line.encode())
     finally:
         os.close(fd)
+
+
+def _logged(path, i):
+    _append(path, f"{i}\n")
     return -i
 
 
@@ -323,6 +330,73 @@ def test_pool_map_runs_every_item_exactly_once(tmp_path, forked, workers):
     assert suite_mod.pool_map(task, list(range(200)), workers) == [-i for i in range(200)]
     assert sorted(map(int, log.read_text().split())) == list(range(200))
     assert len(forked) == workers and _all_reaped(forked)
+
+
+def _pool_tasks(monkeypatch) -> list:
+    """A list that gets, for each suite.pool_map call, the (function name,
+    first argument) of every task it is given."""
+    calls = []
+    real = suite_mod.pool_map
+
+    def recording(fn, items, workers):
+        calls.append([(task[0].__name__, task[1]) for task in items])
+        return real(fn, items, workers)
+
+    monkeypatch.setattr(suite_mod, "pool_map", recording)
+    return calls
+
+
+def test_suite_and_scan_give_the_pool_one_task_per_group_or_section(monkeypatch):
+    calls = _pool_tasks(monkeypatch)
+    run_full_suite(RunConfig(workers=2))
+    run_full_suite(RunConfig(groups=("A:5",), include_psl31=True, orders=(2,),
+                             selector="orders", product_powers=2, workers=2))
+    run_conjecture_scan(RunConfig(groups=("A:5", "C:6", "S:5"), workers=2))
+    assert calls == [
+        [("_group_task", name) for name in catalog.TABLE1_NAMES]
+        + [("_quotient_task", "SL2:7"), ("_quotient_task", "S:5")],
+        [("_group_task", "A:5"), ("_group_task", "PSL2:31"), ("_product_task", 1),
+         ("_product_task", 2), ("_explore_task", "PSL2:31")],
+        [("_scan_group_task", "A:5"), ("_scan_group_task", "S:5")],
+    ]
+
+
+def test_a_groups_representatives_run_in_one_process_at_any_worker_count(
+        monkeypatch, tmp_path, forked):
+    # each battery logs (group, representative, pid, pair tests it ran); the
+    # pair tests include those of the Sol walks, which the group's memos save
+    pair_tests = [0]
+    real_pair = analysis_mod.pair_soluble
+    real_checks = sol_mod.lemma_checks_for_rep
+
+    def counted(*args):
+        pair_tests[0] += 1
+        return real_pair(*args)
+
+    def logged(G, rep_idx, name, *args, **kwargs):
+        before = pair_tests[0]
+        result = real_checks(G, rep_idx, name, *args, **kwargs)
+        _append(log, json.dumps([name, rep_idx, os.getpid(), pair_tests[0] - before]) + "\n")
+        return result
+
+    monkeypatch.setattr(analysis_mod, "pair_soluble", counted)
+    monkeypatch.setattr(sol_mod, "lemma_checks_for_rep", logged)
+    groups = ("A:5", "S:5", "PSL2:7")
+    runs = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(catalog, "_BUILD_CACHE", {})  # every group is built cold
+        log = tmp_path / f"workers-{workers}"
+        run_full_suite(RunConfig(groups=groups, workers=workers))
+        runs[workers] = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(forked) == 2 and _all_reaped(forked)
+    for workers, entries in runs.items():
+        pids = {name: {pid for group, _, pid, _ in entries if group == name} for name in groups}
+        assert all(len(ran_in) == 1 for ran_in in pids.values()), pids
+        assert (os.getpid() in set().union(*pids.values())) == (workers == 1)
+    counts = {w: {(name, rep): n for name, rep, _, n in entries} for w, entries in runs.items()}
+    assert counts[2] == counts[1]
+    assert [name for name, _ in counts[1]] == [name for name in groups
+                                               for _ in build_named_group(name).conjugacy_classes()]
 
 
 def _last_stderr_line_of(script: str):
