@@ -39,7 +39,6 @@ from .perm import (
 )
 from .sol import (
     SolResult,
-    StructureTag,
     direct_product_sol_check,
     ell_invariant,
     identify_small_group,

@@ -33,18 +33,13 @@ class GroupSpec(NamedTuple):
     name: str
     degree: int
     expected_order: FactoredInteger
-    # known truths to verify after construction; absent keys are not checked
-    expected_flags: tuple  # sorted (key, value) pairs from {soluble, simple, trivial_fitting}
-
-    @property
-    def flags(self) -> dict:
-        return dict(self.expected_flags)
+    # known truths to verify after construction, from {soluble, simple,
+    # trivial_fitting}; absent keys are not checked
+    flags: dict
 
 
 def _spec(name: str, degree: int, order: int, **flags) -> GroupSpec:
-    return GroupSpec(
-        name, degree, FactoredInteger.from_int(order), tuple(sorted(flags.items()))
-    )
+    return GroupSpec(name, degree, FactoredInteger.from_int(order), flags)
 
 
 # The fourteen insoluble groups of order <= 2000 (excluding order 1920) with

@@ -583,8 +583,6 @@ class PermGroup:
         "_cap",
         "_chain",
         "_order_f",
-        "_elements",
-        "_classes",
         "_cache",
         "_prefix",
     )
@@ -602,8 +600,6 @@ class PermGroup:
         self._cap = cap
         self._chain = _chain_from_raws(degree, (g._raw for g in gens))
         self._order_f = FactoredInteger.from_int(self._chain.order())
-        self._elements = None
-        self._classes = None
         self._cache = {}  # group facts, filled through _memo only
         # (x, chain of <x>) of the last pair test, or (x, x restricted to G's
         # wide orbits) in a soluble G; see analysis._pair_verdict
@@ -638,8 +634,8 @@ class PermGroup:
 
     def _memo(self, key, compute):
         """The value cached under key, running compute() on the first request;
-        every cached fact about this group (Sol(x), R(G), Sylow subgroups,
-        ...) goes through here."""
+        every cached fact about this group (its element listing and class
+        table, Sol(x), R(G), Sylow subgroups, ...) goes through here."""
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
@@ -648,11 +644,12 @@ class PermGroup:
         return [g._raw for g in self._generators]
 
     def _elements_raw(self) -> list:
-        if self._elements is None:
+        def compute() -> list:
             if self.order > self._cap:
                 raise CapExceededError(f"group order {self.order} exceeds cap {self._cap}")
-            self._elements = self._chain.elements_raw()
-        return self._elements
+            return self._chain.elements_raw()
+
+        return self._memo("elements", compute)
 
     def _element_set(self) -> frozenset:
         """The elements as one frozenset of raw tables, built on the first
@@ -682,7 +679,8 @@ class PermGroup:
         positions of the element list (Holt, Eick and O'Brien, *Handbook of
         Computational Group Theory*, ch. 4), each found in one pass in
         position order; see _conjugation_positions."""
-        if self._classes is None:
+
+        def compute() -> "ConjugacyClassTable":
             elems = self._elements_raw()
             n = self._degree
             try:
@@ -710,7 +708,7 @@ class PermGroup:
             rank = [0] * len(rows)  # class number -> position in the sorted table
             for i, row in enumerate(rows):
                 rank[row[3]] = i
-            self._classes = ConjugacyClassTable(
+            return ConjugacyClassTable(
                 self,
                 tuple(
                     ConjugacyClass(Permutation._from_raw(rep, n), size, ordr)
@@ -718,7 +716,8 @@ class PermGroup:
                 ),
                 dict(zip(elems, map(rank.__getitem__, label))),
             )
-        return self._classes
+
+        return self._memo("classes", compute)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self._degree}, order={self.order})"

@@ -58,33 +58,7 @@ from .perm import (
 )
 
 
-class StructureTag(NamedTuple):
-    """Isomorphism label for a group of order <= 64, decided by fingerprint.
-
-    fingerprint = (order, abelian, exponent, element-order histogram,
-    |center|, |derived subgroup|); the histogram is a sorted tuple of
-    (element order, count) pairs.
-    """
-
-    label: str
-    fingerprint: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "fingerprint": {
-                "order": self.fingerprint[0],
-                "abelian": self.fingerprint[1],
-                "exponent": self.fingerprint[2],
-                "order_histogram": [list(pair) for pair in self.fingerprint[3]],
-                "center_order": self.fingerprint[4],
-                "derived_order": self.fingerprint[5],
-            },
-        }
-
-
 class SolResult(NamedTuple):
-    ambient: PermGroup
     x: Permutation
     members: ElementSet
     order: FactoredInteger
@@ -94,20 +68,20 @@ class SolResult(NamedTuple):
     centralizer_order: FactoredInteger
 
     @property
-    def structure(self) -> StructureTag | None:
-        """Sol's label if it is a subgroup of at most 64 elements, computed on read."""
+    def structure(self) -> dict | None:
+        """Sol's identify_small_group record if it is a subgroup of at most 64
+        elements, computed on read."""
         if self.subgroup is None or self.subgroup.order > 64:
             return None
         return identify_small_group(self.subgroup)
 
     def to_json(self) -> dict:
-        structure = self.structure
         return {
             "element": self.x.cycle_string(),
             "element_order": self.x.order(),
             "order": self.order.to_json(),
             "is_subgroup": self.is_subgroup,
-            "structure": structure.to_json() if structure else None,
+            "structure": self.structure,
             "normalizer_order": self.normalizer_order.to_json(),
             "centralizer_order": self.centralizer_order.to_json(),
         }
@@ -116,12 +90,13 @@ class SolResult(NamedTuple):
 def _power_list(xraw, n: int) -> list:
     """[1, x, x^2, ..., x^(|x| - 1)] as raw tables."""
     ident = _raw_identity(n)
+    mult = _composer(n)
     out = [ident]
     cur = xraw
     table = _table(xraw)
     while cur != ident:
         out.append(cur)
-        cur = _raw_mult(cur, table)
+        cur = mult(cur, table)
     return out
 
 
@@ -219,14 +194,11 @@ def _within(part: frozenset, whole: frozenset) -> bool:
     return part is whole or part <= whole
 
 
-def _coprime_powers(y, ident, mult) -> list:
+def _coprime_powers(y, n: int) -> list:
     """The y^m with gcd(m, |y|) = 1, that is the generators of <y>."""
-    powers = [y]
-    table = _table(y)
-    while powers[-1] != ident:
-        powers.append(mult(powers[-1], table))
-    order = len(powers)  # powers[k - 1] = y^k, the last one the identity
-    return [powers[k - 1] for k in range(1, order + 1) if gcd(k, order) == 1]
+    powers = _power_list(y, n)  # powers[k % |y|] = y^k
+    order = len(powers)
+    return [powers[k % order] for k in range(1, order + 1) if gcd(k, order) == 1]
 
 
 def _sol_verdicts(G: PermGroup, xraw) -> dict:
@@ -254,7 +226,6 @@ def _sol_verdicts(G: PermGroup, xraw) -> dict:
     elements = G._elements_raw()
     n = G.degree
     mult = _composer(n)
-    ident = _raw_identity(n)
     powers = _power_list(xraw, n)
     joined = _joined(powers)
     cuts = range(0, len(joined), n)
@@ -266,7 +237,7 @@ def _sol_verdicts(G: PermGroup, xraw) -> dict:
         if y in verdict:
             continue
         answer = analysis.pair_soluble(G, xraw, y)
-        stack = _coprime_powers(y, ident, mult)
+        stack = _coprime_powers(y, n)
         while stack:
             b = stack.pop()
             if b in verdict:
@@ -346,7 +317,6 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
             raise RuntimeError("solubilizer of prime-square size in an insoluble group")
 
     return SolResult(
-        ambient=G,
         x=x,
         members=members,
         order=order,
@@ -378,8 +348,10 @@ def _non_closure_pair(members: ElementSet) -> tuple[Permutation, Permutation] | 
 
 
 def _fingerprint(H: PermGroup) -> tuple:
-    """Memoized per group: identify_small_group compares against the same
-    cached reference groups on every call."""
+    """(order, abelian, exponent, element-order histogram, |center|,
+    |derived subgroup|), the histogram a sorted tuple of (element order,
+    count) pairs. Memoized per group: identify_small_group compares against
+    the same cached reference groups on every call."""
 
     def compute() -> tuple:
         hist = _order_histogram(H)
@@ -445,26 +417,39 @@ _REFERENCE_LABELS = (
 )
 
 
-def identify_small_group(H: PermGroup) -> StructureTag:
-    """Fingerprint-table identification for |H| <= 64."""
+def identify_small_group(H: PermGroup) -> dict:
+    """Fingerprint-table identification for |H| <= 64, as the report record
+    {label, fingerprint{order, abelian, exponent, order_histogram,
+    center_order, derived_order}}, built anew on every call."""
     if H.order > 64:
         raise ValueError(f"identification supports orders <= 64, got {H.order}")
     fp = _fingerprint(H)
+    order, abelian, exponent, hist, center_order, derived_order = fp
+    return {
+        "label": _label(fp),
+        "fingerprint": {
+            "order": order,
+            "abelian": abelian,
+            "exponent": exponent,
+            "order_histogram": [list(pair) for pair in hist],
+            "center_order": center_order,
+            "derived_order": derived_order,
+        },
+    }
+
+
+def _label(fp: tuple) -> str:
     order, abelian, exponent, hist, _, _ = fp
     if abelian:
         if any(o == order for o, _ in hist):
-            return StructureTag(f"cyclic {order}", fp)
+            return f"cyclic {order}"
         if is_prime(exponent):
-            return StructureTag(f"elementary_abelian {order}", fp)
-        invariants = _abelian_invariants(order, hist)
-        return StructureTag("abelian " + "x".join(str(d) for d in invariants), fp)
+            return f"elementary_abelian {order}"
+        return "abelian " + "x".join(str(d) for d in _abelian_invariants(order, hist))
     for name_pat, label_pat, applies in _REFERENCE_LABELS:
-        if not applies(order):
-            continue
-        ref = catalog.build_named_group(name_pat.format(order))
-        if _fingerprint(ref) == fp:
-            return StructureTag(label_pat.format(order), fp)
-    return StructureTag("other", fp)
+        if applies(order) and _fingerprint(catalog.build_named_group(name_pat.format(order))) == fp:
+            return label_pat.format(order)
+    return "other"
 
 
 # ------------------------------------------------------------ ell invariant
@@ -543,13 +528,14 @@ def _sampled_elements(G: PermGroup, label: str, seed: int, count: int = 8) -> li
 
 
 def lemma_checks_for_rep(
-    G: PermGroup, rep_idx: int, name: str = "", seed: int = 0, full_equivariance: bool = False
+    G: PermGroup, rep_idx: int, name: str = "", seed: int = 0
 ) -> tuple[list[dict], list[dict]]:
     """Every lemma-level check at one conjugacy-class representative, and
     the theorem-instance checks there (none for a soluble G), as report
     records {item, rep, passed, triggered}. All of them are proved facts: a
     failure means the implementation is wrong, and its record carries a
-    witness."""
+    witness. At rep_idx 1 the equivariance check also recomputes one
+    Sol(x^g) in full."""
     n = G.degree
     ident = _raw_identity(n)
     insoluble = not analysis.is_soluble(G)
@@ -620,7 +606,7 @@ def lemma_checks_for_rep(
         record("order_not_prime", True, triggered=False)
 
     # (9) Sol(x^g) = Sol(x)^g: membership equivariance at sampled pairs,
-    # plus one full recomputation on the designated representative
+    # plus one full recomputation at rep_idx 1
     equi_ok = True
     equi_witness = None
     for g in sample[: len(G.generators) + 2]:
@@ -634,7 +620,7 @@ def lemma_checks_for_rep(
                 break
         if not equi_ok:
             break
-    if equi_ok and full_equivariance and x_order > 1:
+    if equi_ok and rep_idx == 1 and x_order > 1:
         g = next((s for s in sample if s != ident and s not in cyc), None)
         if g is not None:
             xg = Permutation._from_raw(_raw_conj(xraw, g), n)

@@ -323,7 +323,7 @@ def _group_task(name: str, indices: list[int], seed: int, cap: int) -> dict:
     representative, in one process, with the one full Sol(x^g) = Sol(x)^g
     recomputation at index 1, the first class past the identity's."""
     G = catalog.build_named_group(name, cap)
-    pairs = [sol.lemma_checks_for_rep(G, i, name, seed, full_equivariance=i == 1) for i in indices]
+    pairs = [sol.lemma_checks_for_rep(G, i, name, seed) for i in indices]
     lemma_records = [r for lemma, _ in pairs for r in lemma]
     theorem_records = [r for _, theorem in pairs for r in theorem]
     return {
@@ -550,7 +550,7 @@ def run_full_suite(config: RunConfig | None = None) -> dict:
         "schema": SCHEMA,
         "kind": "full_suite",
         "seed": config.seed,
-        "config": config.to_json(),
+        "config": {**config.to_json(), "out": None},  # where it went is in meta
         "all_passed": (
             all(g["all_passed"] for g in groups)
             and all(q["passed"] for q in sections["quotient_checks"])
@@ -558,7 +558,8 @@ def run_full_suite(config: RunConfig | None = None) -> dict:
         ),
         "groups": groups,
         **sections,
-        "meta": {"started": started, "finished": _utc_now(), "wall_times": walls},
+        "meta": {"started": started, "finished": _utc_now(), "wall_times": walls,
+                 **({"out": config.out} if config.out else {})},
     }
 
 

@@ -87,13 +87,13 @@ def test_criterion_04_a5_five_cycle(announce):
     ok = (
         r.order.value == 10
         and r.is_subgroup
-        and r.structure.label == "dihedral 10"
+        and r.structure["label"] == "dihedral 10"
         and set(N.elements()) == set(r.members)
     )
-    announce(4, ok, f"|Sol| = {r.order.value}, {r.structure.label}, N = Sol")
+    announce(4, ok, f"|Sol| = {r.order.value}, {r.structure['label']}, N = Sol")
     assert r.order.value == 10
     assert r.is_subgroup
-    assert r.structure.label == "dihedral 10"
+    assert r.structure["label"] == "dihedral 10"
     assert set(N.elements()) == set(r.members)
 
 
@@ -106,13 +106,13 @@ def test_criterion_05_psl27_reaches_21(announce):
             hits.append((c.element_order, r))
     realized = sorted({k for k, _ in hits})
     ok = bool(hits) and all(
-        r.is_subgroup and r.structure.label == "C7:C3" for _, r in hits
+        r.is_subgroup and r.structure["label"] == "C7:C3" for _, r in hits
     )
     announce(5, ok, f"|Sol| = 21 realized at element order(s) {realized}")
     assert hits, "no class representative realizes 21"
     for _, r in hits:
         assert r.is_subgroup
-        assert r.structure.label == "C7:C3"
+        assert r.structure["label"] == "C7:C3"
 
 
 def test_criterion_06_pgl27_order_eight(announce):
@@ -123,14 +123,14 @@ def test_criterion_06_pgl27_order_eight(announce):
     ok = (
         r.order.value == 16
         and r.is_subgroup
-        and r.structure.label == "dihedral 16"
+        and r.structure["label"] == "dihedral 16"
         and r.order.value == two_part
         and set(r.subgroup.elements()) == set(r.members)
     )
-    announce(6, ok, f"|Sol| = {r.order.value} = 2-part, {r.structure.label}")
+    announce(6, ok, f"|Sol| = {r.order.value} = 2-part, {r.structure['label']}")
     assert r.order.value == 16
     assert r.is_subgroup
-    assert r.structure.label == "dihedral 16"
+    assert r.structure["label"] == "dihedral 16"
     assert r.order.value == two_part
     assert set(r.subgroup.elements()) == set(r.members)
 

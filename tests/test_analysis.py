@@ -1233,7 +1233,7 @@ def test_quotient_projection_rejects_foreign_elements():
 
 def test_exponent_values():
     def exponent(name):
-        return identify_small_group(g(name)).fingerprint[2]
+        return identify_small_group(g(name))["fingerprint"]["exponent"]
 
     assert exponent("D:16") == 8
     assert exponent("SD:16") == 8

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "Permutation",
     "RadicalCertificate",
     "SolResult",
-    "StructureTag",
     "TABLE1_NAMES",
     "build_named_group",
     "center",

@@ -11,14 +11,14 @@ from grouplab import FactoredInteger, suite
 from grouplab.analysis import RadicalCertificate
 from grouplab.catalog import GroupSpec
 from grouplab.perm import DEFAULT_CAP, ConjugacyClass
-from grouplab.sol import SolResult, StructureTag
+from grouplab.sol import SolResult
 from grouplab.suite import RunConfig
 
 RECORDS = {
     "grouplab.perm": (FactoredInteger, ConjugacyClass),
     "grouplab.analysis": (RadicalCertificate,),
     "grouplab.catalog": (GroupSpec,),
-    "grouplab.sol": (StructureTag, SolResult),
+    "grouplab.sol": (SolResult,),
     "grouplab.suite": (RunConfig,),
 }
 ALL_RECORDS = [cls for group in RECORDS.values() for cls in group]
@@ -29,8 +29,8 @@ def _instance(cls):
     return RunConfig() if cls is RunConfig else cls._make(range(len(cls._fields)))
 
 
-def test_seven_records_keep_their_modules():
-    assert len(ALL_RECORDS) == 7
+def test_six_records_keep_their_modules():
+    assert len(ALL_RECORDS) == 6
     for module, classes in RECORDS.items():
         for cls in classes:
             assert cls.__module__ == module

@@ -9,6 +9,7 @@ independent implementations before being pinned here.
 import collections
 import functools
 import itertools
+import json
 import os
 import random
 from math import gcd
@@ -106,7 +107,7 @@ def test_a5_five_cycle_is_dihedral_and_equals_normalizer():
     r = solubilizer(a5, x)
     assert r.order.value == 10
     assert r.is_subgroup
-    assert r.structure.label == "dihedral 10"
+    assert r.structure["label"] == "dihedral 10"
     assert r.normalizer_order.value == 10
     # N_G(<x>) = Sol as literal sets
     H = a5.subgroup([x])
@@ -131,7 +132,7 @@ def test_s5_mixed_element():
     r = solubilizer(s5, parse_permutation("(1,2,3)(4,5)", 5))
     assert r.order.value == 12
     assert r.is_subgroup
-    assert r.structure.label == "dihedral 12"
+    assert r.structure["label"] == "dihedral 12"
 
 
 def test_psl27_reaches_21_with_realized_order_reported():
@@ -146,7 +147,7 @@ def test_psl27_reaches_21_with_realized_order_reported():
     assert realized_orders == {7}
     for _, r in hits:
         assert r.is_subgroup
-        assert r.structure.label == "C7:C3"
+        assert r.structure["label"] == "C7:C3"
 
 
 def test_pgl27_order8_is_a_full_sylow_2():
@@ -154,7 +155,7 @@ def test_pgl27_order8_is_a_full_sylow_2():
     r = solubilizer(pgl7, rep_of_order(pgl7, 8))
     assert r.order.value == 16
     assert r.is_subgroup
-    assert r.structure.label == "dihedral 16"
+    assert r.structure["label"] == "dihedral 16"
     # full 2-part, hence a Sylow 2-subgroup
     assert r.order.value == 2 ** pgl7.order_factored.factors[2]
     assert sylow_subgroup(pgl7, 2).order == 16
@@ -164,7 +165,7 @@ def test_m10_order8_is_semidihedral():
     m10 = g("M10")
     r = solubilizer(m10, rep_of_order(m10, 8))
     assert r.order.value == 16
-    assert r.structure.label == "semidihedral 16"
+    assert r.structure["label"] == "semidihedral 16"
 
 
 def test_psl211_frozen_values():
@@ -272,7 +273,7 @@ def test_element_set_checks_its_size():
     # the memo is checked once, when built: a listing with a repeat is not G
     G = PermGroup(list(g("S:4").generators))
     listing = G._elements_raw()
-    G._elements = listing[:-1] + listing[:1]
+    G._cache["elements"] = listing[:-1] + listing[:1]
     with pytest.raises(RuntimeError, match="23 of 24"):
         G._element_set()
 
@@ -599,7 +600,7 @@ def test_identify_soundness_set():
         ("SD:32", "semidihedral 32"),
     ]
     for name, label in cases:
-        assert identify_small_group(g(name)).label == label
+        assert identify_small_group(g(name))["label"] == label
 
 
 def test_fingerprint_is_taken_once_per_group(monkeypatch):
@@ -615,10 +616,10 @@ def test_fingerprint_is_taken_once_per_group(monkeypatch):
 
     monkeypatch.setattr(sol_mod, "_order_histogram", counting)
     first, second = (PermGroup(list(g("SD:16").generators)) for _ in range(2))
-    assert identify_small_group(first).label == "semidihedral 16"
+    assert identify_small_group(first)["label"] == "semidihedral 16"
     before = len(taken)
-    assert identify_small_group(second).label == "semidihedral 16"
-    assert identify_small_group(first).label == "semidihedral 16"
+    assert identify_small_group(second)["label"] == "semidihedral 16"
+    assert identify_small_group(first)["label"] == "semidihedral 16"
     assert taken[before:] == [second]
 
 
@@ -650,22 +651,51 @@ def test_memoized_answers_do_not_depend_on_call_history():
 
 
 def test_identify_abelian_labels():
-    assert identify_small_group(g("C:2 x C:2")).label == "elementary_abelian 4"
-    assert identify_small_group(g("C:3 x C:3")).label == "elementary_abelian 9"
-    assert identify_small_group(g("C:2 x C:4")).label == "abelian 2x4"
-    assert identify_small_group(g("C:2 x C:2 x C:4")).label == "abelian 2x2x4"
-    assert identify_small_group(g("C:3 x C:7")).label == "cyclic 21"
-    assert identify_small_group(g("C:6 x C:2")).label == "abelian 2x6"
+    assert identify_small_group(g("C:2 x C:2"))["label"] == "elementary_abelian 4"
+    assert identify_small_group(g("C:3 x C:3"))["label"] == "elementary_abelian 9"
+    assert identify_small_group(g("C:2 x C:4"))["label"] == "abelian 2x4"
+    assert identify_small_group(g("C:2 x C:2 x C:4"))["label"] == "abelian 2x2x4"
+    assert identify_small_group(g("C:3 x C:7"))["label"] == "cyclic 21"
+    assert identify_small_group(g("C:6 x C:2"))["label"] == "abelian 2x6"
 
 
 def test_identify_falls_back_to_other():
-    assert identify_small_group(g("C:2 x Q:8")).label == "other"
-    assert identify_small_group(g("C:2 x A:4")).label == "other"
+    assert identify_small_group(g("C:2 x Q:8"))["label"] == "other"
+    assert identify_small_group(g("C:2 x A:4"))["label"] == "other"
 
 
 def test_identify_rejects_large_input():
     with pytest.raises(ValueError):
         identify_small_group(g("S:5"))
+
+
+FINGERPRINT_KEYS = ["order", "abelian", "exponent", "order_histogram", "center_order",
+                    "derived_order"]
+
+
+def test_structure_is_its_own_json_record_and_never_shared():
+    # at every catalog representative whose Sol is a subgroup of at most 64
+    # elements, the structure record is plain JSON in report order; a caller
+    # that edits the returned record leaves the next call's record as it was
+    labelled = 0
+    for name in TABLE1_NAMES:
+        G = g(name)
+        for x in G.conjugacy_classes().representatives():
+            r = solubilizer(G, x)
+            if not r.is_subgroup or r.order.value > 64:
+                assert r.structure is None
+                continue
+            labelled += 1
+            record = r.structure
+            assert list(record) == ["label", "fingerprint"]
+            assert list(record["fingerprint"]) == FINGERPRINT_KEYS
+            back = json.loads(json.dumps(record))
+            assert back == record
+            assert list(back) == list(record) and list(back["fingerprint"]) == FINGERPRINT_KEYS
+            record["label"] = "edited"
+            record["fingerprint"]["order_histogram"][0][1] = -1
+            assert r.structure == back
+    assert labelled > 0
 
 
 # ------------------------------------------------------------- ell report

@@ -7,9 +7,17 @@ finite soluble group", Proc. London Math. Soc. (3) 81, 2000), with equality at
 A5. So at A5 one element wrongly added to a single Sol breaks the bound. The
 exact values are pinned, and two identities cross-check them:
 P(G) = P(G/N) for a soluble normal N, and P(A x B) = P(A) P(B).
+
+The same pairs, counted class by class, give a two-sided oracle: the soluble
+pairs in C_i x C_j number |C_i| |Sol(x_i) meet C_j| from C_i's side and
+|C_j| |Sol(x_j) meet C_i| from C_j's, since Sol(x^g) = Sol(x)^g and <u, v> =
+<v, u>. One member dropped from or added to a single Sol, outside the class of
+its x, breaks one of these equations.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,6 +49,16 @@ def soluble_pair_share(G, sol_order=lambda G, x: solubilizer(G, x).order.value):
     return Fraction(pairs, G.order**2)
 
 
+def unbalanced_class_pairs(G, members=lambda G, x: solubilizer(G, x).members._raws):
+    """The class pairs (i, j) with |C_i| |Sol(x_i) meet C_j| != |C_j| |Sol(x_j) meet C_i|."""
+    table = G.conjugacy_classes()
+    sizes = [c.size for c in table.classes]
+    meets = [Counter(table._index[y] for y in members(G, c.representative))
+             for c in table.classes]
+    return [(i, j) for i, j in combinations(range(len(sizes)), 2)
+            if sizes[i] * meets[i][j] != sizes[j] * meets[j][i]]
+
+
 def test_the_pinned_groups_are_the_catalog_and_two_more():
     assert set(SHARES) == set(TABLE1_NAMES) | {"SL2:7", "C:2 x PGL2:7"}
 
@@ -68,3 +86,31 @@ def test_one_element_added_to_a_sol_at_a5_breaks_the_bound():
 
     assert soluble_pair_share(G) == Fraction(11, 30)
     assert soluble_pair_share(G, one_too_many) > Fraction(11, 30)
+
+
+SOLUBLE_PRODUCTS = ("S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4")
+
+
+@pytest.mark.parametrize("name", [*SHARES, *SOLUBLE_PRODUCTS])
+def test_soluble_pairs_of_two_classes_count_alike_from_either_side(name):
+    assert unbalanced_class_pairs(build_named_group(name)) == []
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_one_member_dropped_or_added_unbalances_a_class_pair(change):
+    # at a 5-cycle x of A5, Sol is dihedral of order 10: drop one of its
+    # involutions, or add a 3-cycle, which lies outside it; neither is in x's class
+    G = build_named_group("A:5")
+    table = G.conjugacy_classes()
+    x = next(c.representative for c in table.classes if c.element_order == 5)
+    sol = solubilizer(G, x).members._raws
+    order = 2 if change == "drop" else 3
+    y = next(r for r in G._elements_raw() if (r in sol) == (change == "drop")
+             and table.classes[table._index[r]].element_order == order)
+
+    def changed(G, z):
+        members = solubilizer(G, z).members._raws
+        return members ^ {y} if z == x else members
+
+    assert unbalanced_class_pairs(G) == []
+    assert unbalanced_class_pairs(G, changed) != []

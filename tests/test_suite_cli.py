@@ -700,6 +700,22 @@ def test_cli_suite_empty_groups(capsys):
     capsys.readouterr()
 
 
+def test_suite_out_path_changes_only_meta(tmp_path, capsys):
+    # the config echo holds out as null, so --out a.json, --out b.json and
+    # stdout give one report outside meta; meta.out names the file written
+    argv = ["suite", "--groups", "A:5", "--workers", "1", "--format", "json"]
+    docs = []
+    for out in ("a.json", "b.json", None):
+        path = tmp_path / out if out else None
+        assert main(argv + (["--out", str(path)] if path else [])) == 0
+        doc = json.loads(path.read_text() if path else capsys.readouterr().out)
+        assert doc["meta"].get("out") == (str(path) if path else None)
+        assert doc["config"]["out"] is None
+        doc.pop("meta")
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_cli_table1(capsys):
     assert main(["table1", "--workers", "0"]) == 0
     assert "all rows pass" in capsys.readouterr().out
