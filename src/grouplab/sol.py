@@ -7,19 +7,21 @@ most of the checks in this module probe.
 
 The per-element layer conjugates x by no more of G than it must:
 
-* N = N_G(<x>) is found from its order. N acts on the generators of <x> by
-  conjugation with kernel C_G(x), and an element x^m of <x> is an image x^g
-  exactly when it lies in x's class, so |N| = |C_G(x)| * |x^G meet <x>|, with
-  |C_G(x)| = |G| / |x^G|; the class table gives both factors. A scan of G in
-  enumeration order keeps each g outside the closure found so far with
-  x^g in <x>, and stops once the closure holds |N| elements
+* |N| for N = N_G(<x>) comes from the class table. N acts on the
+  generators of <x> by conjugation with kernel C_G(x), and an element x^m of
+  <x> is an image x^g exactly when it lies in x's class, so
+  |N| = |C_G(x)| * |x^G meet <x>|, with |C_G(x)| = |G| / |x^G|
+  (_normalizer_order). N itself is listed only where Sol(x) is walked: a
+  scan of G in enumeration order keeps each g outside the closure found so
+  far with x^g in <x>, and stops once the closure holds |N| elements
   (_normalizer_scan).
 * Sol(x) is listed in blocks of double cosets <x> b <x>, one pair test per
   block: <x, p b q> = <x, b> for p, q in <x>. A double coset is the union of
   the cosets <x> b x^j, and each coset is one product: the elements of
   <x> b, laid end to end, times x^j (_sol_verdicts). When G is soluble or
   x lies in R(G), G is one block: Sol(x) is G's element set, built once
-  per group, after one pair test (_solubilizer_search).
+  per group, after one pair test, and N is not listed: N <= G = Sol, and
+  the readers need only |N| (_solubilizer_search).
 * For |x| prime, ell = |x| whenever it is defined: <x> meet <z> is 1 or <x>
   (ell_invariant). For composite |x| each z in x^G is powered only until a
   power lies in <x>: the least such exponent is the index of <x> meet <z> in
@@ -115,17 +117,44 @@ def _cut(joined, n: int) -> list:
     return [joined[i : i + n] for i in range(0, len(joined), n)]
 
 
+def _normalizer_order(G: PermGroup, xraw) -> int:
+    """|N_G(<x>)| = |C_G(x)| * |x^G meet <x>|, read from the class table.
+
+    For g in N, x^g generates <x^g> = <x>, so g -> x^g maps N onto the
+    generators of <x> that are conjugates of x, that is onto x^G meet <x> (a
+    conjugate of x in <x> has the order of x, so it generates <x>).
+    Conversely x^g in <x> with the order of x gives <x>^g = <x>, so
+    N = {g : x^g in <x>}. Two elements have the same image exactly when they
+    lie in one coset of C_G(x), and |C_G(x)| = |G| / |x^G|.
+
+    Checked against G's generators, which raises RuntimeError on a mismatch:
+    every generator normalizes <x> exactly when the order is |G|, and |x|
+    divides the order, which divides |G|.
+    """
+    powers = _power_list(xraw, G.degree)
+    classes = G.conjugacy_classes()
+    index = classes._index
+    k = index[xraw]
+    order = G.order // classes.classes[k].size * sum(index[p] == k for p in powers)
+    cyclic = frozenset(powers)
+    normal = all(_raw_conj(xraw, s) in cyclic for s in G._gen_raws())
+    if normal != (order == G.order):
+        raise RuntimeError(
+            f"the normalizer scan's order |N_G(<x>)| = {order} for |G| = {G.order}, "
+            f"but {'every' if normal else 'not every'} generator of G normalizes <x>"
+        )
+    if order % len(powers) or G.order % order:
+        raise RuntimeError(
+            f"the normalizer scan's order |N_G(<x>)| = {order} is not both a multiple "
+            f"of |x| = {len(powers)} and a divisor of |G| = {G.order}"
+        )
+    return order
+
+
 def _normalizer_scan(G: PermGroup, xraw) -> tuple[frozenset, list]:
     """(N_G(<x>) as G's own raw tables, the elements g the scan kept);
-    memoized per (group, element). The kept elements and x generate N.
-
-    The order is known first: |N| = |C_G(x)| * |x^G meet <x>|. For g in N,
-    x^g generates <x^g> = <x>, so g -> x^g maps N onto the generators of <x>
-    that are conjugates of x, that is onto x^G meet <x> (a conjugate of x in
-    <x> has the order of x, so it generates <x>). Conversely x^g in <x> with
-    the order of x gives <x>^g = <x>, so N = {g : x^g in <x>}. Two elements
-    have the same image exactly when they lie in one coset of C_G(x), and
-    |C_G(x)| = |G| / |x^G|. Both factors come from the class table.
+    memoized per (group, element). The kept elements and x generate N, whose
+    order _normalizer_order gives first.
 
     The scan walks G in enumeration order and skips the elements already in
     the closure K = <x, kept>. Each other g with x^g in <x> lies in N and
@@ -137,26 +166,18 @@ def _normalizer_scan(G: PermGroup, xraw) -> tuple[frozenset, list]:
     once it holds |N| elements, where the scan stops. Running out of G first
     means the order or the scan is wrong, which raises RuntimeError.
 
-    When |N| = |G|, <x> is normal and there is no scan: each generator s of G
-    is checked to have x^s in <x>, which raises RuntimeError if one fails,
-    and G's generators are kept.
+    The solubilizer scans only where it walks Sol(x), that is for x outside
+    R(G). There <x> is not normal, since a normal cyclic subgroup lies in
+    R(G), so the scan stops short of G.
     """
 
     def compute() -> tuple[frozenset, list]:
+        order = _normalizer_order(G, xraw)
         n = G.degree
         mult = _composer(n)
         ident = _raw_identity(n)
         powers = _power_list(xraw, n)
         cyclic = frozenset(powers)
-        classes = G.conjugacy_classes()
-        index = classes._index
-        k = index[xraw]
-        order = G.order // classes.classes[k].size * sum(index[p] == k for p in powers)
-        if order == G.order:
-            if any(_raw_conj(xraw, s) not in cyclic for s in G._gen_raws()):
-                raise RuntimeError(f"normalizer scan: |N_G(<x>)| = |G| = {order}, "
-                                   "but a generator of G does not normalize <x>")
-            return G._element_set(), G._gen_raws()
         closure = set(powers)
         members = powers[:]  # the closure K, coset by coset
         gens = [_table(xraw)]  # K's generators, padded as right operands
@@ -268,8 +289,10 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
     <x, y> <= R(G)<y>, and Sol(x) = G (Guralnick, Kunyavskii, Plotkin and
     Shalev, *J. Algebra*, 2006). The pair test of the first element is still
     run: if it passes, Sol is G's memoized element set, shared by every such
-    x; if it fails, Sol is empty and the containment invariants raise.
-    Otherwise the blocks of _sol_verdicts give every verdict.
+    x; if it fails, Sol is empty and the containment invariants raise. N is
+    not listed there: N <= G = Sol, and its order comes from the class table.
+    Otherwise the blocks of _sol_verdicts give every verdict, and the
+    normalizer scan that gave their flood its conjugators gives N.
     """
     n = G.degree
     xraw = x._raw
@@ -278,18 +301,18 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
     if soluble or radical.contains(x):
         one_block = analysis.pair_soluble(G, xraw, G._elements_raw()[0])
         member_set = G._element_set() if one_block else frozenset()
+        norm_set = None
     else:
         verdict = _sol_verdicts(G, xraw)
         if len(verdict) != G.order:
             raise RuntimeError(f"orbit walk gave {len(verdict)} verdicts for {G.order} elements")
         member_set = frozenset(filter(verdict.__getitem__, G._elements_raw()))
-
-    norm_set = _normalizer_scan(G, xraw)[0]
+        norm_set = _normalizer_scan(G, xraw)[0]
 
     # containment invariants, before anything reads Sol's size
     if not _cyclic_raws(xraw, n) <= member_set:
         raise RuntimeError("solubilizer does not contain the cyclic subgroup")
-    if not _within(norm_set, member_set):
+    if norm_set is not None and not _within(norm_set, member_set):
         raise RuntimeError("solubilizer does not contain the normalizer")
     if not _within(radical._element_set(), member_set):
         raise RuntimeError("solubilizer does not contain the soluble radical")
@@ -302,6 +325,8 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
         is_sub = closure_test(members)
         # closed, so its order is its size and the chain can stop there
         subgroup = _group_from_raws(G, sorted(member_set), len(member_set)) if is_sub else None
+
+    norm_order = _normalizer_order(G, xraw) if norm_set is None else len(norm_set)
 
     # divisibility invariants
     classes = G.conjugacy_classes()
@@ -322,7 +347,7 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
         order=order,
         is_subgroup=is_sub,
         subgroup=subgroup,
-        normalizer_order=FactoredInteger.from_int(len(norm_set)),
+        normalizer_order=FactoredInteger.from_int(norm_order),
         centralizer_order=FactoredInteger.from_int(cent_order),
     )
 
@@ -492,16 +517,19 @@ def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) ->
     so 1 or <x>; it is not <x>, since <x> <= <z> with |z| = |x| would give
     <z> = <x> and z in <x>. So every index is |x|. For composite |x| the
     class is walked (_least_class_index).
+
+    |N| is sol's normalizer_order. N is listed only when Sol != G, that is on
+    the orbit-walk path; with Sol = G, N = Sol exactly when |N| = |G|.
     """
     if sol is None:
         sol = solubilizer(G, x)
-    norm_set = _normalizer_scan(G, x._raw)[0]
+    norm_order = sol.normalizer_order.value
     x_order = x.order()
-    if len(norm_set) == G.order:
+    if norm_order == G.order:
         ell, status = None, "undefined"
     else:
         ell = x_order if is_prime(x_order) else _least_class_index(G, x)
-        if sol.members._raws == norm_set:
+        if sol.order.value < G.order and sol.members._raws == _normalizer_scan(G, x._raw)[0]:
             status = "normalizer_equals_sol"
         elif sol.order.value > ell * x_order:
             status = "strict_bound"
@@ -512,7 +540,7 @@ def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) ->
         "ell": ell,
         "dichotomy": status,
         "sol_order": sol.order.value,
-        "normalizer_order": len(norm_set),
+        "normalizer_order": norm_order,
     }
 
 
@@ -550,7 +578,14 @@ def lemma_checks_for_rep(
     sol = solubilizer(G, x)
     sol_set = sol.members._raws
     sol_order = sol.order.value
-    norm_set = _normalizer_scan(G, xraw)[0]
+    norm_order = sol.normalizer_order.value
+    # with Sol = G (the one-block path) N <= Sol holds by construction and
+    # N = Sol is |N| = |G|, so N is listed only on the orbit-walk path
+    if sol_order == G.order:
+        norm_set, norm_is_sol = None, norm_order == G.order
+    else:
+        norm_set = _normalizer_scan(G, xraw)[0]
+        norm_is_sol = norm_set == sol_set
     sample = _sampled_elements(G, f"{name}:{rep_idx}", seed)
     checks: list[dict] = []
 
@@ -576,7 +611,8 @@ def lemma_checks_for_rep(
     # with its membership
     cyc = _cyclic_raws(xraw, n)
     parts = (("<x>", cyc), ("N_G(<x>)", norm_set), ("R(G)", radical._element_set()))
-    outside = next((label for label, part in parts if not _within(part, sol_set)), None)
+    outside = next((label for label, part in parts
+                    if part is not None and not _within(part, sol_set)), None)
     witness = {} if outside is None else {"not_in_sol": outside}
     for y in sample:
         verdict = analysis.pair_soluble(G, xraw, y)
@@ -647,11 +683,11 @@ def lemma_checks_for_rep(
     if p is not None and x_order == max(
         c.element_order for c in classes if prime_power_base(c.element_order) == p
     ):
-        holds = sol_order > p * x_order or sol_set == norm_set
+        holds = sol_order > p * x_order or norm_is_sol
         record(
             "exponent_dichotomy",
             holds,
-            {"p": p, "exp": x_order, "sol": sol_order, "normalizer": len(norm_set)},
+            {"p": p, "exp": x_order, "sol": sol_order, "normalizer": norm_order},
         )
     else:
         record("exponent_dichotomy", True, triggered=False)
@@ -683,8 +719,8 @@ def lemma_checks_for_rep(
     if insoluble and is_prime(x_order):
         record(
             "no_self_normalizing_prime_cyclic",
-            len(norm_set) > x_order,
-            {"x_order": x_order, "normalizer": len(norm_set)},
+            norm_order > x_order,
+            {"x_order": x_order, "normalizer": norm_order},
         )
     else:
         record("no_self_normalizing_prime_cyclic", True, triggered=False)
@@ -707,7 +743,7 @@ def lemma_checks_for_rep(
 
         # |Sol| = 2p, p odd prime -> G simple and N_G(<x>) = Sol
         if len(factors) == 2 and factors[0] == (2, 1) and factors[1][1] == 1:
-            passed = analysis.is_simple(G) and norm_set == sol_set
+            passed = analysis.is_simple(G) and norm_is_sol
             record("sol_2p", passed, {"sol": sol_order})
         else:
             record("sol_2p", True, triggered=False)
@@ -719,7 +755,7 @@ def lemma_checks_for_rep(
             and factors[1][1] == 1
             and x_order == factors[1][0]
         ):
-            passed = analysis.is_simple(G) and norm_set == sol_set
+            passed = analysis.is_simple(G) and norm_is_sol
             record("sol_pq", passed, {"sol": sol_order})
         else:
             record("sol_pq", True, triggered=False)

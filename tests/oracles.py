@@ -1,7 +1,8 @@
 """Subgroup computations that the package no longer needs, kept here as
 oracles for the tests: the lower central series, and the centralizer and
-normalizer found by scanning every element of the ambient group; and the
-conjugacy classes found by conjugating with every element of the group.
+normalizer found by scanning every element of the ambient group; the
+conjugacy classes found by conjugating with every element of the group; and
+the class pairs whose soluble pairs count differently from either side.
 
 The series shares no code with analysis.is_nilpotent, which counts elements
 of prime-power order instead of walking normal closures of commutators.
@@ -9,7 +10,9 @@ of prime-power order instead of walking normal closures of commutators.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from operator import itemgetter
 
 from grouplab.analysis import _normal_closure_raws, _require_subgroup
@@ -22,6 +25,7 @@ from grouplab.perm import (
     _raw_inv,
     _raw_mult,
 )
+from grouplab.sol import solubilizer
 
 
 @dataclass(frozen=True)
@@ -117,3 +121,18 @@ def conjugacy_classes_by_brute_force(G: PermGroup) -> tuple[list, dict]:
     rows.sort(key=lambda r: (r[2], r[1], r[0]))
     position = {r[0]: i for i, r in enumerate(rows)}
     return rows, {e: position[rep] for e, rep in placed.items()}
+
+
+def unbalanced_class_pairs(G, members=lambda G, x: solubilizer(G, x).members._raws):
+    """The class pairs (i, j) with |C_i| |Sol(x_i) meet C_j| != |C_j| |Sol(x_j) meet C_i|.
+
+    <x, y> is soluble exactly when <y, x> is, and Sol(x^g) = Sol(x)^g, so the
+    soluble pairs in C_i x C_j number |C_i| |Sol(x_i) meet C_j| counted from
+    C_i's side and |C_j| |Sol(x_j) meet C_i| from C_j's. Each Sol is listed by
+    its own search, so the two sides share no block."""
+    table = G.conjugacy_classes()
+    sizes = [c.size for c in table.classes]
+    meets = [Counter(table._index[y] for y in members(G, c.representative))
+             for c in table.classes]
+    return [(i, j) for i, j in combinations(range(len(sizes)), 2)
+            if sizes[i] * meets[i][j] != sizes[j] * meets[j][i]]

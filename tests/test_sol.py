@@ -6,9 +6,7 @@ frozen values were produced the same way or by exhaustive runs of two
 independent implementations before being pinned here.
 """
 
-import collections
 import functools
-import itertools
 import json
 import os
 import random
@@ -54,7 +52,7 @@ from grouplab.perm import (
     prime_power_base,
 )
 from grouplab.suite import RunConfig, run_full_suite
-from oracles import centralizer, normalizer
+from oracles import centralizer, normalizer, unbalanced_class_pairs
 from test_group_facts import LABELS, group
 
 
@@ -349,22 +347,78 @@ def test_normalizer_scan_raises_when_its_order_is_out_of_reach(monkeypatch, fact
         solubilizer(G, x)
 
 
+@pytest.mark.parametrize("label", NORMALIZER_LABELS)
+def test_solubilizer_normalizer_order_matches_the_oracle(label):
+    # |N_G(<x>)| as the solubilizer reports it, from the class table where
+    # Sol = G and from the scan elsewhere, against the oracle's test of every
+    # element of G, at every class representative
+    name, _, degree = label.partition(" @ ")
+    G = above_byte_degree(name) if degree else g(name)
+    for x in G.conjugacy_classes().representatives():
+        want = normalizer(G, G.subgroup([x])).order
+        assert solubilizer(G, x).normalizer_order.value == want, (label, x)
+
+
+def _no_scan(G, xraw):
+    raise AssertionError("normalizer scan on the one-block path")
+
+
+@pytest.mark.parametrize("name", ["S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4", "SL2:7", "C:2 x PGL2:7"])
+def test_one_block_representatives_list_no_normalizer(monkeypatch, name):
+    # where G is soluble or x lies in R(G), Sol = G, N <= Sol holds by
+    # construction and N = Sol is |N| = |G|: solubilizer, ell_invariant and
+    # lemma_checks_for_rep read |N| from the class table and never scan.
+    # Every class of a soluble product, and the identity and central
+    # involution of SL(2,7) and of C2 x PGL(2,7)
+    G = PermGroup(list(g(name).generators))
+    radical = analysis.soluble_radical(G).radical
+    classes = G.conjugacy_classes().classes
+    reps = [i for i, c in enumerate(classes) if radical.contains(c.representative)]
+    assert len(reps) == {"SL2:7": 2, "C:2 x PGL2:7": 2}.get(name, len(classes))
+    monkeypatch.setattr(sol_mod, "_normalizer_scan", _no_scan)
+    for i in reps:
+        x = classes[i].representative
+        r = solubilizer(G, x)
+        assert r.order.value == G.order
+        assert ell_invariant(G, x, r)["normalizer_order"] == r.normalizer_order.value
+        lemmas, theorems = sol_mod.lemma_checks_for_rep(G, i, name)
+        assert all(c["passed"] for c in lemmas + theorems), (name, x)
+
+
+@pytest.mark.parametrize(
+    "name, x_order, size, wrong, message",
+    [("S:4", 4, 6, 2, "but not every generator"),  # |N| = 8 read as 24 = |G|
+     ("D:20 x S:4", 2, 1, 2, "but every generator"),  # |N| = 480 = |G| read as 240
+     ("S:4", 4, 6, 7, "not both a multiple")],  # |N| = 8 read as 24 // 7 * 2 = 6
+)
+def test_one_block_normalizer_order_raises_on_a_wrong_class_size(
+    monkeypatch, name, x_order, size, wrong, message
+):
+    # at a one-block representative the class table's |N_G(<x>)| is all
+    # there is of N: a wrong class size must make solubilizer raise without a
+    # scan, whichever way it turns the decision N = G. At a 4-cycle of S4 it
+    # reads N = G although a generator moves <x>; at the central involution
+    # of D20 x S4 it reads N < G although every generator fixes <x>. An order
+    # that |x| does not divide fails the divisibility part
+    G = PermGroup(list(g(name).generators))
+    classes = G.conjugacy_classes()
+    k = next(i for i, c in enumerate(classes.classes)
+             if c.element_order == x_order and c.size == size)
+    x = classes.classes[k].representative
+    assert sol_mod._normalizer_order(G, x._raw) == normalizer(G, G.subgroup([x])).order
+    wrong_classes = list(classes.classes)
+    wrong_classes[k] = wrong_classes[k]._replace(size=wrong)
+    monkeypatch.setattr(classes, "classes", tuple(wrong_classes))
+    monkeypatch.setattr(sol_mod, "_normalizer_scan", _no_scan)
+    with pytest.raises(RuntimeError, match=message):
+        solubilizer(G, x)
+
+
 @pytest.mark.parametrize("name", list(TABLE1_NAMES) + ["S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4"])
 def test_solubilizers_count_the_soluble_pairs_of_two_classes_alike(name):
-    # <x, y> is soluble exactly when <y, x> is, and Sol(x^g) = Sol(x)^g, so
-    # counting the soluble pairs in C_i x C_j from either side gives
-    # |C_i| * |Sol(x_i) meet C_j| = |C_j| * |Sol(x_j) meet C_i|. Each Sol is
-    # listed by its own flood, so the two sides share no block
-    G = g(name)
-    classes = G.conjugacy_classes()
-    index = classes._index
-    sizes = [c.size for c in classes]
-    meets = [
-        collections.Counter(index[y] for y in solubilizer(G, c.representative).members._raws)
-        for c in classes
-    ]
-    for i, j in itertools.combinations(range(len(sizes)), 2):
-        assert sizes[i] * meets[i][j] == sizes[j] * meets[j][i], (name, i, j)
+    # |C_i| * |Sol(x_i) meet C_j| = |C_j| * |Sol(x_j) meet C_i| for every
+    # class pair: the soluble pairs of C_i x C_j counted from either side
+    assert unbalanced_class_pairs(g(name)) == []
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -15,13 +15,12 @@ pairs in C_i x C_j number |C_i| |Sol(x_i) meet C_j| from C_i's side and
 its x, breaks one of these equations.
 """
 
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from grouplab import TABLE1_NAMES, build_named_group, solubilizer
+from oracles import unbalanced_class_pairs
 
 SHARES = {
     "A:5": Fraction(11, 30),
@@ -47,16 +46,6 @@ def soluble_pair_share(G, sol_order=lambda G, x: solubilizer(G, x).order.value):
     classes = G.conjugacy_classes().classes
     pairs = sum(c.size * sol_order(G, c.representative) for c in classes)
     return Fraction(pairs, G.order**2)
-
-
-def unbalanced_class_pairs(G, members=lambda G, x: solubilizer(G, x).members._raws):
-    """The class pairs (i, j) with |C_i| |Sol(x_i) meet C_j| != |C_j| |Sol(x_j) meet C_i|."""
-    table = G.conjugacy_classes()
-    sizes = [c.size for c in table.classes]
-    meets = [Counter(table._index[y] for y in members(G, c.representative))
-             for c in table.classes]
-    return [(i, j) for i, j in combinations(range(len(sizes)), 2)
-            if sizes[i] * meets[i][j] != sizes[j] * meets[j][i]]
 
 
 def test_the_pinned_groups_are_the_catalog_and_two_more():
