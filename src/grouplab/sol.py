@@ -140,12 +140,12 @@ def _normalizer_order(G: PermGroup, xraw) -> int:
     normal = all(_raw_conj(xraw, s) in cyclic for s in G._gen_raws())
     if normal != (order == G.order):
         raise RuntimeError(
-            f"the normalizer scan's order |N_G(<x>)| = {order} for |G| = {G.order}, "
+            f"the class table's |N_G(<x>)| = {order} for |G| = {G.order}, "
             f"but {'every' if normal else 'not every'} generator of G normalizes <x>"
         )
     if order % len(powers) or G.order % order:
         raise RuntimeError(
-            f"the normalizer scan's order |N_G(<x>)| = {order} is not both a multiple "
+            f"the class table's |N_G(<x>)| = {order} is not both a multiple "
             f"of |x| = {len(powers)} and a divisor of |G| = {G.order}"
         )
     return order
@@ -547,6 +547,23 @@ def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) ->
 # ----------------------------------------------------------- check reports
 
 
+def _sylow_exponents(G: PermGroup) -> dict[int, int]:
+    """{p: the exponent of a Sylow p-subgroup of G} for each prime p dividing
+    |G|; memoized per group. Every p-element lies in a conjugate of one Sylow
+    p-subgroup, so that exponent is the largest p-power element order among
+    the classes of G."""
+
+    def compute() -> dict[int, int]:
+        exponents: dict[int, int] = {}
+        for c in G.conjugacy_classes().classes:
+            p = prime_power_base(c.element_order)
+            if p is not None:
+                exponents[p] = max(exponents.get(p, 1), c.element_order)
+        return exponents
+
+    return G._memo("sylow exponents", compute)
+
+
 def _sampled_elements(G: PermGroup, label: str, seed: int, count: int = 8) -> list:
     """Deterministic sample: every generator plus `count` seeded picks."""
     elements = G._elements_raw()
@@ -568,8 +585,7 @@ def lemma_checks_for_rep(
     ident = _raw_identity(n)
     insoluble = not analysis.is_soluble(G)
     radical = analysis.soluble_radical(G).radical
-    classes = G.conjugacy_classes().classes
-    cls = classes[rep_idx]
+    cls = G.conjugacy_classes().classes[rep_idx]
 
     x = cls.representative
     rep = x.cycle_string()
@@ -676,13 +692,9 @@ def lemma_checks_for_rep(
     )
 
     # when |x| equals the exponent of its Sylow p-subgroup the same
-    # dichotomy holds with the sharper bound p * |x|. Every p-element lies in
-    # a conjugate of one Sylow p-subgroup, so that exponent is the largest
-    # p-power element order among the classes of G.
+    # dichotomy holds with the sharper bound p * |x|
     p = prime_power_base(x_order)
-    if p is not None and x_order == max(
-        c.element_order for c in classes if prime_power_base(c.element_order) == p
-    ):
+    if p is not None and x_order == _sylow_exponents(G)[p]:
         holds = sol_order > p * x_order or norm_is_sol
         record(
             "exponent_dichotomy",

@@ -4,7 +4,9 @@ JSON/CSV/text rendering.
 
 Each runner returns its report as the JSON document itself: a dict of plain
 JSON values whose keys are in report order, which render() prints as json,
-csv or text and from which the CLI reads its exit code.
+csv or text and from which the CLI reads its exit code. The json format is
+the canonical two-space dump of the document, json.dumps(doc, indent=2,
+ensure_ascii=False) plus a newline, byte for byte.
 
 The runners give pool_map one task per group or report section, so that a
 group's solubilizers share one process, and each task returns a finished part
@@ -25,7 +27,8 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 from . import analysis, catalog, sol
@@ -740,10 +743,99 @@ _LAYOUTS = {
 }
 
 
+# what json writes as an object or an array, on several lines under indent
+# unless it is empty
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalars(values) -> bool:
+    """Whether none of values is a dict, list or tuple: one C loop over
+    their types, then a test per distinct type."""
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _records(items) -> bool:
+    """Whether items are records: non-empty dicts of scalars."""
+    return (
+        all(issubclass(t, dict) for t in set(map(type, items)))
+        and all(items)
+        and _scalars(chain.from_iterable(map(dict.values, items)))
+    )
+
+
+@cache
+def _encoder(pad: str):
+    """json's C encoder, with indent=2's newline and pad between items. A
+    report is a tree, so the check for cycles is left out."""
+    return json.JSONEncoder(
+        ensure_ascii=False, check_circular=False, separators=(",\n" + pad, ": ")
+    ).encode
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append json.dumps(value, indent=2, ensure_ascii=False) to out, with
+    each line after the first indented by pad.
+
+    json drops its C encoder whenever indent is set, so this hands it whole
+    containers, with indent's newline and pad as the item separator:
+    - a list of scalars is one call, and so is each run of scalars in a
+      dict, which writes their keys too;
+    - a list of records is one call with the records' pad; a record boundary
+      "},\\n<pad>{" is then moved out to the list's pad. A JSON string never
+      holds a raw newline, so the boundaries are the only matches;
+    - anything else recurses: the report shell, a record that holds a
+      witness, a structure or a factored order.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        out.append(_encoder(pad)(value))
+        return
+    inner = pad + "  "
+    encode = _encoder(inner)
+    if isinstance(value, dict):
+        out.append("{\n" + inner)
+        run = {}
+        for k, v in value.items():
+            if isinstance(v, _CONTAINERS):
+                run[k] = 0  # json writes the key; the 0 is cut off
+                out.append(encode(run)[1:-2])
+                _write(v, inner, out)
+                out.append(",\n" + inner)
+                run = {}
+            else:
+                run[k] = v
+        if run:
+            out.append(encode(run)[1:-1])
+        else:
+            out.pop()
+        out.append(f"\n{pad}}}")
+        return
+    out.append("[\n" + inner)
+    if _scalars(value):
+        out.append(encode(value)[1:-1])
+    elif _records(value):
+        deep = inner + "  "
+        boundary = f"\n{inner}}},\n{inner}{{\n{deep}"
+        text = _encoder(deep)(value).replace("},\n" + deep + "{", boundary)
+        out += (f"{{\n{deep}", text[2:-2], f"\n{inner}}}")
+    else:
+        for v in value:
+            _write(v, inner, out)
+            out.append(",\n" + inner)
+        out.pop()
+    out.append(f"\n{pad}]")
+
+
 def render(doc: dict, fmt: str) -> str:
-    """A report's JSON document, as a runner returns it, as json, csv or text."""
+    """A report's JSON document, as a runner returns it, as json, csv or text.
+
+    The json format is the canonical two-space dump of the document,
+    json.dumps(doc, indent=2, ensure_ascii=False) plus a newline, byte for
+    byte, which _write prints through json's C encoder."""
     if fmt == "json":
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        out: list[str] = []
+        _write(doc, "", out)
+        out.append("\n")
+        return "".join(out)
     lines, rows = _LAYOUTS[doc["kind"]](doc)
     if fmt == "csv":
         buf = io.StringIO()

@@ -28,6 +28,7 @@ import pytest
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 from grouplab import analysis
+from grouplab import sol as sol_mod
 from grouplab import (
     TABLE1_NAMES,
     build_named_group,
@@ -44,7 +45,7 @@ from grouplab import (
     soluble_radical,
     sylow_subgroup,
 )
-from grouplab.perm import _group_from_raws, _raw_inv, _raw_mult, prime_power_base
+from grouplab.perm import _group_from_raws, _raw_inv, _raw_mult
 from grouplab.suite import _QUOTIENT_SECTIONS
 from oracles import centralizer, lower_central_series
 
@@ -161,14 +162,13 @@ def test_core_matches_orbit_walk(label):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_sylow_exponent_is_largest_p_power_class_order(label):
+    # the map that exponent_dichotomy reads, built once per group from the
+    # class table, against the element orders of each Sylow subgroup
     G = group(label)
-    for p, _ in G.order_factored.factor_pairs:
-        from_classes = max(
-            c.element_order
-            for c in G.conjugacy_classes().classes
-            if prime_power_base(c.element_order) == p
-        )
-        assert from_classes == max(x.order() for x in sylow_subgroup(G, p).elements())
+    assert sol_mod._sylow_exponents(G) == {
+        p: max(x.order() for x in sylow_subgroup(G, p).elements())
+        for p, _ in G.order_factored.factor_pairs
+    }
 
 
 @pytest.mark.parametrize("label", LABELS)
