@@ -356,7 +356,10 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
 
 def is_nilpotent(G: PermGroup) -> bool:
     """G is nilpotent when each Sylow subgroup is normal, that is the only one:
-    when exactly |G|_p elements have p-power order, for every prime p."""
+    when exactly |G|_p elements have p-power order, for every prime p. The
+    element-order histogram is read from G's class table when G holds one, as
+    G does where it is some Sol(x), and is counted element by element
+    otherwise (_order_histogram)."""
     hist = _order_histogram(G)
     return all(
         sum(c for o, c in hist if o == 1 or prime_power_base(o) == p) == p**e
@@ -527,6 +530,14 @@ def quotient_group(
     with G's cap, as a permutation group of degree |G : N| <= cap. It is
     memoized on G, keyed by N's element set; the coset walk files every
     element of G under its coset.
+
+    The walk is breadth-first from N over right multiplication by G's
+    generators, so it reads off each generator's action on the cosets as it
+    goes, and it keeps the coset tree: each new coset N*r*s with its parent
+    N*r and generator s (the Schreier tree of Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, ch. 4). Since N is normal, r*s
+    acts on the cosets as r, then s, so each coset's image is one product of
+    permutations of degree |G : N|, its parent's image times s's.
     """
     _require_subgroup(G, N)
     n = G.degree
@@ -545,19 +556,23 @@ def quotient_group(
     def build():
         reps = [_raw_identity(n)]
         coset_of = dict.fromkeys(n_raws, 0)  # element of G -> index of its coset N*t
-        qi = 0
-        while qi < len(reps):
-            r = reps[qi]
-            qi += 1
-            for s in gen_raws:
+        moves = [[] for _ in gen_raws]  # moves[i][k]: the coset of reps[k] * s_i
+        tree = [None]  # (parent coset, generator) whose product first reached each coset
+        for k, r in enumerate(reps):
+            for i, s in enumerate(gen_raws):
                 t = _raw_mult(r, s)
                 if t not in coset_of:
                     coset_of.update(dict.fromkeys((_raw_mult(nr, t) for nr in n_raws), len(reps)))
                     reps.append(t)
+                    tree.append((k, i))
+                moves[i].append(coset_of[t])
         if len(reps) != index:
             raise RuntimeError("coset walk did not reach every coset")
-        # N*r*t is the image of the coset N*r under every element of N*t
-        images = [Permutation([coset_of[_raw_mult(r, t)] + 1 for r in reps]) for t in reps]
+        # reps[k] = reps[parent] * s_i acts on the cosets as reps[parent], then s_i
+        gen_images = [Permutation([c + 1 for c in move]) for move in moves]
+        images = [Permutation.identity(index)]
+        for parent, i in tree[1:]:
+            images.append(images[parent] * gen_images[i])
 
         def project(g: Permutation) -> Permutation:
             if g.degree != n or not G.contains(g):

@@ -839,11 +839,20 @@ def closure_test(S) -> bool:
 
 
 def _order_histogram(H: PermGroup) -> tuple:
-    """((element order, number of elements of that order), ...), ascending."""
+    """((element order, number of elements of that order), ...), ascending.
+
+    Read from H's class table when H already holds one, since conjugates share
+    their order: a group that is some Sol(x) = G, for one, orders no element.
+    Otherwise each element is ordered; no class table is built for this."""
     counts: dict[int, int] = {}
-    for g in H._elements_raw():
-        o = _raw_order(g, H.degree)
-        counts[o] = counts.get(o, 0) + 1
+    table = H._cache.get("classes")
+    if table is not None:
+        for c in table.classes:
+            counts[c.element_order] = counts.get(c.element_order, 0) + c.size
+    else:
+        for g in H._elements_raw():
+            o = _raw_order(g, H.degree)
+            counts[o] = counts.get(o, 0) + 1
     return tuple(sorted(counts.items()))
 
 

@@ -22,10 +22,10 @@ The per-element layer conjugates x by no more of G than it must:
   x lies in R(G), G is one block: Sol(x) is G's element set, built once
   per group, after one pair test, and N is not listed: N <= G = Sol, and
   the readers need only |N| (_solubilizer_search).
-* For |x| prime, ell = |x| whenever it is defined: <x> meet <z> is 1 or <x>
-  (ell_invariant). For composite |x| each z in x^G is powered only until a
-  power lies in <x>: the least such exponent is the index of <x> meet <z> in
-  <x> (_least_class_index).
+* ell walks no class. For |x| prime, ell = |x| whenever it is defined:
+  <x> meet <z> is 1 or <x>. For composite |x|, ell is the least divisor
+  d > 1 of |x| with |N_G(<x^d>)| > |N_G(<x>)|, each order read from the
+  class table (ell_invariant, _ell_divisor).
 
 The checks (ell_invariant, lemma_checks_for_rep, sol_core_check,
 quotient_sol_check, direct_product_sol_check) return their report records:
@@ -321,6 +321,8 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
     order = FactoredInteger.from_int(len(member_set))
     if len(member_set) == G.order:
         is_sub, subgroup = True, G  # Sol = G: no closure test, no second chain
+    elif G.order % len(member_set):
+        is_sub, subgroup = False, None  # Lagrange: no subgroup of G has that order
     else:
         is_sub = closure_test(members)
         # closed, so its order is its size and the chain can stop there
@@ -330,8 +332,9 @@ def _solubilizer_search(G: PermGroup, x: Permutation) -> SolResult:
 
     # divisibility invariants
     classes = G.conjugacy_classes()
-    cent_order = G.order // classes.classes[classes.class_index(x)].size  # |G| / |x^G|
-    for d in (x.order(), cent_order, radical.order):
+    cls = classes.classes[classes.class_index(x)]
+    cent_order = G.order // cls.size  # |G| / |x^G|
+    for d in (cls.element_order, cent_order, radical.order):
         if order.value % d:
             raise RuntimeError(f"divisor invariant broken: {d} does not divide {order.value}")
     if not soluble:
@@ -480,27 +483,15 @@ def _label(fp: tuple) -> str:
 # ------------------------------------------------------------ ell invariant
 
 
-def _least_class_index(G: PermGroup, x: Permutation) -> int:
-    """min over z in x^G outside <x> of |<x> : <x> meet <z>|, for
-    N_G(<x>) != G, so that some such z exists.
-
-    No z is listed in full. z^G = x^G gives |z| = |x| = m, and the k with
-    z^k in <x> form a subgroup of the integers that contains m, so they are
-    the multiples of the least such k = k0, a divisor of m, with k0 > 1 for z
-    outside <x>. Then <x> meet <z> = <z^k0>, of order m / k0, and its index in
-    <x> is k0. So the powers of each z are walked only until one lies in <x>,
-    or until k reaches the least k0 found so far, which starts at m.
-    """
-    powers = _cyclic_raws(x._raw, G.degree)
-    least = x.order()
-    for z in G.conjugacy_classes().class_members(x)._raws:
-        if z in powers:
-            continue
-        table, power, k = _table(z), z, 1
-        while k < least and power not in powers:
-            power, k = _raw_mult(power, table), k + 1
-        least = k
-    return least
+def _ell_divisor(G: PermGroup, xraw, norm_order: int) -> int:
+    """The least divisor d > 1 of |x| with |N_G(<x^d>)| > norm_order =
+    |N_G(<x>)|, for N_G(<x>) != G; that d is ell (see ell_invariant)."""
+    powers = _power_list(xraw, G.degree)  # powers[d % |x|] = x^d
+    m = len(powers)
+    return next(
+        d for d in range(2, m + 1)
+        if m % d == 0 and _normalizer_order(G, powers[d % m]) > norm_order
+    )
 
 
 def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) -> dict:
@@ -510,13 +501,24 @@ def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) ->
     dichotomy is normalizer_equals_sol, strict_bound or violated; it is
     undefined, with ell None, when N_G(<x>) = G.
 
-    <x> meet <x^y> depends only on z = x^y, and y lies outside N_G(<x>)
-    exactly when z is not in <x>, so the class x^G holds every index needed.
-    For |x| prime no class is walked: ell = |x|. With N_G(<x>) != G some such
-    z exists, and <x> meet <z> is a subgroup of the group <x> of prime order,
-    so 1 or <x>; it is not <x>, since <x> <= <z> with |z| = |x| would give
-    <z> = <x> and z in <x>. So every index is |x|. For composite |x| the
-    class is walked (_least_class_index).
+    <x> meet <x^y> depends only on z = x^y, and y lies outside N = N_G(<x>)
+    exactly when z is not in <x>, so the class x^G holds every index needed;
+    no member of it is listed. With N != G some such z exists. For |x| prime,
+    ell = |x|: <x> meet <z> is a subgroup of the group <x> of prime order, so
+    1 or <x>, and it is not <x>, since <x> <= <z> with |z| = |x| would give
+    <z> = <x> and z in <x>.
+
+    For composite m = |x|, ell is the least divisor d > 1 of m with
+    |N_G(<x^d>)| > |N| (_ell_divisor). The k with z^k in <x> are the
+    multiples of a least k0, which divides m, and <x> meet <z> = <z^k0> has
+    index k0 in <x>; so ell is the least divisor d of m such that z^d lies in
+    <x> for some z = x^g outside <x>. Now z^d = (x^d)^g has the order of x^d,
+    so it lies in <x> exactly when it lies in <x^d>, the one subgroup of <x>
+    of that order, that is when g normalizes <x^d>. And <x^d>, characteristic
+    in <x>, is normalized by N. So such a g exists exactly when
+    N < N_G(<x^d>), that is when |N_G(<x^d>)| > |N|; d = 1 never qualifies,
+    and d = m always does, as N_G(<1>) = G. Each |N_G(<x^d>)| is read from
+    the class table (_normalizer_order).
 
     |N| is sol's normalizer_order. N is listed only when Sol != G, that is on
     the orbit-walk path; with Sol = G, N = Sol exactly when |N| = |G|.
@@ -524,11 +526,12 @@ def ell_invariant(G: PermGroup, x: Permutation, sol: SolResult | None = None) ->
     if sol is None:
         sol = solubilizer(G, x)
     norm_order = sol.normalizer_order.value
-    x_order = x.order()
+    classes = G.conjugacy_classes()
+    x_order = classes.classes[classes.class_index(x)].element_order
     if norm_order == G.order:
         ell, status = None, "undefined"
     else:
-        ell = x_order if is_prime(x_order) else _least_class_index(G, x)
+        ell = x_order if is_prime(x_order) else _ell_divisor(G, x._raw, norm_order)
         if sol.order.value < G.order and sol.members._raws == _normalizer_scan(G, x._raw)[0]:
             status = "normalizer_equals_sol"
         elif sol.order.value > ell * x_order:

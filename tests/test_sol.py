@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation as SPerm, PermutationGroup
 
 from grouplab import analysis
+from grouplab import perm as perm_mod
 from grouplab import sol as sol_mod
 from grouplab import suite as suite_mod
 from grouplab import (
@@ -46,6 +47,7 @@ from grouplab.perm import (
     _chain_from_raws,
     _chain_growers,
     _group_from_raws,
+    _order_histogram,
     _raw_inv,
     _raw_mult,
     is_prime,
@@ -445,6 +447,78 @@ def test_stopped_closure_test_matches_the_full_build(label):
         assert closure_test(members) == (_chain_from_raws(G.degree, raws).order() == len(raws)), x
 
 
+@pytest.mark.parametrize("name", list(TABLE1_NAMES) + ["SL2:7", "S:7"])
+def test_subgroup_flag_matches_a_direct_closure_test(name):
+    # the solubilizer runs no closure test when |Sol| does not divide |G|
+    # (Lagrange) or Sol = G; the flag must still be closure_test's answer
+    G = g(name)
+    for x in G.conjugacy_classes().representatives():
+        r = solubilizer(G, x)
+        assert r.is_subgroup == closure_test(r.members), x
+
+
+def test_sol_of_an_order_not_dividing_g_runs_no_closure_test(monkeypatch):
+    # |Sol| = 1296 does not divide |S_7| = 5040
+    def refuse(S):
+        raise AssertionError("closure test run")
+
+    monkeypatch.setattr(sol_mod, "closure_test", refuse)
+    G = PermGroup(list(g("S:7").generators))
+    r = solubilizer(G, parse_permutation("(1,2)(3,4)", 7))
+    assert r.order.value == 1296 and G.order % 1296
+    assert not r.is_subgroup and r.subgroup is None
+
+
+def test_catalog_solubilizers_run_67_closure_tests(monkeypatch):
+    # one cold solubilizer per class representative of the fourteen catalog
+    # groups: 113 closure tests before the Lagrange skip, 67 with it
+    runs = []
+    real = sol_mod.closure_test
+
+    def counting(S):
+        runs.append(len(S))
+        return real(S)
+
+    monkeypatch.setattr(sol_mod, "closure_test", counting)
+    for name in TABLE1_NAMES:
+        G = PermGroup(list(g(name).generators))
+        for x in G.conjugacy_classes().representatives():
+            solubilizer(G, x)
+    assert len(runs) == 67
+
+
+ORDER_HISTOGRAM_GROUPS = list(TABLE1_NAMES) + [
+    "SL2:7", "S:4 x S:4", "C7:C3 x S:4", "D:20 x S:4", "A:5 @ 300", "S:4 @ 300",
+]
+
+
+@pytest.mark.parametrize("label", ORDER_HISTOGRAM_GROUPS)
+def test_order_histogram_from_the_class_table_matches_the_element_count(label):
+    name, _, degree = label.partition(" @ ")
+    G = PermGroup(list((above_byte_degree(name) if degree else g(name)).generators))
+    counted = _order_histogram(G)  # no class table yet: each element is ordered
+    assert "classes" not in G._cache
+    G.conjugacy_classes()
+    assert _order_histogram(G) == counted
+    orders = [x.order() for x in G.elements()]
+    assert counted == tuple(sorted((o, orders.count(o)) for o in set(orders)))
+
+
+def test_whole_group_nilpotency_orders_no_element(monkeypatch):
+    # at the identity of an insoluble G, Sol = G is a subgroup, so the
+    # nilpotent-Sol check asks is_nilpotent(G), which reads G's class table
+    G = PermGroup(list(g("PGammaL2:8").generators))
+    G.conjugacy_classes()
+
+    def refuse(a, n):
+        raise AssertionError("an element was ordered")
+
+    monkeypatch.setattr(perm_mod, "_raw_order", refuse)
+    lemmas, theorems = sol_mod.lemma_checks_for_rep(G, 0, "PGammaL2:8")
+    assert all(r["passed"] for r in lemmas + theorems)
+    assert solubilizer(G, G.identity()).subgroup is G
+
+
 def test_solubilizer_rejects_outside_element():
     with pytest.raises(ValueError):
         solubilizer(g("A:5"), parse_permutation("(1,2)", 5))
@@ -813,25 +887,67 @@ ELL_GROUPS = list(TABLE1_NAMES) + [
 ]
 
 
+def least_index_cases(G):
+    """(x, least |<x> : <x> meet <z>| over the conjugates z outside <x>) at
+    each class representative x of G that has such a z: the index is
+    |x| / |<x> meet <z>|, from both power lists in full."""
+    classes = G.conjugacy_classes()
+    for c in classes:
+        x = c.representative
+        powers = power_raws(x)
+        outside = [z for z in classes.class_members(x) if z._raw not in powers]
+        if outside:
+            yield x, min(x.order() // len(powers & power_raws(z)) for z in outside)
+
+
+def assert_ell_divisor(G, cases):
+    for x, expected in cases:
+        norm = sol_mod._normalizer_order(G, x._raw)
+        assert sol_mod._ell_divisor(G, x._raw, norm) == expected, x
+
+
 def test_least_class_index_matches_the_intersection_formula():
-    # the index |<x> : <x> meet <z>| = |x| / |<x> meet <z>| from both power
-    # lists in full, least over the conjugates z outside <x>, at each of the
-    # 121 representatives of composite order that have such a z
+    # ell as the least divisor d > 1 of |x| with |N_G(<x^d>)| > |N_G(<x>)|,
+    # against the least index over the conjugates outside <x>, at each of the
+    # 121 representatives of composite order that have such a conjugate
     cases = 0
     for name in ELL_GROUPS:
         G = g(name)
-        classes = G.conjugacy_classes()
-        for c in classes:
-            x = c.representative
-            m = x.order()
-            powers = power_raws(x)
-            outside = [z for z in classes.class_members(x) if z._raw not in powers]
-            if is_prime(m) or not outside:
-                continue
-            expected = min(m // len(powers & power_raws(z)) for z in outside)
-            assert sol_mod._least_class_index(G, x) == expected, (name, x)
-            cases += 1
+        composite = [(x, k) for x, k in least_index_cases(G) if not is_prime(x.order())]
+        assert_ell_divisor(G, composite)
+        cases += len(composite)
     assert cases == 121
+    # and at every such representative, prime orders too, above degree 256,
+    # where _normalizer_order powers and conjugates tuples
+    wide = [(G, list(least_index_cases(G))) for G in map(above_byte_degree, ("A:5", "S:4"))]
+    for G, found in wide:
+        assert type(G.generators[0]._raw) is tuple
+        assert_ell_divisor(G, found)
+    assert sum(len(found) for _, found in wide) == 8
+
+
+@pytest.mark.parametrize("name", ["S:6", "SL2:7", "S:4 x S:4"])
+def test_ell_divisor_check_fails_on_a_flat_normalizer_order(monkeypatch, name):
+    # with _normalizer_order giving |N_G(<x>)| at every power x^d other than
+    # 1, only d = |x| qualifies, so ell reads |x|; the intersection check must
+    # fail at each representative whose ell is smaller, and S:6, SL2:7 and
+    # S:4 x S:4 have 2, 6 and 11 of them
+    G = g(name)
+    real = sol_mod._normalizer_order
+    ident = G.identity()._raw
+    caught = 0
+    for x, expected in least_index_cases(G):
+        norm = real(G, x._raw)
+        monkeypatch.setattr(
+            sol_mod, "_normalizer_order", lambda G, raw: G.order if raw == ident else norm
+        )
+        if expected < x.order():
+            with pytest.raises(AssertionError):
+                assert_ell_divisor(G, [(x, expected)])
+            caught += 1
+        else:
+            assert_ell_divisor(G, [(x, expected)])
+    assert caught == {"S:6": 2, "SL2:7": 6, "S:4 x S:4": 11}[name]
 
 
 def test_ell_undefined_when_normalizer_is_everything():
