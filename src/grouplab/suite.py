@@ -11,7 +11,9 @@ ensure_ascii=False) plus a newline, byte for byte.
 The runners give pool_map one task per group or report section, so that a
 group's solubilizers share one process, and each task returns a finished part
 of the document: a suite group's groups[] entry, a section's or a scanned
-group's records, or a Table 1 row.
+group's records, or a Table 1 row. pool_map runs the tasks in a
+ProcessPoolExecutor, whose workers on Linux are forked and so inherit the
+groups that the runner built before the pool.
 
 Reports are deterministic for a fixed (config, seed): everything that varies
 between runs (timestamps, wall times) lives under the "meta" key and nowhere
@@ -47,143 +49,48 @@ def available_workers() -> int:
         return os.cpu_count() or 1
 
 
-# the seam between pool_map's two paths: "fork" forks the workers directly
-# (_fork_map), so each inherits the groups this process has built; any other
-# start method runs ProcessPoolExecutor with it, and None with the platform's
-# default, where spawn and forkserver (the Linux default from Python 3.14)
-# make each worker rebuild them
+# the start method of pool_map's workers, and the tests' seam: "fork" on
+# Linux, so that each worker inherits the groups this process has built, and
+# None elsewhere, the platform's default (spawn on macOS and Windows), under
+# which each worker rebuilds the groups it needs, as it would under
+# forkserver, the Linux default from Python 3.14
 _START_METHOD = "fork" if sys.platform == "linux" else None
-
-# task numbers go down the shared pipe in writes of this many bytes: 512 is
-# the least PIPE_BUF that POSIX allows, so each write is atomic and, being a
-# multiple of 4, every 4-byte read takes one whole task number
-_TASK_WRITE = 512
 
 
 def pool_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], in input order, on min(workers, len(items))
     worker processes; in this process when workers <= 1 or there is at most
-    one item. A task's exception is raised here, the first in input order.
+    one item.
 
-    On Linux the workers are forked directly (_fork_map). Elsewhere they run
-    in a ProcessPoolExecutor, so fn must be a module-level function that
-    pickles; under spawn, the start method there, each worker rebuilds the
-    groups it needs."""
+    The workers run in a ProcessPoolExecutor under _START_METHOD, so fn must be
+    a module-level function that pickles. A task's exception is raised here,
+    the first in input order; a worker that dies raises BrokenProcessPool, a
+    RuntimeError. On any exception, one raised in this process included, the
+    pending tasks are cancelled and every worker is killed and reaped before
+    it propagates, so none outlives the call."""
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    if _START_METHOD == "fork":
-        return _fork_map(fn, items, workers)
+    # imported here, so that a run without a pool loads neither package
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context(_START_METHOD)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, items))
-
-
-def _fork_map(fn, items: list, workers: int) -> list:
-    """pool_map on `workers` forked processes that share one task pipe.
-
-    Each worker reads 4-byte task numbers until EOF and runs fn(items[i]) for
-    each; after its first exception it reads on but runs nothing more. It then
-    writes one pickled reply on a pipe of its own: its (i, result) pairs and
-    its first (i, exception), or None. Writing every task number before
-    reading any reply cannot block for good, since the workers drain the task
-    pipe whatever their tasks do. A worker ends in os._exit, so it runs none
-    of this process's exit handlers and flushes none of the output buffers it
-    inherited (a task that prints must flush). A worker that exits without a
-    reply, or a reply that pickle cannot carry, raises RuntimeError here. On
-    every path the pipes are closed and each worker is killed and reaped, so
-    none outlives the call, not even one blocked on a large reply."""
-    import pickle
-    import signal
-
-    tasks_r, tasks_w = os.pipe()
-    unclosed = {tasks_r, tasks_w}
-    replies: list[int] = []  # read ends, one per worker
-    pids: list[int] = []
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context(_START_METHOD))
     try:
-        for _ in range(workers):
-            reply_r, reply_w = os.pipe()
-            unclosed |= {reply_r, reply_w}
-            pid = os.fork()
-            if pid == 0:  # the worker: it never leaves this branch
-                code = 1
-                try:
-                    # a worker holding the task pipe's write end would never see EOF
-                    for fd in unclosed - {tasks_r, reply_w}:
-                        os.close(fd)
-                    _work(fn, items, tasks_r, reply_w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-            replies.append(reply_r)
-            os.close(reply_w)
-            unclosed.remove(reply_w)
-        os.close(tasks_r)
-        unclosed.remove(tasks_r)
-        numbers = b"".join(i.to_bytes(4, "little") for i in range(len(items)))
-        try:
-            for start in range(0, len(numbers), _TASK_WRITE):
-                os.write(tasks_w, numbers[start:start + _TASK_WRITE])
-        except BrokenPipeError:
-            pass  # every worker has exited; the missing replies say so below
-        os.close(tasks_w)
-        unclosed.remove(tasks_w)
-
-        results: list = [None] * len(items)
-        first = None  # the (i, exception) of the first failed task
-        for fd in replies:
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-            if not chunks:
-                raise RuntimeError("a pool worker exited without a reply")
-            try:
-                done, error = pickle.loads(b"".join(chunks))
-            except Exception as exc:
-                raise RuntimeError(f"a pool worker's reply could not be read: {exc}") from exc
-            for i, result in done:
-                results[i] = result
-            if error is not None and (first is None or error[0] < first[0]):
-                first = error
-        if first is not None:
-            raise first[1]
-        return results
-    finally:
-        for fd in unclosed:
-            os.close(fd)
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)  # a zombie that has replied ignores it
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-
-
-def _work(fn, items: list, tasks: int, reply: int) -> None:
-    """A forked worker's tasks and reply (see _fork_map)."""
-    import pickle
-
-    done: list[tuple] = []
-    error = None
-    while number := os.read(tasks, 4):
-        if error is None:
-            i = int.from_bytes(number, "little")
-            try:
-                done.append((i, fn(items[i])))
-            except BaseException as exc:
-                error = (i, exc)
-    try:
-        payload = pickle.dumps((done, error))
-    except Exception as exc:  # a result or an exception that pickle cannot carry
-        failure = RuntimeError(f"a pool worker could not send its reply: {exc}")
-        payload = pickle.dumps(([], (-1, failure)))
-    view = memoryview(payload)
-    while view:
-        view = view[os.write(reply, view):]
+        results = list(pool.map(fn, items))
+    except BaseException:
+        # shutdown() alone waits for the running tasks, and before Python 3.14
+        # the executor has no public call that kills its workers
+        for process in pool._processes.values():
+            process.kill()
+        # a worker killed in the middle of a reply leaves the executor's
+        # reader waiting for the rest; once this process's write end is closed
+        # too, it reads EOF instead, and the shutdown can join it
+        pool._result_queue._writer.close()
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+    return results
 
 
 class _RunConfigFields(NamedTuple):

@@ -1,3 +1,5 @@
+import multiprocessing.process
+
 import pytest
 
 _acceptance_lines: list[str] = []
@@ -12,6 +14,21 @@ def announce():
         _acceptance_lines.append(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'}{tail}")
 
     return _announce
+
+
+@pytest.fixture
+def pool_pids(monkeypatch):
+    """The pids of the worker processes that suite.pool_map starts, under
+    any start method."""
+    pids = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def recorded(process):
+        real(process)
+        pids.append(process.pid)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded)
+    return pids
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

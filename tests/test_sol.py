@@ -8,7 +8,6 @@ independent implementations before being pinned here.
 
 import functools
 import json
-import os
 import random
 from math import gcd
 
@@ -691,25 +690,16 @@ def test_conjugation_outside_the_normalizer_changes_membership():
     assert x.conjugate(h) not in solubilizer(a5, x).members
 
 
-def test_pool_map_keeps_order_and_sizes_the_pool(monkeypatch):
-    forked = []
-    real = os.fork
-
-    def counted():
-        pid = real()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(suite_mod, "_START_METHOD", "fork")
-    monkeypatch.setattr(os, "fork", counted)
-    assert suite_mod.pool_map(abs, [-3, 1, -2], 8) == [3, 1, 2]
-    assert suite_mod.pool_map(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
-    assert len(forked) == 3 + 2
+def test_pool_map_keeps_order_and_sizes_the_pool(monkeypatch, pool_pids):
+    for method in ("fork", "spawn"):
+        monkeypatch.setattr(suite_mod, "_START_METHOD", method)
+        assert suite_mod.pool_map(abs, [-3, 1, -2], 8) == [3, 1, 2]
+        assert suite_mod.pool_map(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
+    assert len(pool_pids) == 2 * (3 + 2)
     # one item, or one worker, stays in this process
     assert suite_mod.pool_map(abs, [-1], 8) == [1]
     assert suite_mod.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
-    assert len(forked) == 3 + 2
+    assert len(pool_pids) == 2 * (3 + 2)
 
 
 # ----------------------------------------------------------- identification

@@ -5,10 +5,13 @@ import functools
 import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,7 @@ from grouplab.suite import (
     run_full_suite,
     run_table1,
 )
+import pool_tasks
 
 
 # ------------------------------------------------------------- RunConfig
@@ -161,19 +165,16 @@ def test_runners_time_every_group_and_section_in_meta():
     assert list(table1["meta"]["wall_times"]) == [row["group"] for row in table1["rows"]]
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn"])
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
 def test_full_suite_does_not_depend_on_the_start_method(monkeypatch, method):
-    # "fork" forks the workers directly; "spawn" runs ProcessPoolExecutor
-    # under spawn, the path off Linux
+    # "fork" is the pool's start method on Linux; "spawn" the default on
+    # macOS and Windows, and "forkserver" on Linux from Python 3.14. Under
+    # the last two, each worker rebuilds the groups it needs
     config = RunConfig(groups=("A:5", "PSL2:7"), product_powers=1, workers=2)
     monkeypatch.setattr(suite_mod, "_START_METHOD", "fork")
     expected = _without_meta(run_full_suite(config))
     monkeypatch.setattr(suite_mod, "_START_METHOD", method)
     assert _without_meta(run_full_suite(config)) == expected
-
-
-def _built_before_the_pool(name):
-    return (name, grouplab.DEFAULT_CAP) in catalog._BUILD_CACHE
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
@@ -182,31 +183,38 @@ def test_suite_pool_forks_on_linux(monkeypatch):
     # groups built here; under spawn or forkserver its cache starts empty
     monkeypatch.setattr(catalog, "_BUILD_CACHE", {})
     build_named_group("A:5")
-    assert suite_mod.pool_map(_built_before_the_pool, ["A:5", "PSL2:7"], 2) == [True, False]
+    assert suite_mod.pool_map(pool_tasks.is_built, ["A:5", "PSL2:7"], 2) == [True, False]
+    monkeypatch.setattr(suite_mod, "_START_METHOD", "spawn")
+    assert suite_mod.pool_map(pool_tasks.is_built, ["A:5", "PSL2:7"], 2) == [False, False]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+def test_the_forked_pool_raises_no_deprecation_warning():
+    # from Python 3.12, os.fork warns in a process that runs threads. The
+    # executor forks its workers before it starts its manager thread, and
+    # pool_map joins that thread before it returns, so the second pool forks
+    # in a single-threaded process too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            assert suite_mod.pool_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
 
 
 # ------------------------------------------------------- pool failure paths
+# Each test below runs the pool under both start methods that pool_map
+# meets: fork, its method on Linux, and spawn, the default on macOS and
+# Windows. The tasks are functions of pool_tasks, which a spawned worker
+# imports.
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """The pids of the workers that pool_map forks, on its direct-fork path."""
-    pids = []
-    real = os.fork
-
-    def recorded():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(suite_mod, "_START_METHOD", "fork")
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
+def _each_start_method(monkeypatch):
+    for method in ("fork", "spawn"):
+        monkeypatch.setattr(suite_mod, "_START_METHOD", method)
+        yield method
 
 
 def _all_reaped(pids) -> bool:
-    # per pid, not os.waitpid(-1): the spawn test above leaves multiprocessing's
+    # per pid, not os.waitpid(-1): a spawn pool leaves multiprocessing's
     # resource tracker running as a child of this process
     for pid in pids:
         with pytest.raises(ChildProcessError):
@@ -214,56 +222,37 @@ def _all_reaped(pids) -> bool:
     return True
 
 
-def test_task_error_at_two_workers_exits_one_as_at_one(monkeypatch, capsys, forked):
-    real = sol_mod.lemma_checks_for_rep
-
-    def injected(G, rep_idx, *args, **kwargs):
-        if rep_idx == 2:
-            raise RuntimeError("injected")
-        return real(G, rep_idx, *args, **kwargs)
-
-    monkeypatch.setattr(sol_mod, "lemma_checks_for_rep", injected)
-    runs = []
-    for workers in ("1", "2"):
-        # two groups, so that two workers fork: each group is one task
-        code = main(["suite", "--groups", "A:5,S:5", "--workers", workers])
-        runs.append((code, capsys.readouterr()))
-    assert runs[0] == runs[1]
+def test_task_error_at_two_workers_exits_one_as_at_one(monkeypatch, capsys, pool_pids):
+    # the fault is injected in the process that runs the group's task, so a
+    # spawned worker, which inherits no monkeypatch, raises it too
+    monkeypatch.setattr(suite_mod, "_run_task", pool_tasks.run_task_injected)
+    argv = ["suite", "--groups", "A:5,S:5", "--workers"]
+    runs = [(main(argv + ["1"]), capsys.readouterr())]
+    for _ in _each_start_method(monkeypatch):
+        # two groups, so that two workers start: each group is one task
+        runs.append((main(argv + ["2"]), capsys.readouterr()))
+    assert runs == [runs[0]] * 3
     assert runs[0][0] == 1 and runs[0][1].err == "error: injected\n"
-    assert len(forked) == 2 and _all_reaped(forked)
+    assert len(pool_pids) == 4 and _all_reaped(pool_pids)
 
 
-def _exits_at_three(i):
-    if i == 3:
-        os._exit(3)
-    return i
-
-
-def test_worker_that_exits_without_a_reply_raises(forked):
-    with pytest.raises(RuntimeError, match="without a reply"):
-        suite_mod.pool_map(_exits_at_three, list(range(8)), 2)
-    assert _all_reaped(forked)
-
-
-def _large_reply_unless_one(failure, i):
-    if i == 1:
-        time.sleep(0.2)  # meanwhile the other worker takes every other task
-        if failure == "raise":
-            raise ValueError("task 1")
-        os._exit(3)
-    return bytes(100_000)  # more than a pipe holds
+def test_worker_that_exits_without_a_reply_raises(monkeypatch, pool_pids):
+    assert issubclass(BrokenProcessPool, RuntimeError)
+    for _ in _each_start_method(monkeypatch):
+        with pytest.raises(BrokenProcessPool):
+            suite_mod.pool_map(pool_tasks.exits_at_three, list(range(8)), 2)
+    assert len(pool_pids) == 4 and _all_reaped(pool_pids)
 
 
 @pytest.mark.parametrize("failure", ["raise", "exit"])
-def test_large_reply_beside_a_failed_task_does_not_hang(forked, failure):
-    # the other worker's reply is 500 KB; when the failed worker exited, its
-    # missing reply may be read first, so the parent gives up while the other
-    # is still blocked writing
-    task = functools.partial(_large_reply_unless_one, failure)
-    error = ValueError if failure == "raise" else RuntimeError
-    with pytest.raises(error, match="task 1" if failure == "raise" else "without a reply"):
-        suite_mod.pool_map(task, list(range(6)), 2)
-    assert _all_reaped(forked)
+def test_large_reply_beside_a_failed_task_does_not_hang(monkeypatch, pool_pids, failure):
+    # the other worker's replies come to 500 KB, more than a pipe holds
+    task = functools.partial(pool_tasks.large_reply_unless_one, failure)
+    error = ValueError if failure == "raise" else BrokenProcessPool
+    for _ in _each_start_method(monkeypatch):
+        with pytest.raises(error, match="task 1" if failure == "raise" else None):
+            suite_mod.pool_map(task, list(range(6)), 2)
+    assert len(pool_pids) == 4 and _all_reaped(pool_pids)
 
 
 class _Interrupted(Exception):
@@ -275,61 +264,70 @@ def _interrupt(signum, frame):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
-def test_exception_in_the_parent_kills_the_workers(forked):
+def test_exception_in_the_parent_kills_the_workers(monkeypatch, pool_pids):
     previous = signal.signal(signal.SIGALRM, _interrupt)
-    started = time.monotonic()
     try:
-        signal.setitimer(signal.ITIMER_REAL, 0.2)
-        with pytest.raises(_Interrupted):
-            suite_mod.pool_map(time.sleep, [30, 30, 30], 2)
+        for _ in _each_start_method(monkeypatch):
+            started = time.monotonic()
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(_Interrupted):
+                suite_mod.pool_map(time.sleep, [30, 30, 30], 2)
+            assert time.monotonic() - started < 10  # the workers did not finish their tasks
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - started < 10  # the workers did not finish their tasks
-    assert len(forked) == 2 and _all_reaped(forked)
+    assert len(pool_pids) == 4 and _all_reaped(pool_pids)
 
 
-def _unpicklable_error(i):
-    raise ValueError(lambda: i)
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(signal, "setitimer"),
+                    reason="forks, and needs an interval timer")
+def test_worker_killed_in_the_middle_of_a_reply_does_not_hang():
+    # a forked worker inherits the patched put, so it sends the header of a
+    # 1000-byte reply and then sleeps; the executor's reader waits for the
+    # rest until the parent, interrupted, kills the workers
+    script = (
+        "import json, multiprocessing.queues, os, signal, sys, time\n"
+        "from grouplab import suite\n"
+        "def stalled_put(queue, obj):\n"
+        "    os.write(queue._writer.fileno(), (1000).to_bytes(4, 'big'))\n"
+        "    time.sleep(30)\n"
+        "def interrupt(signum, frame):\n"
+        "    raise KeyboardInterrupt\n"
+        "multiprocessing.queues.SimpleQueue.put = stalled_put\n"
+        "signal.signal(signal.SIGALRM, interrupt)\n"
+        "suite._START_METHOD = 'fork'\n"
+        "started = time.monotonic()\n"
+        "signal.setitimer(signal.ITIMER_REAL, 0.3)\n"
+        "try:\n"
+        "    suite.pool_map(abs, [-1, -2, -3], 2)\n"
+        "except KeyboardInterrupt:\n"
+        "    pass\n"
+        "seconds = time.monotonic() - started\n"
+        "print(json.dumps([seconds < 10, len(multiprocessing.active_children())]), file=sys.stderr)\n"
+    )
+    assert _last_stderr_line_of(script) == [True, 0]
 
 
-def _exits_python_at_two(i):
-    if i == 2:
-        raise SystemExit(5)
-    return i
-
-
-def test_worker_errors_that_do_not_pickle_or_are_not_exceptions(forked):
-    with pytest.raises(RuntimeError, match="could not send its reply"):
-        suite_mod.pool_map(_unpicklable_error, [1, 2, 3], 2)
-    with pytest.raises(SystemExit) as exit_info:
-        suite_mod.pool_map(_exits_python_at_two, list(range(6)), 2)
-    assert exit_info.value.code == 5
-    assert len(forked) == 4 and _all_reaped(forked)
-
-
-def _append(path, line: str):
-    """One write to a file opened for appending, so that the lines that
-    several processes write stay whole."""
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-    try:
-        os.write(fd, line.encode())
-    finally:
-        os.close(fd)
-
-
-def _logged(path, i):
-    _append(path, f"{i}\n")
-    return -i
+def test_worker_errors_that_do_not_pickle_or_are_not_exceptions(monkeypatch, pool_pids):
+    for _ in _each_start_method(monkeypatch):
+        # the worker sends back the error that pickling its own raised: an
+        # AttributeError up to Python 3.13, a PicklingError from 3.14
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            suite_mod.pool_map(pool_tasks.unpicklable_error, [1, 2, 3], 2)
+        with pytest.raises(SystemExit) as exit_info:
+            suite_mod.pool_map(pool_tasks.exits_python_at_two, list(range(6)), 2)
+        assert exit_info.value.code == 5
+    assert len(pool_pids) == 8 and _all_reaped(pool_pids)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_pool_map_runs_every_item_exactly_once(tmp_path, forked, workers):
-    log = tmp_path / "ran"
-    task = functools.partial(_logged, log)
-    assert suite_mod.pool_map(task, list(range(200)), workers) == [-i for i in range(200)]
-    assert sorted(map(int, log.read_text().split())) == list(range(200))
-    assert len(forked) == workers and _all_reaped(forked)
+def test_pool_map_runs_every_item_exactly_once(monkeypatch, tmp_path, pool_pids, workers):
+    for method in _each_start_method(monkeypatch):
+        log = tmp_path / method
+        task = functools.partial(pool_tasks.logged, log)
+        assert suite_mod.pool_map(task, list(range(200)), workers) == [-i for i in range(200)]
+        assert sorted(map(int, log.read_text().split())) == list(range(200))
+    assert len(pool_pids) == 2 * workers and _all_reaped(pool_pids)
 
 
 def _pool_tasks(monkeypatch) -> list:
@@ -362,41 +360,30 @@ def test_suite_and_scan_give_the_pool_one_task_per_group_or_section(monkeypatch)
 
 
 def test_a_groups_representatives_run_in_one_process_at_any_worker_count(
-        monkeypatch, tmp_path, forked):
-    # each battery logs (group, representative, pid, pair tests it ran); the
-    # pair tests include those of the Sol walks, which the group's memos save
-    pair_tests = [0]
-    real_pair = analysis_mod.pair_soluble
-    real_checks = sol_mod.lemma_checks_for_rep
-
-    def counted(*args):
-        pair_tests[0] += 1
-        return real_pair(*args)
-
-    def logged(G, rep_idx, name, *args, **kwargs):
-        before = pair_tests[0]
-        result = real_checks(G, rep_idx, name, *args, **kwargs)
-        _append(log, json.dumps([name, rep_idx, os.getpid(), pair_tests[0] - before]) + "\n")
-        return result
-
-    monkeypatch.setattr(analysis_mod, "pair_soluble", counted)
-    monkeypatch.setattr(sol_mod, "lemma_checks_for_rep", logged)
+        monkeypatch, tmp_path, pool_pids):
+    # each battery logs (group, representative, pid, pair tests it ran)
     groups = ("A:5", "S:5", "PSL2:7")
     runs = {}
-    for workers in (2, 1):
+
+    def run(key, workers):
         monkeypatch.setattr(catalog, "_BUILD_CACHE", {})  # every group is built cold
-        log = tmp_path / f"workers-{workers}"
+        log = tmp_path / key
+        monkeypatch.setattr(suite_mod, "_run_task", functools.partial(pool_tasks.run_task_logged, log))
         run_full_suite(RunConfig(groups=groups, workers=workers))
-        runs[workers] = [json.loads(line) for line in log.read_text().splitlines()]
-    assert len(forked) == 2 and _all_reaped(forked)
-    for workers, entries in runs.items():
+        runs[key, workers] = [json.loads(line) for line in log.read_text().splitlines()]
+
+    for method in _each_start_method(monkeypatch):
+        run(method, 2)
+    run("in process", 1)
+    assert len(pool_pids) == 4 and _all_reaped(pool_pids)
+    for (_, workers), entries in runs.items():
         pids = {name: {pid for group, _, pid, _ in entries if group == name} for name in groups}
         assert all(len(ran_in) == 1 for ran_in in pids.values()), pids
         assert (os.getpid() in set().union(*pids.values())) == (workers == 1)
-    counts = {w: {(name, rep): n for name, rep, _, n in entries} for w, entries in runs.items()}
-    assert counts[2] == counts[1]
-    assert [name for name, _ in counts[1]] == [name for name in groups
-                                               for _ in build_named_group(name).conjugacy_classes()]
+    counts = [{(name, rep): n for name, rep, _, n in entries} for entries in runs.values()]
+    assert counts == [counts[-1]] * 3
+    assert [name for name, _ in counts[-1]] == [name for name in groups
+                                                for _ in build_named_group(name).conjugacy_classes()]
 
 
 def _last_stderr_line_of(script: str):
@@ -410,7 +397,6 @@ def _last_stderr_line_of(script: str):
     return json.loads(run.stderr.splitlines()[-1])
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="off Linux the pool is ProcessPoolExecutor")
 def test_cli_imports_no_multiprocessing():
     script = (
         "import json, sys\n"
